@@ -176,7 +176,14 @@ class MILPSolver:
                             )
                         if objective.is_constant:
                             break  # feasibility problem: stop at a model
-                continue
+                    continue
+                # build_lp_data drops a row that zero-filling its free
+                # variables satisfies, but the LP point may set one of
+                # them to 1 and violate it: branch instead of discarding.
+                branch_var = self._free_var_of_violated(assignment, fixed)
+                if branch_var is None:
+                    continue
+                branch_value = float(assignment[branch_var])
             # depth first, rounding side explored first (pushed last)
             away = dict(fixed)
             away[branch_var] = 0 if branch_value > 0.5 else 1
@@ -220,6 +227,19 @@ class MILPSolver:
         for var in self._instance.variables():
             assignment.setdefault(var, 0)
         return assignment
+
+    def _free_var_of_violated(
+        self, assignment: Dict[int, int], fixed: Dict[int, int]
+    ) -> Optional[int]:
+        """A variable outside ``fixed`` from a constraint ``assignment``
+        violates, or None when no such variable exists."""
+        for constraint in self._instance.constraints:
+            if not constraint.is_satisfied_by(assignment):
+                for _, lit in constraint.terms:
+                    var = abs(lit)
+                    if var not in fixed:
+                        return var
+        return None
 
     @staticmethod
     def _most_fractional(data, x) -> Tuple[Optional[int], float]:

@@ -117,14 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--cold-bounds",
-        action="store_true",
-        help=(
-            "disable the incremental bounders (trail-delta MIS cache, "
-            "warm-started simplex) and recompute every bound from scratch"
-        ),
-    )
-    parser.add_argument(
         "--stats",
         action="store_true",
         help="print search statistics",
@@ -315,7 +307,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 progress_interval=args.progress_interval,
                 propagation=args.propagation,
                 lb_schedule=args.lb_schedule,
-                incremental_bounds=not args.cold_bounds,
                 proof=proof_logger,
                 metrics=registry,
                 hotspot=hotspot,
@@ -427,7 +418,6 @@ def _wbo_main(parser: argparse.ArgumentParser, args) -> int:
         time_limit=args.time_limit,
         propagation=args.propagation,
         lb_schedule=args.lb_schedule,
-        incremental_bounds=not args.cold_bounds,
     )
     solver = WBOSolver(wbo, options, mode=args.wbo_mode)
     started = _time.monotonic()

@@ -45,7 +45,6 @@ class SolverOptions:
         lower_bound: str = LPR,
         lb_frequency: int = 1,
         lb_schedule: str = STATIC,
-        incremental_bounds: bool = True,
         bound_conflict_learning: bool = True,
         upper_bound_cuts: bool = True,
         cardinality_cuts: bool = True,
@@ -108,11 +107,6 @@ class SolverOptions:
         #: escalates the hybrid MIS pre-filter from its recent payoff
         #: (see :mod:`repro.core.lb_schedule`).
         self.lb_schedule = lb_schedule
-        #: Feed trail deltas to the bounders so MIS re-evaluates only the
-        #: constraints touched since the previous call and the LP bound
-        #: re-solves from its previous basis (warm start).  Disabling
-        #: restores the cold per-node computations.
-        self.incremental_bounds = incremental_bounds
         #: Learn w_bc and backtrack non-chronologically on bound conflicts
         #: (Section 4).  When False, bound conflicts backtrack
         #: chronologically over the full decision path (the
@@ -226,7 +220,6 @@ class SolverOptions:
             "lower_bound": self.lower_bound,
             "lb_frequency": self.lb_frequency,
             "lb_schedule": self.lb_schedule,
-            "incremental_bounds": self.incremental_bounds,
             "bound_conflict_learning": self.bound_conflict_learning,
             "upper_bound_cuts": self.upper_bound_cuts,
             "cardinality_cuts": self.cardinality_cuts,

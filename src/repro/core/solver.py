@@ -100,7 +100,6 @@ def make_bounders(
     return prefilter, LPRelaxationBound(
         instance,
         max_iterations=options.lp_max_iterations,
-        warm=options.incremental_bounds,
         metrics=metrics,
     )
 
@@ -206,9 +205,9 @@ class BsoloSolver:
         self._cut_generator = CutGenerator(
             instance, cardinality_cuts=self._options.cardinality_cuts
         )
-        if session is None and self._options.incremental_bounds:
+        if session is None:
             # Feed trail deltas to the bounders that can exploit them
-            # (incremental MIS cache, warm-started LP).
+            # (the incremental MIS cache).
             for bounder in (self._prefilter, self._bounder):
                 if bounder is not None and hasattr(bounder, "attach_trail"):
                     bounder.attach_trail(self._propagator.trail)

@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lbbench = sub.add_parser(
         "lbbench",
-        help="race incremental vs cold lower bounding (MIS cache, warm LP)",
+        help="race the incremental MIS cache and the bound schedules",
     )
     lbbench.add_argument(
         "--families", nargs="+", default=list(LBBENCH_FAMILIES),

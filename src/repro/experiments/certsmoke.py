@@ -17,24 +17,17 @@ from ..certify import ProofChecker, ProofError, ProofLogger
 from .runner import run_one
 from .table1 import family_instances
 
-#: (propagation backend, lb schedule, incremental bounds) grid — every
-#: engine, both schedulers, and the cold-bounder path all emit proofs.
-CONFIGS: Tuple[Tuple[str, str, bool], ...] = (
-    ("counter", "static", True),
-    ("watched", "static", True),
-    ("array", "static", True),
-    ("counter", "adaptive", True),
-    ("counter", "static", False),
+#: (propagation backend, lb schedule) grid — every engine and both
+#: schedulers emit proofs.
+CONFIGS: Tuple[Tuple[str, str], ...] = (
+    ("counter", "static"),
+    ("watched", "static"),
+    ("array", "static"),
+    ("counter", "adaptive"),
 )
 
 #: The quick Table 1 stand-in families.
 FAMILIES = ("mcnc", "ptl", "grout")
-
-
-def _config_label(propagation: str, lb_schedule: str, incremental: bool) -> str:
-    return "%s/%s/%s" % (
-        propagation, lb_schedule, "incr" if incremental else "cold"
-    )
 
 
 def run_certsmoke(
@@ -43,7 +36,7 @@ def run_certsmoke(
     scale: float = 0.5,
     time_limit: float = 30.0,
     solver: str = "bsolo-lpr",
-    configs: Sequence[Tuple[str, str, bool]] = CONFIGS,
+    configs: Sequence[Tuple[str, str]] = CONFIGS,
 ) -> List[Dict[str, Any]]:
     """Solve, log, and independently re-check every (instance, config).
 
@@ -56,7 +49,7 @@ def run_certsmoke(
     for family in families:
         instances, labels = family_instances(family, count=count, scale=scale)
         for instance, label in zip(instances, labels):
-            for propagation, lb_schedule, incremental in configs:
+            for propagation, lb_schedule in configs:
                 sink = StringIO()
                 logger = ProofLogger(sink)
                 record = run_one(
@@ -66,13 +59,12 @@ def run_certsmoke(
                     time_limit,
                     propagation=propagation,
                     lb_schedule=lb_schedule,
-                    incremental_bounds=incremental,
                     proof=logger,
                 )
                 logger.close()
                 row: Dict[str, Any] = {
                     "instance": label,
-                    "config": _config_label(propagation, lb_schedule, incremental),
+                    "config": "%s/%s" % (propagation, lb_schedule),
                     "status": record.result.status,
                     "cost": record.result.best_cost,
                     "steps": logger.steps_logged,

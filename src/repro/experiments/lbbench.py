@@ -1,26 +1,26 @@
-"""Lower-bounding microbenchmark: incremental vs cold bound computation.
+"""Lower-bounding microbenchmark: the incremental MIS cache and bound
+scheduling.
 
 Two complementary measurements per family:
 
 drive mode (apples to apples, lockstep)
     A seeded decision walk (decide / propagate / backtrack, exactly like
     :mod:`.propbench`) during which every non-conflicting node is bounded
-    *four* times over the same trail: by an incremental
+    twice over the same trail: by an incremental
     :class:`~repro.mis.independent_set.MISBound` (trail-delta cache) and
-    a cold one, and by a warm :class:`~repro.lp.relaxation.LPRelaxationBound`
-    (persistent simplex, dual warm starts) and a cold one.  The pairs see
-    identical ``fixed`` mappings at identical nodes, so
+    a cold one.  The pair sees identical ``fixed`` mappings at identical
+    nodes, so
 
-    * ``(value, infeasible)`` must agree pair-wise at every node — the
-      report records this under ``lockstep_bounds_equal`` and the CI
-      smoke job asserts it; and
-    * the calls/sec and simplex-iteration ratios are pure costs of the
-      incremental machinery, not of divergent search trees.
+    * ``(value, infeasible)`` must agree at every node — the report
+      records this under ``lockstep_mis_equal`` and the CI smoke job
+      asserts it; and
+    * the calls/sec ratio is the pure cost of the incremental machinery,
+      not of divergent search trees.
 
 solve mode (end to end)
     Full :class:`~repro.core.solver.BsoloSolver` runs per configuration
-    (cold/static, incremental/static, incremental/adaptive) reporting
-    realized conflicts/sec, the per-bounder stats from
+    (static schedule, adaptive schedule, adaptive on the array backend)
+    reporting realized conflicts/sec, the per-bounder stats from
     ``stats.lb_stats`` and the adaptive scheduler's skip counters.
     Search trajectories may diverge between schedules (bounding fewer
     nodes changes the tree), so these numbers measure realized solver
@@ -39,7 +39,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..core.options import SolverOptions
 from ..core.solver import BsoloSolver
 from ..engine.interface import Conflict, make_engine
-from ..lp.relaxation import LPRelaxationBound
 from ..mis.independent_set import MISBound
 from ..pb.instance import PBInstance
 from .table1 import family_instances as _table1_instances
@@ -47,18 +46,16 @@ from .table1 import family_instances as _table1_instances
 #: Families benchmarked by default (acc is constant-objective: no bounds).
 FAMILIES = ("mcnc", "ptl", "grout")
 
-#: Solve-mode configurations:
-#: (label, incremental_bounds, lb_schedule, propagation backend).
+#: Solve-mode configurations: (label, lb_schedule, propagation backend).
+#: Speedups are reported relative to ``static``.
 CONFIGS = (
-    ("cold-static", False, "static", "counter"),
-    ("incremental-static", True, "static", "counter"),
-    ("incremental-adaptive", True, "adaptive", "counter"),
-    ("incremental-array", True, "adaptive", "array"),
+    ("static", "static", "counter"),
+    ("adaptive", "adaptive", "counter"),
+    ("array", "adaptive", "array"),
 )
 
-#: Headline targets the report grades itself against.
+#: Headline target the report grades itself against.
 TARGET_MIS_SPEEDUP = 2.0
-TARGET_SIMPLEX_REDUCTION = 0.30
 
 
 def family_instances(
@@ -71,16 +68,11 @@ def family_instances(
 # ----------------------------------------------------------------------
 # Drive mode
 # ----------------------------------------------------------------------
-def drive_walk(
-    instance: PBInstance,
-    seed: int,
-    max_nodes: int,
-    lp_max_iterations: int = 20000,
-) -> Dict[str, Any]:
-    """Bound ``max_nodes`` nodes of one seeded walk with all four bounders.
+def drive_walk(instance: PBInstance, seed: int, max_nodes: int) -> Dict[str, Any]:
+    """Bound ``max_nodes`` nodes of one seeded walk with both MIS bounders.
 
-    Returns per-bounder call counts, wall times, simplex iterations and
-    the pair-wise lockstep equality flags.
+    Returns per-bounder call counts and wall times, and the lockstep
+    equality flag.
     """
     engine = make_engine("counter", instance.num_variables)
     for constraint in instance.constraints:
@@ -91,11 +83,6 @@ def drive_walk(
     mis_inc = MISBound(instance)
     mis_inc.attach_trail(trail)
     mis_cold = MISBound(instance)
-    lpr_warm = LPRelaxationBound(instance, max_iterations=lp_max_iterations)
-    lpr_warm.attach_trail(trail)
-    lpr_cold = LPRelaxationBound(
-        instance, max_iterations=lp_max_iterations, warm=False
-    )
 
     rng = random.Random(seed)
     order = list(range(1, instance.num_variables + 1))
@@ -103,19 +90,14 @@ def drive_walk(
     coin = rng.random
     nodes = 0
     mis_equal = True
-    lpr_equal = True
 
     def bound_node() -> None:
-        nonlocal mis_equal, lpr_equal
+        nonlocal mis_equal
         fixed = trail.assignment()
         a = mis_inc.compute(fixed)
         b = mis_cold.compute(fixed)
         if (a.value, a.infeasible) != (b.value, b.infeasible):
             mis_equal = False
-        c = lpr_warm.compute(fixed)
-        d = lpr_cold.compute(fixed)
-        if (c.value, c.infeasible) != (d.value, d.infeasible):
-            lpr_equal = False
 
     bound_node()
     nodes += 1
@@ -145,11 +127,8 @@ def drive_walk(
     return {
         "nodes": nodes,
         "mis_equal": mis_equal,
-        "lpr_equal": lpr_equal,
         "mis_incremental": mis_inc.stats_dict(),
         "mis_cold": mis_cold.stats_dict(),
-        "lpr_warm": lpr_warm.stats_dict(),
-        "lpr_cold": lpr_cold.stats_dict(),
     }
 
 
@@ -157,25 +136,18 @@ def bench_drive(
     instances: Sequence[PBInstance],
     seed: int = 1000,
     max_nodes: int = 120,
-    lp_max_iterations: int = 20000,
 ) -> Dict[str, Any]:
     """Lockstep drive results summed over ``instances``."""
     totals = {
         "mis_incremental": {"calls": 0, "seconds": 0.0},
         "mis_cold": {"calls": 0, "seconds": 0.0},
-        "lpr_warm": {"calls": 0, "seconds": 0.0, "iterations": 0},
-        "lpr_cold": {"calls": 0, "seconds": 0.0, "iterations": 0},
     }
     nodes = 0
     mis_equal = True
-    lpr_equal = True
     for index, instance in enumerate(instances):
-        outcome = drive_walk(
-            instance, seed + index, max_nodes, lp_max_iterations
-        )
+        outcome = drive_walk(instance, seed + index, max_nodes)
         nodes += outcome["nodes"]
         mis_equal = mis_equal and outcome["mis_equal"]
-        lpr_equal = lpr_equal and outcome["lpr_equal"]
         for key, sums in totals.items():
             for field in sums:
                 sums[field] += outcome[key][field]
@@ -188,23 +160,11 @@ def bench_drive(
             round(sums["calls"] / seconds, 1) if seconds > 0 else None
         )
         result[key] = entry
-    result["lockstep_bounds_equal"] = mis_equal and lpr_equal
     result["lockstep_mis_equal"] = mis_equal
-    result["lockstep_lpr_equal"] = lpr_equal
     inc = result["mis_incremental"]["calls_per_sec"]
     cold = result["mis_cold"]["calls_per_sec"]
     if inc and cold:
         result["speedup_mis_calls_per_sec"] = round(inc / cold, 3)
-    warm_iters = totals["lpr_warm"]["iterations"]
-    cold_iters = totals["lpr_cold"]["iterations"]
-    if cold_iters > 0:
-        result["simplex_iteration_reduction"] = round(
-            1.0 - warm_iters / cold_iters, 3
-        )
-    warm_sec = totals["lpr_warm"]["seconds"]
-    cold_sec = totals["lpr_cold"]["seconds"]
-    if warm_sec > 0 and cold_sec > 0:
-        result["speedup_lpr_wall"] = round(cold_sec / warm_sec, 3)
     return result
 
 
@@ -213,18 +173,16 @@ def bench_drive(
 # ----------------------------------------------------------------------
 def solve_run(
     instance: PBInstance,
-    incremental: bool,
     schedule: str,
     lower_bound: str = "hybrid",
     max_conflicts: Optional[int] = 2000,
     time_limit: Optional[float] = 30.0,
     propagation: str = "counter",
 ) -> Dict[str, Any]:
-    """One profiled solver run for a (incremental, schedule) config."""
+    """One profiled solver run for a (schedule, backend) config."""
     options = SolverOptions(
         lower_bound=lower_bound,
         lb_schedule=schedule,
-        incremental_bounds=incremental,
         max_conflicts=max_conflicts,
         time_limit=time_limit,
         profile=True,
@@ -255,16 +213,14 @@ def bench_solve(
 ) -> Dict[str, Any]:
     """End-to-end runs per configuration (summed over instances)."""
     per_config: Dict[str, Dict[str, Any]] = {}
-    for label, incremental, schedule, propagation in CONFIGS:
-        conflicts = decisions = lb_calls = prunings = 0
+    for label, schedule, propagation in CONFIGS:
+        conflicts = decisions = lb_calls = prunings = skipped_nodes = 0
         seconds = lpr_iterations = 0.0
-        warm_calls = cold_calls = skipped_nodes = 0
         statuses: List[str] = []
         costs: List[Optional[int]] = []
         for instance in instances:
             outcome = solve_run(
                 instance,
-                incremental,
                 schedule,
                 lower_bound=lower_bound,
                 max_conflicts=max_conflicts,
@@ -280,8 +236,6 @@ def bench_solve(
             costs.append(outcome["cost"])
             lpr = outcome["lb_stats"].get("lpr", {})
             lpr_iterations += lpr.get("iterations", 0)
-            warm_calls += lpr.get("warm_calls", 0)
-            cold_calls += lpr.get("cold_calls", 0)
             scheduler = outcome["lb_stats"].get("scheduler", {})
             skipped_nodes += scheduler.get("skipped_nodes", 0)
         per_config[label] = {
@@ -294,16 +248,14 @@ def bench_solve(
                 round(conflicts / seconds, 1) if seconds > 0 else None
             ),
             "simplex_iterations": int(lpr_iterations),
-            "warm_calls": warm_calls,
-            "cold_calls": cold_calls,
             "skipped_nodes": skipped_nodes,
             "statuses": statuses,
             "costs": costs,
         }
     result: Dict[str, Any] = dict(per_config)
-    baseline = per_config.get("cold-static")
+    baseline = per_config.get("static")
     for label, entry in per_config.items():
-        if label == "cold-static" or not baseline:
+        if label == "static" or not baseline:
             continue
         if entry["seconds"] > 0 and baseline["seconds"] > 0:
             result["speedup_%s_wall" % label] = round(
@@ -346,7 +298,7 @@ def run_lbbench(
     """Run the full microbenchmark; returns the report payload."""
     report: Dict[str, Any] = {
         "benchmark": "lowerbound",
-        "configs": [label for label, _, _, _ in CONFIGS],
+        "configs": [label for label, _, _ in CONFIGS],
         "config": {
             "count": count,
             "scale": scale,
@@ -356,10 +308,7 @@ def run_lbbench(
             "time_limit": time_limit,
             "lower_bound": lower_bound,
         },
-        "targets": {
-            "mis_speedup_min": TARGET_MIS_SPEEDUP,
-            "simplex_reduction_min": TARGET_SIMPLEX_REDUCTION,
-        },
+        "targets": {"mis_speedup_min": TARGET_MIS_SPEEDUP},
         "families": {},
     }
     for family in families:
@@ -383,12 +332,6 @@ def run_lbbench(
         for drive in drives
         if (drive.get("speedup_mis_calls_per_sec") or 0) >= TARGET_MIS_SPEEDUP
     )
-    report["families_meeting_simplex_target"] = sum(
-        1
-        for drive in drives
-        if (drive.get("simplex_iteration_reduction") or 0)
-        >= TARGET_SIMPLEX_REDUCTION
-    )
     return report
 
 
@@ -402,39 +345,31 @@ def write_report(report: Dict[str, Any], path: str = "BENCH_lowerbound.json") ->
 
 def format_summary(report: Dict[str, Any]) -> str:
     """Console table: drive and solve lines per family."""
-    lines = ["lower-bounding microbenchmark (baseline: cold per-node)"]
+    lines = ["lower-bounding microbenchmark (baselines: cold MIS, static schedule)"]
     for family, entry in report["families"].items():
         drive = entry["drive"]
-        for key in ("mis_incremental", "mis_cold", "lpr_warm", "lpr_cold"):
+        for key in ("mis_incremental", "mis_cold"):
             stats = drive[key]
-            extra = (
-                " %8d simplex iters" % stats["iterations"]
-                if "iterations" in stats
-                else ""
-            )
             lines.append(
-                "  %-6s drive  %-15s %6d calls %8.3fs %10s calls/sec%s"
+                "  %-6s drive  %-15s %6d calls %8.3fs %10s calls/sec"
                 % (
                     family,
                     key,
                     stats["calls"],
                     stats["seconds"],
                     stats["calls_per_sec"],
-                    extra,
                 )
             )
-        for key in (
-            "speedup_mis_calls_per_sec",
-            "simplex_iteration_reduction",
-            "speedup_lpr_wall",
-        ):
-            if key in drive:
-                lines.append("  %-6s drive  %s = %.3f" % (family, key, drive[key]))
-        if not drive["lockstep_bounds_equal"]:
+        if "speedup_mis_calls_per_sec" in drive:
+            lines.append(
+                "  %-6s drive  speedup_mis_calls_per_sec = %.3f"
+                % (family, drive["speedup_mis_calls_per_sec"])
+            )
+        if not drive["lockstep_mis_equal"]:
             lines.append("  %-6s drive  WARNING: bound values diverged" % family)
         solve = entry.get("solve")
         if solve:
-            for label, _, _, _ in CONFIGS:
+            for label, _, _ in CONFIGS:
                 stats = solve[label]
                 lines.append(
                     "  %-6s solve  %-20s %6d conflicts %8.3fs %8d simplex iters"
@@ -452,12 +387,5 @@ def format_summary(report: Dict[str, Any]) -> str:
     lines.append(
         "families meeting MIS >= %.1fx target: %d"
         % (TARGET_MIS_SPEEDUP, report["families_meeting_mis_target"])
-    )
-    lines.append(
-        "families meeting simplex reduction >= %.0f%% target: %d"
-        % (
-            TARGET_SIMPLEX_REDUCTION * 100,
-            report["families_meeting_simplex_target"],
-        )
     )
     return "\n".join(lines)

@@ -42,7 +42,6 @@ def make_solver(
     progress_interval: int = 1000,
     propagation: str = "counter",
     lb_schedule: str = "static",
-    incremental_bounds: bool = True,
     proof=None,
     metrics=None,
     hotspot=None,
@@ -66,7 +65,6 @@ def make_solver(
         progress_interval=progress_interval,
         propagation=propagation,
         lb_schedule=lb_schedule,
-        incremental_bounds=incremental_bounds,
         proof=proof,
         metrics=metrics,
         hotspot=hotspot,
@@ -127,7 +125,6 @@ def run_one(
     progress_interval: int = 1000,
     propagation: str = "counter",
     lb_schedule: str = "static",
-    incremental_bounds: bool = True,
     proof=None,
     metrics=None,
     hotspot=None,
@@ -151,7 +148,6 @@ def run_one(
         progress_interval=progress_interval,
         propagation=propagation,
         lb_schedule=lb_schedule,
-        incremental_bounds=incremental_bounds,
         proof=proof,
         metrics=metrics,
         hotspot=hotspot,

@@ -1,9 +1,8 @@
 """Persistent solving sessions: ``solve_under``, push/pop, warm state.
 
 A :class:`SolverSession` keeps one propagation engine, VSIDS activity,
-restart/bound-schedule state and the trail-attached bounders (the
-incremental MIS cache and the warm-started LP of the paper's Section 3
-machinery) alive across many related solve calls, instead of rebuilding
+restart/bound-schedule state and the trail-attached incremental MIS
+cache alive across many related solve calls, instead of rebuilding
 everything per instance.  The intended workload is ROADMAP Open item 4's
 perturbation streams: solve, tweak (assumptions, an extra constraint, a
 new objective), solve again.
@@ -375,9 +374,9 @@ class SolverSession:
         """(Re)build prefilter/bounder against the current instance.
 
         Structural changes (frame add, pop, new objective) invalidate
-        the cached MIS partition and the warm LP basis wholesale; a
-        rebuild is the honest invalidation.  Old trail feeds are
-        detached first so the trail stops updating dead deltas.
+        the cached MIS partition wholesale; a rebuild is the honest
+        invalidation.  Old trail feeds are detached first so the trail
+        stops updating dead deltas.
         """
         trail = self.propagator.trail
         for bounder in (self.prefilter, self.bounder):
@@ -386,10 +385,9 @@ class SolverSession:
         self.prefilter, self.bounder = make_bounders(
             self._instance, self._options, metrics=self._metrics
         )
-        if self._options.incremental_bounds:
-            for bounder in (self.prefilter, self.bounder):
-                if bounder is not None and hasattr(bounder, "attach_trail"):
-                    bounder.attach_trail(trail)
+        for bounder in (self.prefilter, self.bounder):
+            if bounder is not None and hasattr(bounder, "attach_trail"):
+                bounder.attach_trail(trail)
 
     def _end_call(self) -> None:
         """Restore the between-calls invariant after a solve.

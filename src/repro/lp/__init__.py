@@ -19,12 +19,11 @@ from .simplex import (
     UNBOUNDED,
     solve_lp,
 )
-from .standard_form import FullLPData, LPData, build_full_lp_data, build_lp_data
+from .standard_form import LPData, build_lp_data
 
 __all__ = [
     "EQ",
     "FEAS_TOL",
-    "FullLPData",
     "GE",
     "INFEASIBLE",
     "ITERATION_LIMIT",
@@ -38,7 +37,6 @@ __all__ = [
     "SimplexSolver",
     "TIGHT_TOL",
     "UNBOUNDED",
-    "build_full_lp_data",
     "build_lp_data",
     "ceil_guarded",
     "integer_ceil_bound",

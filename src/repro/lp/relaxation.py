@@ -9,40 +9,17 @@ rounded up.  Besides the bound value, this module extracts
 * the set ``S`` of tight constraints (zero LP slack), whose currently
   false literals form the explanation ``w_pl`` of a bound conflict
   (Section 4.2, eq. 9).
-
-Warm starts
------------
-The cold path rebuilds :func:`~repro.lp.standard_form.build_lp_data` and
-cold-starts the simplex (Phase I included) at every search node.  With
-``warm=True`` the bounder instead keeps ONE persistent
-:class:`~repro.lp.simplex.SimplexSolver` over the whole instance
-(:func:`~repro.lp.standard_form.build_full_lp_data`): a search node is
-applied as variable-bound clamps (``x_j in [v, v]``) plus relaxer-column
-toggles for the rows the cold builder would drop, and the LP is re-solved
-from the previous basis by the bounded dual simplex
-(:meth:`~repro.lp.simplex.SimplexSolver.warm_resolve`).  The node bound
-is then ``ceil(full_optimum - P.path)`` — provably equal to the cold
-``ceil(reduced_optimum)`` because the full and reduced LPs describe the
-same polytope over the free columns (the relaxer caps make dropped rows
-vacuous for every 0/1 completion).
-
-Only an OPTIMAL warm outcome is trusted.  Anything else — dual
-unboundedness (likely infeasible), iteration limit, numerical breakdown,
-or a changed cut list — falls back to the cold path, which re-derives
-the exact classification; the model is rebuilt lazily afterwards.
-Consecutive nodes differ by a handful of assignments, so the usual warm
-call is a few dual pivots instead of a full two-phase solve.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Mapping, Optional, Sequence
 
 from ..pb.constraints import Constraint
 from ..pb.instance import PBInstance
 from .simplex import INFEASIBLE, OPTIMAL, SimplexSolver
-from .standard_form import build_full_lp_data, build_lp_data, row_is_dropped
+from .standard_form import build_lp_data
 from .tolerances import TIGHT_TOL, ceil_guarded
 
 
@@ -84,23 +61,6 @@ def integer_ceil_bound(lp_objective: float) -> int:
     return ceil_guarded(lp_objective)
 
 
-class _WarmModel:
-    """The persistent LP behind a warm :class:`LPRelaxationBound`."""
-
-    __slots__ = ("data", "solver", "applied", "active", "path", "extras_key")
-
-    def __init__(self, data, solver, applied, active, path, extras_key):
-        self.data = data
-        self.solver: SimplexSolver = solver
-        #: var -> value currently clamped into the LP bounds.
-        self.applied: Dict[int, int] = applied
-        #: row index -> False when its relaxer is open (row dropped).
-        self.active: List[bool] = active
-        #: objective cost of the applied fixed-to-1 variables (``P.path``).
-        self.path = path
-        self.extras_key: Tuple[Constraint, ...] = extras_key
-
-
 class LPRelaxationBound:
     """Lower bound estimation via linear-programming relaxation."""
 
@@ -111,24 +71,15 @@ class LPRelaxationBound:
         instance: PBInstance,
         max_iterations: int = 20000,
         tight_tol: float = TIGHT_TOL,
-        warm: bool = True,
         metrics=None,
     ):
         self._instance = instance
         self._max_iterations = max_iterations
         self._tight_tol = tight_tol
-        self._warm = warm
-        self._costs = instance.objective.costs
-        self._model: Optional[_WarmModel] = None
-        self._delta = None  # TrailDelta once attach_trail() is called
-        self._broken = False  # root relaxation unusable: stay cold
         self.num_calls = 0
         self.total_iterations = 0
         self.total_batch_pivots = 0
         self.total_seconds = 0.0
-        self.warm_calls = 0
-        self.cold_calls = 0
-        self.warm_fallbacks = 0
         # Metrics (optional): pivot counters resolved once, fed with the
         # per-call deltas after each compute.
         live = metrics if (metrics is not None and metrics.enabled) else None
@@ -146,22 +97,6 @@ class LPRelaxationBound:
             else None
         )
 
-    # ------------------------------------------------------------------
-    def attach_trail(self, trail) -> None:
-        """Enable delta-driven node application: future warm calls clamp
-        only the columns of variables assigned/unassigned since the
-        previous call instead of diffing the whole ``fixed`` mapping."""
-        self._delta = trail.register_delta()
-        self._model = None  # rebuild so model state and feed are in sync
-
-    def detach_trail(self, trail) -> None:
-        """Reverse of :meth:`attach_trail`: stop consuming the trail's
-        change feed (sessions detach a bounder before rebuilding it on
-        structural changes, else the dead delta is fed forever)."""
-        if self._delta is not None:
-            trail.unregister_delta(self._delta)
-            self._delta = None
-
     def stats_dict(self) -> Dict[str, float]:
         """Structured per-bounder stats (merged into ``SolverStats``)."""
         return {
@@ -169,9 +104,6 @@ class LPRelaxationBound:
             "iterations": self.total_iterations,
             "batch_pivots": self.total_batch_pivots,
             "seconds": round(self.total_seconds, 6),
-            "warm_calls": self.warm_calls,
-            "cold_calls": self.cold_calls,
-            "warm_fallbacks": self.warm_fallbacks,
         }
 
     def compute(
@@ -205,160 +137,6 @@ class LPRelaxationBound:
         extra_constraints: Sequence[Constraint] = (),
     ) -> LowerBound:
         self.num_calls += 1
-        if self._warm:
-            outcome = self._compute_warm(fixed, extra_constraints)
-            if outcome is not None:
-                self.warm_calls += 1
-                return outcome
-            self.warm_fallbacks += 1
-        self.cold_calls += 1
-        return self._compute_cold(fixed, extra_constraints)
-
-    # ------------------------------------------------------------------
-    # Warm path
-    # ------------------------------------------------------------------
-    def _build_model(self, extras_key: Tuple[Constraint, ...]) -> Optional[_WarmModel]:
-        """Cold-build the persistent LP at the *root* (no clamps) and run
-        the one full two-phase solve the model ever needs.  The root
-        relaxation of any satisfiable instance is feasible, so building
-        here never depends on the (possibly infeasible) current node."""
-        data = build_full_lp_data(self._instance, extras_key)
-        num_vars = data.num_vars
-        total = num_vars + data.num_rows
-        upper = [1.0] * num_vars + [0.0] * data.num_rows
-        solver = SimplexSolver(
-            data.c,
-            data.A,
-            data.b,
-            data.senses,
-            upper=upper,
-            max_iterations=self._max_iterations,
-            lower=[0.0] * total,
-        )
-        result = solver.solve()
-        self.total_iterations += result.iterations
-        self.total_batch_pivots += solver.batch_pivots
-        if result.status != OPTIMAL:
-            return None  # root LP infeasible or stuck: warm is hopeless
-        model = _WarmModel(data, solver, {}, [True] * data.num_rows, 0, extras_key)
-        self._model = model
-        return model
-
-    def _apply_node(
-        self, model: _WarmModel, fixed: Mapping[int, int], changed: Set[int]
-    ) -> None:
-        """Clamp the difference between the model's applied assignment
-        and ``fixed`` into the LP bounds, toggling relaxer columns for
-        rows whose dropped-status changed."""
-        if not changed:
-            return
-        data = model.data
-        solver = model.solver
-        touched_rows: Set[int] = set()
-        for var in changed:
-            new = fixed.get(var)
-            old = model.applied.get(var)
-            if new == old:
-                continue
-            j = data.column_of.get(var)
-            if j is not None:
-                if new is None:
-                    solver.set_column_bounds(j, 0.0, 1.0)
-                else:
-                    solver.set_column_bounds(j, float(new), float(new))
-            if old == 1:
-                model.path -= self._costs.get(var, 0)
-            if new == 1:
-                model.path += self._costs.get(var, 0)
-            if new is None:
-                model.applied.pop(var, None)
-            else:
-                model.applied[var] = new
-            touched_rows.update(data.rows_of_var.get(var, ()))
-        for i in touched_rows:
-            now_active = not row_is_dropped(data.rows[i], fixed)
-            if now_active != model.active[i]:
-                cap = 0.0 if now_active else data.relax_cap[i]
-                solver.set_column_bounds(data.relaxer_col[i], 0.0, cap)
-                model.active[i] = now_active
-
-    def _compute_warm(
-        self,
-        fixed: Mapping[int, int],
-        extra_constraints: Sequence[Constraint],
-    ) -> Optional[LowerBound]:
-        if self._broken:
-            return None
-        extras_key = tuple(extra_constraints)
-        model = self._model
-        if model is None or model.extras_key != extras_key:
-            # Stale basis (first call, learned cuts changed, or a prior
-            # fallback): rebuild cold once at the root, then stay warm.
-            self._model = None
-            model = self._build_model(extras_key)
-            if model is None:
-                # Root relaxation infeasible/stuck — adding cuts or
-                # node clamps cannot fix that, so stop trying warm.
-                self._broken = True
-                return None
-            if self._delta is not None:
-                self._delta.drain()  # the model starts from the root
-            changed: Set[int] = set(fixed) | set(model.applied)
-        elif self._delta is not None:
-            changed = self._delta.drain()
-        else:
-            changed = {
-                var
-                for var in set(fixed) | set(model.applied)
-                if fixed.get(var) != model.applied.get(var)
-            }
-        self._apply_node(model, fixed, changed)
-        batch_before = model.solver.batch_pivots
-        result = model.solver.warm_resolve()
-        self.total_iterations += result.iterations
-        self.total_batch_pivots += model.solver.batch_pivots - batch_before
-        if result.status != OPTIMAL:
-            # Only a certified optimum is trusted; infeasible/limit
-            # outcomes are re-derived by the exact cold path.  An
-            # INFEASIBLE verdict says nothing bad about the basis (the
-            # node's LP simply has no point), so the model is kept for
-            # the next node; anything else means the basis is stale.
-            if result.status != INFEASIBLE:
-                self._model = None
-            return None
-        data = model.data
-        value = integer_ceil_bound(result.objective - model.path)
-        tight = set(result.tight_rows(self._tight_tol))
-        explanation = [
-            data.rows[i] for i in tight if model.active[i]
-        ]
-        duals_by_row = {
-            data.rows[i]: float(result.duals[i])
-            for i in range(data.num_rows)
-            if model.active[i]
-        }
-        applied = model.applied
-        fractional = {
-            var: float(result.x[j])
-            for j, var in enumerate(data.columns)
-            if var not in applied
-        }
-        return LowerBound(
-            max(value, 0),
-            explanation=explanation,
-            fractional=fractional,
-            duals_by_row=duals_by_row,
-            iterations=result.iterations,
-        )
-
-    # ------------------------------------------------------------------
-    # Cold path (also the reference for the differential tests)
-    # ------------------------------------------------------------------
-    def _compute_cold(
-        self,
-        fixed: Mapping[int, int],
-        extra_constraints: Sequence[Constraint] = (),
-    ) -> LowerBound:
         data = build_lp_data(self._instance, fixed, extra_constraints)
         if data is None:
             return LowerBound(0, infeasible=True)
@@ -398,14 +176,6 @@ class LPRelaxationBound:
         )
 
 
-def root_lpr_bound(
-    instance: PBInstance, bounder: Optional[LPRelaxationBound] = None
-) -> int:
-    """LPR bound of the whole instance (no assignments): ``ceil(z*_lpr)``.
-
-    Pass a pre-built ``bounder`` to reuse its persistent warm model
-    instead of constructing (and discarding) a fresh relaxation.
-    """
-    if bounder is None:
-        bounder = LPRelaxationBound(instance, warm=False)
-    return bounder.compute({}).value
+def root_lpr_bound(instance: PBInstance) -> int:
+    """LPR bound of the whole instance (no assignments): ``ceil(z*_lpr)``."""
+    return LPRelaxationBound(instance).compute({}).value

@@ -19,168 +19,6 @@ from ..pb.instance import PBInstance
 from .simplex import GE
 
 
-class FullLPData:
-    """Whole-instance relaxation data for the warm-started bounder.
-
-    Unlike :class:`LPData` this is built *once* (no partial assignment
-    baked in): every constraint becomes a row in integer form and every
-    variable of the rows — plus every costed variable — becomes a
-    column.  Search-node state is applied afterwards through variable
-    bounds (fixing ``x_j`` to ``v`` is the box ``[v, v]``).
-
-    Per-node the cold builder *drops* rows whose remaining right-hand
-    side is non-positive (satisfiable for free).  A persistent model
-    cannot drop rows, so each row carries a dedicated *relaxer column*:
-    cost 0, coefficient +1 in its row only, normally locked to
-    ``[0, 0]``.  Opening it to ``[0, relax_cap[i]]`` makes row ``i``
-    vacuous (the cap covers the worst case of every 0/1 completion), so
-    toggling relaxer bounds reproduces the cold builder's row dropping
-    exactly — same polytope over the shared columns, hence bit-equal
-    optima.
-    """
-
-    __slots__ = (
-        "c",
-        "A",
-        "b",
-        "senses",
-        "columns",
-        "column_of",
-        "rows",
-        "relaxer_col",
-        "relax_cap",
-        "rows_of_var",
-    )
-
-    def __init__(self, c, A, b, senses, columns, column_of, rows, relaxer_col, relax_cap, rows_of_var):
-        self.c = c
-        self.A = A
-        self.b = b
-        self.senses = senses
-        #: LP column index -> original variable (structural prefix only).
-        self.columns: List[int] = columns
-        #: original variable index -> LP column index.
-        self.column_of: Dict[int, int] = column_of
-        #: LP row index -> original constraint.
-        self.rows: List[Constraint] = rows
-        #: row index -> its relaxer column index.
-        self.relaxer_col: List[int] = relaxer_col
-        #: row index -> relaxer upper bound that makes the row vacuous.
-        self.relax_cap: List[float] = relax_cap
-        #: variable -> row indices it appears in (for delta invalidation).
-        self.rows_of_var: Dict[int, List[int]] = rows_of_var
-
-    @property
-    def num_vars(self) -> int:
-        """Number of structural variables."""
-        return len(self.columns)
-
-    @property
-    def num_rows(self) -> int:
-        """Number of constraint rows."""
-        return len(self.rows)
-
-
-def row_is_dropped(constraint: Constraint, fixed: Mapping[int, int]) -> bool:
-    """Whether :func:`build_lp_data` would drop this row under ``fixed``.
-
-    Replicates the builder's logic exactly (the warm bounder's relaxer
-    toggles must match it row-for-row): the running rhs absorbs both
-    fixed-true coefficients and the ``~x -> 1 - x`` substitution of
-    *free* negated literals, but the drop test fires only right after a
-    fixed-true subtraction — so a row whose rhs goes non-positive purely
-    through free negated literals is kept.  A row with no free terms at
-    all is dropped when satisfied (its violation is reported separately).
-    """
-    rhs = constraint.rhs
-    has_free = False
-    for coef, lit in constraint.terms:
-        var = lit if lit > 0 else -lit
-        value = fixed.get(var)
-        if value is not None:
-            if (value == 1) == (lit > 0):
-                rhs -= coef
-                if rhs <= 0:
-                    return True
-            continue
-        has_free = True
-        if lit < 0:
-            rhs -= coef
-    if not has_free:
-        return rhs <= 1e-9
-    return False
-
-
-def build_full_lp_data(
-    instance: PBInstance,
-    extra_constraints: Sequence[Constraint] = (),
-) -> FullLPData:
-    """Whole-instance LP data (see :class:`FullLPData`).
-
-    Never returns ``None``: root-level infeasibility simply surfaces as
-    an infeasible LP, which the warm bounder hands back to the cold path
-    for exact classification.
-    """
-    columns: List[int] = []
-    column_of: Dict[int, int] = {}
-
-    def column(var: int) -> int:
-        index = column_of.get(var)
-        if index is None:
-            index = len(columns)
-            column_of[var] = index
-            columns.append(var)
-        return index
-
-    rows: List[Constraint] = []
-    row_coeffs: List[Dict[int, float]] = []
-    row_rhs: List[float] = []
-    for constraint in list(instance.constraints) + list(extra_constraints):
-        coeffs: Dict[int, float] = {}
-        rhs = float(constraint.rhs)
-        for coef, lit in constraint.terms:
-            var = lit if lit > 0 else -lit
-            if lit > 0:
-                coeffs[var] = coeffs.get(var, 0.0) + coef
-            else:
-                coeffs[var] = coeffs.get(var, 0.0) - coef
-                rhs -= coef
-        for var in coeffs:
-            column(var)
-        rows.append(constraint)
-        row_coeffs.append(coeffs)
-        row_rhs.append(rhs)
-    # Costed variables outside every row still carry objective weight
-    # (their cost belongs to P.path when fixed to 1, and the warm bound
-    # subtracts the whole path from the whole-LP optimum).
-    for var in sorted(instance.objective.costs):
-        column(var)
-
-    num_vars = len(columns)
-    m = len(rows)
-    n = num_vars + m  # one relaxer column per row
-    A = np.zeros((m, n))
-    relaxer_col: List[int] = []
-    relax_cap: List[float] = []
-    rows_of_var: Dict[int, List[int]] = {}
-    for i, coeffs in enumerate(row_coeffs):
-        for var, weight in coeffs.items():
-            A[i, column_of[var]] = weight
-            rows_of_var.setdefault(var, []).append(i)
-        A[i, num_vars + i] = 1.0
-        relaxer_col.append(num_vars + i)
-        worst = sum(w for w in coeffs.values() if w < 0)
-        relax_cap.append(max(0.0, row_rhs[i] - worst))
-    b = np.asarray(row_rhs)
-    c = np.zeros(n)
-    for var, cost in instance.objective.costs.items():
-        c[column_of[var]] = float(cost)
-    senses = [GE] * m
-    return FullLPData(
-        c, A, b, senses, columns, column_of, rows, relaxer_col, relax_cap, rows_of_var
-    )
-
-
 class LPData:
     """Dense relaxation data plus the bookkeeping to map back."""
 
@@ -250,9 +88,9 @@ def build_lp_data(
         # the ~x -> 1-x substitution, so ``rhs <= 0`` mid-loop means the
         # *remaining* integer-form rhs is non-positive: the row is
         # satisfied by zero-filling every free variable.  Dropping such a
-        # row only relaxes the LP (sound for lower bounding), and the
-        # MILP baseline's zero-fill completion satisfies it by the same
-        # argument.
+        # row only relaxes the LP (sound for lower bounding); an LP point
+        # that sets one of those free variables to 1 can still violate
+        # it, which the MILP baseline checks before accepting a model.
         for coef, lit in constraint.terms:
             var = lit if lit > 0 else -lit
             value = fixed.get(var)

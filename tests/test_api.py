@@ -197,34 +197,11 @@ class TestAssumptions:
 
 
 class TestKeywordOnlyMigration:
-    """The instrument arguments went keyword-only; old positional
-    callers get one release behind a DeprecationWarning."""
+    """The instrument arguments are keyword-only."""
 
-    def test_positional_instruments_warn_but_work(self):
-        with pytest.warns(DeprecationWarning):
-            result = solve(covering_instance(), "bsolo", None, 30.0)
-        assert result.status == OPTIMAL and result.best_cost == 4
-
-    def test_positional_maps_old_order(self):
-        # (timeout, propagation): a tiny timeout must still bite
-        with pytest.warns(DeprecationWarning):
-            result = solve(
-                covering_instance(), "bsolo-plain", None, 1e-9, "counter"
-            )
-        assert result.status == UNKNOWN
-
-    def test_keyword_callers_do_not_warn(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            result = solve(covering_instance(), timeout=30.0)
-        assert result.status == OPTIMAL
-
-    def test_double_pass_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                solve(covering_instance(), "bsolo", None, 5.0, timeout=5.0)
+    def test_positional_instruments_rejected(self):
+        with pytest.raises(TypeError):
+            solve(covering_instance(), "bsolo", None, 30.0)
 
     def test_too_many_positionals_rejected(self):
         with pytest.raises(TypeError):

@@ -201,7 +201,7 @@ class TestEndToEnd:
         [
             {"propagation": "watched"},
             {"lb_schedule": "adaptive"},
-            {"incremental_bounds": False},
+            {"propagation": "array"},
             {"lower_bound": "mis"},
             {"lower_bound": "lgr"},
             {"pb_learning": True},

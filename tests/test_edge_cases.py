@@ -12,7 +12,7 @@ from repro.pb import Constraint, Objective, PBInstance
 
 class TestZeroFillRows:
     """build_lp_data's 'satisfied' flag means satisfied-by-zero-fill; the
-    MILP baseline's empty-LP completion path must stay consistent."""
+    MILP baseline's completions must stay consistent with it."""
 
     def test_negative_literal_before_fixed_true(self):
         # 2~x1 + x2 >= 2 with x2 = 1: remaining requirement 2~x1 >= 1,
@@ -72,6 +72,35 @@ class TestZeroFillRows:
         if expected.best_cost is not None:
             assert result.best_cost == expected.best_cost
             assert instance.check(result.best_assignment)
+
+    @pytest.mark.parametrize(
+        "family, seed, optimum",
+        [
+            ("grout", 5002095, 19),
+            ("grout", 6002018, 17),
+            ("planted", 9301, None),
+            ("planted", 9406, None),
+            ("planted", 9546, None),
+        ],
+    )
+    def test_milp_integral_point_violating_dropped_row(self, family, seed, optimum):
+        # Each input reaches a node whose integral LP optimum sets the
+        # variable of a free negated literal to 1 and so violates a row
+        # build_lp_data dropped; milp must branch there, not discard the
+        # node with its subtree.
+        from repro.benchgen import generate_planted, generate_routing
+
+        if family == "grout":
+            instance = generate_routing(
+                rows=3, cols=3, nets=7, capacity=2, detours=5, seed=seed
+            )
+        else:
+            instance, _ = generate_planted(10, 16, 3, seed=seed)
+            optimum = BruteForceSolver(instance).solve().best_cost
+        result = MILPSolver(instance).solve()
+        assert result.status == "optimal"
+        assert result.best_cost == optimum
+        assert instance.check(result.best_assignment)
 
 
 class TestReportingEdges:

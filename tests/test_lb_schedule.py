@@ -149,10 +149,9 @@ class TestMakeSchedule:
             SolverOptions(lb_schedule="aggressive")
 
     def test_describe_includes_schedule(self):
-        options = SolverOptions(lb_schedule="adaptive", incremental_bounds=False)
+        options = SolverOptions(lb_schedule="adaptive")
         described = options.describe()
         assert described["lb_schedule"] == "adaptive"
-        assert described["incremental_bounds"] is False
 
     def test_replace_roundtrip(self):
         options = SolverOptions().replace(lb_schedule="adaptive")

@@ -130,11 +130,9 @@ class TestLPRelaxationBound:
     def test_root_helper(self):
         assert root_lpr_bound(covering_instance()) >= 3
 
-    def test_root_helper_reuses_bounder(self):
+    def test_root_helper_matches_bounder(self):
         instance = covering_instance()
-        bounder = LPRelaxationBound(instance)
-        assert root_lpr_bound(instance, bounder=bounder) == root_lpr_bound(instance)
-        assert bounder.num_calls == 1
+        assert root_lpr_bound(instance) == LPRelaxationBound(instance).compute({}).value
 
 
 class TestBoundSoundness:
