@@ -141,9 +141,8 @@ class SolverOptions:
         #: (Galena-style PB learning; post-paper extension).
         self.pb_learning = pb_learning
         #: Propagation backend name (``repro.engine.available_engines()``):
-        #: ``"counter"`` for eager slack counters (the reference engine),
-        #: ``"watched"`` for watched-literal/watched-sum propagation,
-        #: ``"array"`` for the vectorized CSR/numpy engine.
+        #: ``"counter"`` for eager slack counters (the reference engine)
+        #: or ``"watched"`` for watched-literal/watched-sum propagation.
         #: Validated lazily by ``make_engine`` so third-party backends
         #: registered after option construction still work.
         self.propagation = propagation

@@ -7,9 +7,7 @@ Chaff VSIDS branching heuristic (Section 5).
 """
 
 from .activity import VSIDSActivity
-from .array_engine import ArrayPropagator
-from .array_store import ArrayConstraintStore
-from .assignment import ArrayTrail, Reason, Trail, UNASSIGNED
+from .assignment import Reason, Trail, UNASSIGNED
 from .conflict import (
     AnalysisResult,
     ConflictAnalyzer,
@@ -41,9 +39,6 @@ from .watched import WatchedPropagator
 
 __all__ = [
     "AnalysisResult",
-    "ArrayConstraintStore",
-    "ArrayPropagator",
-    "ArrayTrail",
     "Conflict",
     "ConflictAnalyzer",
     "ConstraintDatabase",

@@ -8,22 +8,16 @@ that justifies the implication (used by conflict analysis to resolve
 backwards, paper Section 4 relies on the same machinery for bound
 conflicts).
 
-Two implementations share the interface: :class:`Trail` (plain Python
-lists, the reference) and :class:`ArrayTrail` (preallocated numpy
-``values``/``levels``/``trail`` arrays with a Python-object sidecar for
-the clausal reasons).  The array variant exists for the vectorized
-``array`` propagation backend, whose kernels fancy-index the value and
-trail arrays directly; it preserves the full Trail API — including the
-:class:`TrailDelta` feeds that drive incremental lower bounding — so
-every consumer (conflict analysis, ``MISBound.attach_trail``, the
-benches) works against either.
+Every propagation backend shares one :class:`Trail` over plain Python
+lists, which the propagation hot loops index one variable at a time.
+Its :class:`TrailDelta` feeds drive incremental lower bounding, so
+conflict analysis, ``MISBound.attach_trail`` and the benches all read
+the same structure whatever the backend.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..pb.literals import variable
 
@@ -236,115 +230,3 @@ class Trail:
             raise ValueError("no decision at level %d" % level)
         return self._trail[self._level_start[level]]
 
-
-class ArrayTrail(Trail):
-    """A :class:`Trail` over preallocated flat numpy arrays.
-
-    ``_value`` (int8), ``_level`` (int32) and ``_saved_phase`` (int8)
-    are variable-indexed numpy arrays so vectorized propagation kernels
-    can fancy-index them in bulk; ``_trail_array`` mirrors the literal
-    stack as a preallocated int32 array (a trail never exceeds
-    ``num_variables`` entries, so no growth is ever needed).  The
-    chronological ``_trail`` *list* of Python ints is kept alongside the
-    mirror: conflict analysis, proof logging and the solver iterate it
-    literal-by-literal and expect exact :class:`Trail` semantics (plain
-    ``int`` elements), while the kernels slice the mirror.  Reasons stay
-    a Python-object sidecar — they are tuples of literals, not numbers.
-    """
-
-    def __init__(self, num_variables: int):
-        self.num_variables = num_variables
-        #: Scalar mirror of the value array: shared engine helpers and
-        #: the propagator's sequential fallback paths index values one
-        #: variable at a time, where a Python list is several times
-        #: faster than numpy scalar indexing.  ``_push``/``backtrack``
-        #: keep the two in sync; the kernels only see ``_value_np``.
-        self._value: List[int] = [UNASSIGNED] * (num_variables + 1)
-        self._value_np = np.full(num_variables + 1, UNASSIGNED, dtype=np.int8)
-        self._level = np.zeros(num_variables + 1, dtype=np.int32)
-        self._saved_phase = np.zeros(num_variables + 1, dtype=np.int8)
-        self._trail: List[int] = []
-        self._trail_array = np.zeros(num_variables + 1, dtype=np.int32)
-        self._reason: List[Optional[Reason]] = [None] * (num_variables + 1)
-        self._level_start: List[int] = [0]
-        self._deltas: List[TrailDelta] = []
-
-    # ------------------------------------------------------------------
-    # Array views (consumed by the vectorized propagation kernels)
-    # ------------------------------------------------------------------
-    @property
-    def values_array(self) -> np.ndarray:
-        """The variable-indexed value array (int8; UNASSIGNED = -1)."""
-        return self._value_np
-
-    def trail_slice(self, start: int, stop: int) -> np.ndarray:
-        """Trail literals ``start:stop`` as an int32 array view."""
-        return self._trail_array[start:stop]
-
-    # ------------------------------------------------------------------
-    # Mutation (array-aware overrides)
-    # ------------------------------------------------------------------
-    def value(self, var: int) -> int:
-        """0, 1, or ``UNASSIGNED`` for a variable (as a Python int)."""
-        return self._value[var]
-
-    def level(self, var: int) -> int:
-        """Decision level at which ``var`` was assigned."""
-        return int(self._level[var])
-
-    def saved_phase(self, var: int) -> int:
-        """The value ``var`` last held (0 if never assigned)."""
-        return int(self._saved_phase[var])
-
-    def unassigned_variables(self) -> List[int]:
-        """The variables still free, ascending (vectorized scan)."""
-        free = np.nonzero(self._value_np[1:] == UNASSIGNED)[0] + 1
-        return free.tolist()
-
-    def _push(self, literal: int, reason: Optional[Reason]) -> None:
-        var = literal if literal > 0 else -literal
-        if self._value[var] != UNASSIGNED:
-            raise ValueError("variable %d already assigned" % var)
-        value = 1 if literal > 0 else 0
-        self._value[var] = value
-        self._value_np[var] = value
-        self._level[var] = len(self._level_start) - 1
-        self._reason[var] = reason
-        self._saved_phase[var] = value
-        self._trail_array[len(self._trail)] = literal
-        self._trail.append(literal)
-        if self._deltas:
-            for delta in self._deltas:
-                delta.changed.add(var)
-
-    def backtrack(self, target_level: int) -> List[int]:
-        """Undo every assignment above ``target_level`` (bulk unassign).
-
-        The value-array reset is one fancy-indexed store; only the
-        reason sidecar needs a per-variable Python loop.
-        """
-        if target_level < 0 or target_level > self.decision_level:
-            raise ValueError(
-                "cannot backtrack to level %d from %d"
-                % (target_level, self.decision_level)
-            )
-        if target_level == self.decision_level:
-            return []
-        cut = self._level_start[target_level + 1]
-        undone = self._trail[cut:]
-        undone.reverse()
-        del self._trail[cut:]
-        reasons = self._reason
-        values = self._value
-        variables = []
-        for lit in undone:
-            var = lit if lit > 0 else -lit
-            variables.append(var)
-            reasons[var] = None
-            values[var] = UNASSIGNED
-        self._value_np[variables] = UNASSIGNED
-        del self._level_start[target_level + 1 :]
-        if self._deltas and undone:
-            for delta in self._deltas:
-                delta.changed.update(variables)
-        return undone

@@ -17,12 +17,11 @@ from ..certify import ProofChecker, ProofError, ProofLogger
 from .runner import run_one
 from .table1 import family_instances
 
-#: (propagation backend, lb schedule) grid — every engine and both
+#: (propagation backend, lb schedule) grid — both engines and both
 #: schedulers emit proofs.
 CONFIGS: Tuple[Tuple[str, str], ...] = (
     ("counter", "static"),
     ("watched", "static"),
-    ("array", "static"),
     ("counter", "adaptive"),
 )
 

@@ -19,9 +19,9 @@ drive mode (apples to apples, lockstep)
 
 solve mode (end to end)
     Full :class:`~repro.core.solver.BsoloSolver` runs per configuration
-    (static schedule, adaptive schedule, adaptive on the array backend)
-    reporting realized conflicts/sec, the per-bounder stats from
-    ``stats.lb_stats`` and the adaptive scheduler's skip counters.
+    (static and adaptive schedules) reporting realized conflicts/sec,
+    the per-bounder stats from ``stats.lb_stats`` and the adaptive
+    scheduler's skip counters.
     Search trajectories may diverge between schedules (bounding fewer
     nodes changes the tree), so these numbers measure realized solver
     throughput.
@@ -46,13 +46,9 @@ from .table1 import family_instances as _table1_instances
 #: Families benchmarked by default (acc is constant-objective: no bounds).
 FAMILIES = ("mcnc", "ptl", "grout")
 
-#: Solve-mode configurations: (label, lb_schedule, propagation backend).
-#: Speedups are reported relative to ``static``.
-CONFIGS = (
-    ("static", "static", "counter"),
-    ("adaptive", "adaptive", "counter"),
-    ("array", "adaptive", "array"),
-)
+#: Solve-mode configurations, one per ``lb_schedule``.  Speedups are
+#: reported relative to ``static``.
+CONFIGS = ("static", "adaptive")
 
 #: Headline target the report grades itself against.
 TARGET_MIS_SPEEDUP = 2.0
@@ -177,16 +173,14 @@ def solve_run(
     lower_bound: str = "hybrid",
     max_conflicts: Optional[int] = 2000,
     time_limit: Optional[float] = 30.0,
-    propagation: str = "counter",
 ) -> Dict[str, Any]:
-    """One profiled solver run for a (schedule, backend) config."""
+    """One profiled solver run for one bound schedule."""
     options = SolverOptions(
         lower_bound=lower_bound,
         lb_schedule=schedule,
         max_conflicts=max_conflicts,
         time_limit=time_limit,
         profile=True,
-        propagation=propagation,
     )
     solver = BsoloSolver(instance, options)
     started = time.perf_counter()
@@ -213,7 +207,7 @@ def bench_solve(
 ) -> Dict[str, Any]:
     """End-to-end runs per configuration (summed over instances)."""
     per_config: Dict[str, Dict[str, Any]] = {}
-    for label, schedule, propagation in CONFIGS:
+    for schedule in CONFIGS:
         conflicts = decisions = lb_calls = prunings = skipped_nodes = 0
         seconds = lpr_iterations = 0.0
         statuses: List[str] = []
@@ -225,7 +219,6 @@ def bench_solve(
                 lower_bound=lower_bound,
                 max_conflicts=max_conflicts,
                 time_limit=time_limit,
-                propagation=propagation,
             )
             conflicts += outcome["conflicts"]
             decisions += outcome["decisions"]
@@ -238,7 +231,7 @@ def bench_solve(
             lpr_iterations += lpr.get("iterations", 0)
             scheduler = outcome["lb_stats"].get("scheduler", {})
             skipped_nodes += scheduler.get("skipped_nodes", 0)
-        per_config[label] = {
+        per_config[schedule] = {
             "conflicts": conflicts,
             "decisions": decisions,
             "lower_bound_calls": lb_calls,
@@ -298,7 +291,7 @@ def run_lbbench(
     """Run the full microbenchmark; returns the report payload."""
     report: Dict[str, Any] = {
         "benchmark": "lowerbound",
-        "configs": [label for label, _, _ in CONFIGS],
+        "configs": list(CONFIGS),
         "config": {
             "count": count,
             "scale": scale,
@@ -369,7 +362,7 @@ def format_summary(report: Dict[str, Any]) -> str:
             lines.append("  %-6s drive  WARNING: bound values diverged" % family)
         solve = entry.get("solve")
         if solve:
-            for label, _, _ in CONFIGS:
+            for label in CONFIGS:
                 stats = solve[label]
                 lines.append(
                     "  %-6s solve  %-20s %6d conflicts %8.3fs %8d simplex iters"

@@ -23,6 +23,9 @@ solve mode (end to end)
     numbers measure realized solver throughput, not per-implication
     cost.
 
+Each family also records ``metrics_overhead``: the drive replay on the
+``counter`` backend with and without a disabled metrics registry.
+
 ``run_propbench`` writes everything to ``BENCH_propagation.json``.
 """
 
@@ -43,7 +46,7 @@ from ..pb.instance import PBInstance
 FAMILIES = ("ptl", "grout", "random")
 
 #: Backends raced by default.
-BACKENDS = ("counter", "watched", "array")
+BACKENDS = ("counter", "watched")
 
 
 def family_instances(
@@ -345,12 +348,6 @@ def run_propbench(
                 instances, rounds=rounds, trials=trials
             ),
         }
-        if "array" in backends:
-            # Verify the disabled registry stays free on the batched
-            # kernels too, not just on the counter loop.
-            entry["metrics_overhead_array"] = bench_metrics_overhead(
-                instances, backend="array", rounds=rounds, trials=trials
-            )
         if solve:
             entry["solve"] = bench_solve(
                 instances, backends, max_conflicts=max_conflicts, time_limit=time_limit
@@ -391,13 +388,12 @@ def format_summary(report: Dict[str, Any]) -> str:
             lines.append(
                 "  %-7s drive  WARNING: propagation counts diverged" % family
             )
-        for key in ("metrics_overhead", "metrics_overhead_array"):
-            overhead = entry.get(key)
-            if overhead:
-                lines.append(
-                    "  %-7s drive  disabled-metrics overhead = %+.2f%% (%s)"
-                    % (family, overhead["overhead_pct"], overhead["backend"])
-                )
+        overhead = entry.get("metrics_overhead")
+        if overhead:
+            lines.append(
+                "  %-7s drive  disabled-metrics overhead = %+.2f%% (%s)"
+                % (family, overhead["overhead_pct"], overhead["backend"])
+            )
         solve = entry.get("solve")
         if solve:
             for backend in report["backends"]:

@@ -68,11 +68,10 @@ _DEFAULT_LADDER = (
                    "propagation": "watched"}),
     ("linear-search", {"propagation": "watched"}),
     ("bsolo-lgr", {"lb_schedule": "adaptive"}),
-    ("bsolo-hybrid", {"pb_learning": True, "lb_schedule": "adaptive",
-                      "propagation": "array"}),
+    ("bsolo-hybrid", {"pb_learning": True, "lb_schedule": "adaptive"}),
     ("cutting-planes", {}),
     ("bsolo-plain", {"restarts": True, "propagation": "watched"}),
-    ("bsolo-lpr", {"propagation": "array", "restarts": True}),
+    ("bsolo-lpr", {"restarts": True}),
     ("milp", {}),
 )
 

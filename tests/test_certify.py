@@ -201,7 +201,7 @@ class TestEndToEnd:
         [
             {"propagation": "watched"},
             {"lb_schedule": "adaptive"},
-            {"propagation": "array"},
+            {"propagation": "watched", "lb_schedule": "adaptive"},
             {"lower_bound": "mis"},
             {"lower_bound": "lgr"},
             {"pb_learning": True},

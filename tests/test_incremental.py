@@ -250,7 +250,7 @@ class TestLockstepStreams:
                 reference.best_cost,
             ), "lockstep diverged at step %d of %s stream" % (index, family)
 
-    @pytest.mark.parametrize("engine", ["counter", "watched", "array"])
+    @pytest.mark.parametrize("engine", ["counter", "watched"])
     def test_lockstep_across_engines(self, engine):
         stream = assumption_stream(
             num_variables=10, num_constraints=16, steps=5, seed=3

@@ -1,11 +1,13 @@
 """Differential harness: every propagation backend must agree.
 
-The counter engine is the reference; watched and array are checked
-against it (and each other) with three layers of evidence:
+The counter engine is the reference; watched is checked against it
+with three layers of evidence:
 
-* a randomized lockstep fuzz driving all engines through the same
-  decide/propagate/backtrack script and comparing implied sets,
-  conflict outcomes and assignment values at every step;
+* randomized lockstep scripts driving both engines through the same
+  decide/propagate/backtrack steps and comparing implied sets,
+  conflict outcomes and assignment values at every step — including
+  mid-search learned-constraint deletion on every propbench family and
+  coefficients near ``2**40``;
 * full solves on small instances from each benchmark family, which
   must reach the same status and the same optimum cost;
 * a smoke run of the propbench harness, whose drive mode replays one
@@ -30,7 +32,7 @@ from repro.experiments.propbench import (
 )
 from repro.pb.constraints import Constraint
 
-BACKENDS = ("counter", "watched", "array")
+BACKENDS = ("counter", "watched")
 
 
 # ----------------------------------------------------------------------
@@ -50,6 +52,57 @@ def _random_constraint(rng: random.Random, num_vars: int) -> Constraint:
     return Constraint.greater_equal(list(zip(coefs, lits)), rhs)
 
 
+def _lockstep_decide(engines, rng: random.Random, context) -> None:
+    """Decide one random free literal on every engine and propagate.
+
+    A conflict must be reported by all engines or none; after a
+    non-conflicting propagate the implied-literal fixpoint must match.
+    """
+    num_vars = engines[0].trail.num_variables
+    free = [v for v in range(1, num_vars + 1) if engines[0].trail.value(v) < 0]
+    if not free:
+        return
+    var = rng.choice(free)
+    lit = var if rng.random() < 0.5 else -var
+    for engine in engines:
+        engine.decide(lit)
+    results = [engine.propagate() for engine in engines]
+    kinds = [isinstance(result, Conflict) for result in results]
+    assert len(set(kinds)) == 1, ("conflict mismatch", context, kinds)
+    if kinds[0]:
+        level = engines[0].trail.decision_level
+        target = rng.randint(0, max(0, level - 1))
+        for engine in engines:
+            engine.backtrack(target)
+    else:
+        # the implied-literal fixpoint of a *non-conflicting* propagate
+        # call is part of the equivalence contract
+        implied = [set(engine.trail.literals) for engine in engines]
+        for backend, other in zip(BACKENDS[1:], implied[1:]):
+            assert implied[0] == other, (
+                "implied mismatch",
+                context,
+                backend,
+                implied[0] ^ other,
+            )
+
+
+def _lockstep_backtrack(engines, rng: random.Random) -> None:
+    level = engines[0].trail.decision_level
+    if level == 0:
+        return
+    target = rng.randint(0, level - 1)
+    for engine in engines:
+        engine.backtrack(target)
+
+
+def _assert_same_values(engines, context) -> None:
+    trails = [engine.trail for engine in engines]
+    for v in range(1, trails[0].num_variables + 1):
+        values = [trail.value(v) for trail in trails]
+        assert len(set(values)) == 1, ("value mismatch", context, v, values)
+
+
 def _run_lockstep_seed(seed: int) -> None:
     rng = random.Random(seed)
     num_vars = rng.randint(4, 14)
@@ -67,59 +120,10 @@ def _run_lockstep_seed(seed: int) -> None:
             if kinds[0]:
                 return  # both conflicted at add; stop this seed
         elif op < 0.65:
-            free = [
-                v
-                for v in range(1, num_vars + 1)
-                if engines[0].trail.value(v) < 0
-            ]
-            if not free:
-                continue
-            var = rng.choice(free)
-            lit = var if rng.random() < 0.5 else -var
-            for engine in engines:
-                engine.decide(lit)
-            results = [engine.propagate() for engine in engines]
-            kinds = [isinstance(result, Conflict) for result in results]
-            assert len(set(kinds)) == 1, (
-                "conflict mismatch",
-                seed,
-                step,
-                kinds,
-            )
-            if kinds[0]:
-                level = engines[0].trail.decision_level
-                target = rng.randint(0, max(0, level - 1))
-                for engine in engines:
-                    engine.backtrack(target)
-            else:
-                # the implied-literal fixpoint of a *non-conflicting*
-                # propagate call is part of the equivalence contract
-                implied = [set(engine.trail.literals) for engine in engines]
-                for backend, other in zip(BACKENDS[1:], implied[1:]):
-                    assert implied[0] == other, (
-                        "implied mismatch",
-                        seed,
-                        step,
-                        backend,
-                        implied[0] ^ other,
-                    )
+            _lockstep_decide(engines, rng, (seed, step))
         else:
-            level = engines[0].trail.decision_level
-            if level == 0:
-                continue
-            target = rng.randint(0, level - 1)
-            for engine in engines:
-                engine.backtrack(target)
-        trails = [engine.trail for engine in engines]
-        for v in range(1, num_vars + 1):
-            values = [trail.value(v) for trail in trails]
-            assert len(set(values)) == 1, (
-                "value mismatch",
-                seed,
-                step,
-                v,
-                values,
-            )
+            _lockstep_backtrack(engines, rng)
+        _assert_same_values(engines, (seed, step))
 
 
 class TestLockstepFuzz:
@@ -127,6 +131,86 @@ class TestLockstepFuzz:
     def test_backends_agree_under_random_scripts(self, block):
         for seed in range(block * 20, (block + 1) * 20):
             _run_lockstep_seed(seed)
+
+
+# ----------------------------------------------------------------------
+# Learned-constraint deletion mid-search
+# ----------------------------------------------------------------------
+def _random_clause(rng: random.Random, num_vars: int) -> Constraint:
+    arity = rng.randint(2, min(5, num_vars))
+    variables = rng.sample(range(1, num_vars + 1), arity)
+    return Constraint.clause([v if rng.random() < 0.5 else -v for v in variables])
+
+
+def _run_deletion_lockstep(instance, seed: int) -> None:
+    rng = random.Random(seed)
+    num_vars = instance.num_variables
+    engines = [make_engine(name, num_vars) for name in BACKENDS]
+    for constraint in instance.constraints:
+        for engine in engines:
+            engine.add_constraint(constraint)
+    learned: list = []
+    for step in range(60):
+        op = rng.random()
+        if op < 0.15:
+            # every engine learns the same object, so deletion can be
+            # coordinated by identity
+            clause = _random_clause(rng, num_vars)
+            learned.append(clause)
+            results = [
+                engine.add_constraint(clause, learned=True) for engine in engines
+            ]
+            kinds = [isinstance(result, Conflict) for result in results]
+            assert len(set(kinds)) == 1, ("add", seed, step)
+        elif op < 0.25 and learned:
+            doomed = {id(c) for c in learned if rng.random() < 0.5}
+            learned = [c for c in learned if id(c) not in doomed]
+            removed = [
+                engine.reduce_learned(
+                    lambda stored: id(stored.constraint) not in doomed
+                )
+                for engine in engines
+            ]
+            assert len(set(removed)) == 1, ("removed", seed, step, removed)
+        elif op < 0.7:
+            _lockstep_decide(engines, rng, (seed, step))
+        else:
+            _lockstep_backtrack(engines, rng)
+        _assert_same_values(engines, (seed, step))
+
+
+class TestLearnedDeletion:
+    @pytest.mark.parametrize("family", ["ptl", "grout", "random"])
+    def test_deletion_keeps_backends_in_lockstep(self, family):
+        instances = family_instances(family, count=1, scale=0.2)
+        for offset, instance in enumerate(instances):
+            for seed in range(4):
+                _run_deletion_lockstep(instance, 100 * offset + seed)
+
+
+# ----------------------------------------------------------------------
+# Large coefficients
+# ----------------------------------------------------------------------
+class TestLargeCoefficients:
+    def test_near_2_pow_40_propagate_identically(self):
+        # slack arithmetic far beyond 32-bit range must stay exact
+        for seed in range(8):
+            rng = random.Random(900 + seed)
+            num_vars = 8
+            engines = [make_engine(name, num_vars) for name in BACKENDS]
+            for _ in range(6):
+                arity = rng.randint(2, 5)
+                variables = rng.sample(range(1, num_vars + 1), arity)
+                lits = [v if rng.random() < 0.5 else -v for v in variables]
+                coefs = [rng.randint(1, 1 << 40) for _ in lits]
+                rhs = rng.randint(1, max(1, sum(coefs) - 1))
+                constraint = Constraint.greater_equal(list(zip(coefs, lits)), rhs)
+                results = [engine.add_constraint(constraint) for engine in engines]
+                kinds = [isinstance(result, Conflict) for result in results]
+                assert len(set(kinds)) == 1, seed
+            for step in range(12):
+                _lockstep_decide(engines, rng, (seed, step))
+                _assert_same_values(engines, (seed, step))
 
 
 # ----------------------------------------------------------------------

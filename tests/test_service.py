@@ -80,6 +80,8 @@ class TestProtocolUnit:
             ({"instance": EASY, "bogus": 1}, "bad_request"),
             ({"instance": EASY, "solver": "no-such"}, "unknown_solver"),
             ({"instance": EASY, "options": {"profile": True}}, "bad_request"),
+            ({"instance": EASY, "options": {"propagation": "bogus"}}, "bad_request"),
+            ({"instance": EASY, "options": {"propagation": "array"}}, "bad_request"),
             ({"instance": EASY, "timeout": -1}, "bad_request"),
             ({"instance": EASY, "proof": "yes"}, "bad_request"),
             (
@@ -274,6 +276,14 @@ class TestHttpSurface:
         with pytest.raises(ServiceError) as err:
             client.submit("this is not opb")
         assert err.value.code == "bad_request" and err.value.status == 400
+
+    @pytest.mark.parametrize("engine", ["bogus", "array"])
+    def test_unknown_engine_400(self, client, engine):
+        with pytest.raises(ServiceError) as err:
+            client.submit(EASY, options={"propagation": engine})
+        assert err.value.code == "bad_request" and err.value.status == 400
+        assert repr(engine) in err.value.message
+        assert "available: counter, watched" in err.value.message
 
     def test_unknown_route_404_and_wrong_method_405(self, client):
         status, body = client._request("GET", "/nope")
