@@ -18,14 +18,52 @@ Two families of cuts are added whenever a better solution (upper bound
 
 A cut whose right-hand side is negative proves that no better solution
 exists at all — the caller can declare the incumbent optimal.
+
+Only the right-hand side of a cut depends on ``ub``: its terms are the
+objective's (restricted to ``N-K``), negated into ``>=`` form.  Each cut
+is therefore normalized once, on the first incumbent, into a
+:class:`_CutTemplate`; later incumbents compute the rhs and saturate the
+coefficients that exceed it.  The emitted constraint equals
+``Constraint.less_equal(terms, rhs)`` built from scratch.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..pb.constraints import Constraint
+from ..pb.constraints import Constraint, Term, normalize_terms
 from ..pb.instance import PBInstance
+
+
+class _CutTemplate:
+    """``sum c_j x_j <= budget`` in normalized ``>=`` form, for any budget.
+
+    ``terms`` are the unsaturated normalized terms and ``shift`` the rhs
+    the negation adds, so the cut for ``budget`` is ``terms >= shift -
+    budget`` with coefficients saturated at that rhs.  ``total`` is the
+    sum of the costs, the tautology threshold.
+    """
+
+    __slots__ = ("terms", "shift", "total", "max_coef")
+
+    def __init__(self, costs: List[Term]):
+        # Normalized at rhs offset 1 so the rhs stays positive and the
+        # terms survive (a tautology would normalize to no terms).
+        self.terms, rhs = normalize_terms(
+            [(-cost, var) for cost, var in costs], 1, saturate=False
+        )
+        self.shift = rhs - 1
+        self.total = sum(cost for cost, _ in costs)
+        self.max_coef = max((coef for coef, _ in self.terms), default=0)
+
+    def cut(self, budget: int) -> Constraint:
+        """The cut ``sum c_j x_j <= budget``; its rhs is positive unless
+        the caller already ruled out ``total <= budget``."""
+        rhs = self.shift - budget
+        terms = self.terms
+        if self.max_coef > rhs:
+            terms = tuple((coef if coef <= rhs else rhs, lit) for coef, lit in terms)
+        return Constraint(terms, rhs)
 
 
 class CutGenerator:
@@ -48,6 +86,12 @@ class CutGenerator:
                     continue
                 if constraint.cardinality_threshold >= 1:
                     self._cardinalities.append(constraint)
+        # Built on the first incumbent, so solves that never find one
+        # (and solver set-up) pay nothing.
+        self._knapsack: Optional[_CutTemplate] = None
+        #: ``(source, V, template or None when N-K is empty)`` per source
+        #: with ``V > 0``, in input order.
+        self._eq13: Optional[List[Tuple[Constraint, int, Optional[_CutTemplate]]]] = None
 
     # ------------------------------------------------------------------
     def knapsack_cut(self, upper: int) -> Optional[Constraint]:
@@ -56,11 +100,35 @@ class CutGenerator:
         costs = self._objective.costs
         if not costs:
             return None
-        terms = [(cost, var) for var, cost in costs.items()]
-        cut = Constraint.less_equal(terms, upper - 1)
-        if cut.is_tautology:
-            return None
-        return cut
+        if self._knapsack is None:
+            self._knapsack = _CutTemplate(
+                [(cost, var) for var, cost in costs.items()]
+            )
+        budget = upper - 1
+        if self._knapsack.shift <= budget:
+            return None  # tautology
+        return self._knapsack.cut(budget)
+
+    def _eq13_templates(self) -> List[Tuple[Constraint, int, Optional[_CutTemplate]]]:
+        if self._eq13 is None:
+            costs = self._objective.costs
+            self._eq13 = []
+            for source in self._cardinalities:
+                members = source.literals
+                threshold = source.cardinality_threshold
+                member_costs = sorted(costs.get(var, 0) for var in members)
+                value_v = sum(member_costs[:threshold])
+                if value_v <= 0:
+                    continue  # eq. 12 gives nothing
+                member_set = set(members)
+                outside = [
+                    (cost, var)
+                    for var, cost in costs.items()
+                    if var not in member_set
+                ]
+                template = _CutTemplate(outside) if outside else None
+                self._eq13.append((source, value_v, template))
+        return self._eq13
 
     def cardinality_cuts_with_sources(
         self, upper: int
@@ -73,33 +141,15 @@ class CutGenerator:
         reaches the bound, so the incumbent is optimal), or None.
         """
         pairs: List[Tuple[Constraint, Constraint]] = []
-        if not self._cardinality_cuts:
+        if not self._cardinality_cuts or not self._objective.costs:
             return pairs, None
-        costs = self._objective.costs
-        if not costs:
-            return pairs, None
-        for source in self._cardinalities:
-            members = source.literals
-            threshold = source.cardinality_threshold
-            member_costs = sorted(costs.get(var, 0) for var in members)
-            value_v = sum(member_costs[:threshold])
-            if value_v <= 0:
-                continue  # eq. 12 gives nothing
+        for source, value_v, template in self._eq13_templates():
             budget = upper - 1 - value_v
-            member_set = set(members)
-            outside = [
-                (cost, var)
-                for var, cost in costs.items()
-                if var not in member_set
-            ]
             if budget < 0:
                 return pairs, source
-            if not outside:
-                continue
-            total_outside = sum(cost for cost, _ in outside)
-            if total_outside <= budget:
-                continue  # tautology
-            pairs.append((Constraint.less_equal(outside, budget), source))
+            if template is None or template.total <= budget:
+                continue  # no cost outside K, or a tautology
+            pairs.append((template.cut(budget), source))
         return pairs, None
 
     def cardinality_cuts(self, upper: int) -> Tuple[List[Constraint], bool]:

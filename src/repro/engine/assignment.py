@@ -8,6 +8,16 @@ that justifies the implication (used by conflict analysis to resolve
 backwards, paper Section 4 relies on the same machinery for bound
 conflicts).
 
+Most reasons are never read: conflict analysis visits only the
+implications between a conflict and its first UIP.  A PB implication is
+therefore recorded as a :class:`DeferredReason` — the implying
+constraint, the implied literal and its coefficient — and
+:meth:`Trail.reason` derives the clausal tuple on first read, caching it
+in place.  The derivation looks only at literals assigned *before* the
+implied one (the trail remembers each variable's position), which is
+exactly the set of false literals the constraint had when it implied,
+so the tuple equals the one an eager builder would have made.
+
 Every propagation backend shares one :class:`Trail` over plain Python
 lists, which the propagation hot loops index one variable at a time.
 Its :class:`TrailDelta` feeds drive incremental lower bounding, so
@@ -17,14 +27,32 @@ the same structure whatever the backend.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..pb.constraints import Constraint
 from ..pb.literals import variable
 
 #: A clausal reason: the implied literal first, then false literals.
 Reason = Tuple[int, ...]
 
 UNASSIGNED = -1
+
+
+class DeferredReason:
+    """A PB implication whose clausal reason is not built yet: ``literal``
+    was implied by ``constraint``, where its coefficient is ``coef``.
+
+    Holds the immutable :class:`~repro.pb.constraints.Constraint`, so
+    deleting the stored constraint it came from (learned-constraint
+    reduction) cannot change the reason.
+    """
+
+    __slots__ = ("constraint", "literal", "coef")
+
+    def __init__(self, constraint: Constraint, literal: int, coef: int):
+        self.constraint = constraint
+        self.literal = literal
+        self.coef = coef
 
 
 class TrailDelta:
@@ -62,7 +90,11 @@ class Trail:
         # value per variable: 0, 1 or UNASSIGNED
         self._value: List[int] = [UNASSIGNED] * (num_variables + 1)
         self._level: List[int] = [0] * (num_variables + 1)
-        self._reason: List[Optional[Reason]] = [None] * (num_variables + 1)
+        self._reason: List[Union[None, Reason, DeferredReason]] = [None] * (
+            num_variables + 1
+        )
+        # index of each assigned variable's literal in ``_trail``
+        self._position: List[int] = [0] * (num_variables + 1)
         self._trail: List[int] = []  # literals made true, in order
         self._level_start: List[int] = [0]  # trail index where each level begins
         # last value each variable ever took (phase saving; 0 initially)
@@ -127,8 +159,52 @@ class Trail:
         return self._level[var]
 
     def reason(self, var: int) -> Optional[Reason]:
-        """Clausal antecedent of ``var`` (None for decisions/unassigned)."""
-        return self._reason[var]
+        """Clausal antecedent of ``var`` (None for decisions/unassigned).
+
+        A deferred PB reason is built here on first read and cached.
+        """
+        reason = self._reason[var]
+        if reason is None or reason.__class__ is tuple:
+            return reason
+        constraint = reason.constraint
+        total = 0
+        for coef, _ in constraint.terms:
+            total += coef
+        built = (reason.literal,) + self.false_cover(
+            constraint, total - constraint.rhs - reason.coef, self._position[var]
+        )
+        self._reason[var] = built
+        return built
+
+    def false_cover(
+        self, constraint: Constraint, needed: int, before: int
+    ) -> Tuple[int, ...]:
+        """False literals of ``constraint`` assigned before trail position
+        ``before`` whose coefficients sum past ``needed``.
+
+        Greedy, largest coefficients first (ties in term order) — the
+        shared rule of implication reasons and violation explanations.
+        """
+        values = self._value
+        position = self._position
+        false_terms = []
+        for coef, lit in constraint.terms:
+            var = lit if lit > 0 else -lit
+            if values[var] == (0 if lit > 0 else 1) and position[var] < before:
+                false_terms.append((coef, lit))
+        false_terms.sort(key=lambda term: -term[0])
+        chosen: List[int] = []
+        acc = 0
+        for coef, lit in false_terms:
+            if acc > needed:
+                break
+            chosen.append(lit)
+            acc += coef
+        if acc <= needed:
+            raise AssertionError(
+                "false literals of %r do not exceed %d" % (constraint, needed)
+            )
+        return tuple(chosen)
 
     def saved_phase(self, var: int) -> int:
         """The value ``var`` last held (0 if never assigned) — phase saving."""
@@ -174,8 +250,9 @@ class Trail:
         self._level_start.append(len(self._trail))
         self._push(literal, None)
 
-    def imply(self, literal: int, reason: Reason) -> None:
-        """Make ``literal`` true at the current level with a clausal reason."""
+    def imply(self, literal: int, reason: Union[Reason, DeferredReason]) -> None:
+        """Make ``literal`` true at the current level with a clausal reason
+        (a tuple, or a :class:`DeferredReason` built on first read)."""
         self._push(literal, reason)
 
     def assume(self, literal: int) -> None:
@@ -184,13 +261,16 @@ class Trail:
             raise ValueError("assumptions only at decision level 0")
         self._push(literal, None)
 
-    def _push(self, literal: int, reason: Optional[Reason]) -> None:
+    def _push(
+        self, literal: int, reason: Union[None, Reason, DeferredReason]
+    ) -> None:
         var = variable(literal)
         if self._value[var] != UNASSIGNED:
             raise ValueError("variable %d already assigned" % var)
         self._value[var] = 1 if literal > 0 else 0
         self._level[var] = self.decision_level
         self._reason[var] = reason
+        self._position[var] = len(self._trail)
         self._saved_phase[var] = self._value[var]
         self._trail.append(literal)
         if self._deltas:

@@ -173,9 +173,11 @@ class ConstraintDatabase:
     def remove_learned(self, keep) -> int:
         """Drop learned constraints for which ``keep(stored)`` is false.
 
-        Safe at any point of the search: implication *reasons* are stored
-        by value on the trail, so deleting the clause they came from
-        cannot corrupt conflict analysis.  Returns the number removed.
+        Safe at any point of the search: an implication *reason* on the
+        trail holds the immutable :class:`Constraint` (or a tuple built
+        from it), never this record, so deleting the constraint it came
+        from cannot corrupt conflict analysis.  Returns the number
+        removed.
         """
         kept: List[StoredConstraint] = []
         removed = 0

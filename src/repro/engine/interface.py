@@ -36,9 +36,13 @@ Every backend must guarantee, for any interleaving of the calls below:
   coefficient exceeds the constraint's slack is true" and therefore
   identical across backends; only discovery *order* (and which violated
   constraint is reported on a conflict) may differ.
-* Every implication carries an eagerly computed clausal reason on the
-  trail and, when it came from a PB constraint, an ``antecedent`` entry,
-  so conflict analysis never needs the engine's internal state.
+* Every implication carries a clausal reason on the trail and, when it
+  came from a PB constraint, an ``antecedent`` entry, so conflict
+  analysis never needs the engine's internal state.  A reason may be a
+  :class:`~repro.engine.assignment.DeferredReason` (the implying
+  constraint, literal and coefficient) that ``Trail.reason`` turns into
+  the clausal tuple on first read; the tuple depends only on the
+  constraint and the trail prefix before the implied literal.
 * ``backtrack(level)`` undoes every assignment above ``level`` and
   restores all internal bookkeeping; a subsequent ``propagate`` is a
   no-op unless constraints were added in between.
@@ -51,12 +55,12 @@ Every backend must guarantee, for any interleaving of the calls below:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..obs.events import PropagationEvent
 from ..pb.constraints import Constraint
 from ..pb.literals import variable
-from .assignment import Reason, Trail
+from .assignment import DeferredReason, Reason, Trail
 from .constraint_db import StoredConstraint
 
 
@@ -84,7 +88,7 @@ class PropagationEngine(ABC):
 
     The base class owns everything that is *engine independent*: the
     trail, the assignment entry points, PB antecedent bookkeeping, the
-    clausal explanation builders and the optional trace accounting.
+    violation explanation and the optional trace accounting.
     Concrete backends implement constraint attachment, the propagation
     loop, backtracking and learned-constraint deletion.
     """
@@ -150,9 +154,11 @@ class PropagationEngine(ABC):
     def reduce_learned(self, keep) -> int:
         """Forget learned constraints failing ``keep`` (clause deletion).
 
-        An implied literal keeps its (value-copied) reason, so soundness
-        is unaffected; only future propagation strength changes.  All
-        internal references to deleted constraints are purged.
+        An implied literal keeps its reason, which holds the immutable
+        :class:`Constraint` rather than the deleted stored record, so
+        soundness is unaffected; only future propagation strength
+        changes.  All internal references to deleted constraints are
+        purged.
         """
 
     # ------------------------------------------------------------------
@@ -166,7 +172,7 @@ class PropagationEngine(ABC):
     def imply(
         self,
         literal: int,
-        reason: Reason,
+        reason: Union[Reason, DeferredReason],
         antecedent: Optional[Constraint] = None,
     ) -> None:
         """Assert an implication at the current level."""
@@ -219,58 +225,16 @@ class PropagationEngine(ABC):
     # ------------------------------------------------------------------
     # Explanations (shared: they read only the constraint and the trail)
     # ------------------------------------------------------------------
-    def _false_terms_descending(
-        self, stored: StoredConstraint
-    ) -> List[Tuple[int, int]]:
-        # inlined literal_is_false: this runs once per implication reason
-        values = self.trail._value
-        false_terms = [
-            (coef, lit)
-            for coef, lit in stored.constraint.terms
-            if values[lit if lit > 0 else -lit] == (0 if lit > 0 else 1)
-        ]
-        false_terms.sort(key=lambda term: -term[0])
-        return false_terms
-
-    def _build_reason(self, stored: StoredConstraint, literal: int, coef: int) -> Reason:
-        """Clausal reason for ``literal`` implied by ``stored``.
-
-        Needs false literals whose combined coefficient exceeds
-        ``total - rhs - coef`` (after which the remaining supply cannot
-        reach the rhs without ``literal``).
-        """
-        constraint = stored.constraint
-        total = sum(c for c, _ in constraint.terms)
-        needed = total - constraint.rhs - coef
-        chosen: List[int] = [literal]
-        acc = 0
-        for false_coef, false_lit in self._false_terms_descending(stored):
-            if acc > needed:
-                break
-            chosen.append(false_lit)
-            acc += false_coef
-        if acc <= needed:  # pragma: no cover - defensive
-            raise AssertionError("implication reason under-explains %r" % constraint)
-        return tuple(chosen)
-
     def explain_violation(self, stored: StoredConstraint) -> Tuple[int, ...]:
         """False literals sufficient for ``slack < 0``.
 
-        Their combined coefficient must exceed ``total - rhs``.
+        Their combined coefficient must exceed ``total - rhs``.  Built
+        eagerly: a conflict is analyzed as soon as it is reported.
         """
         constraint = stored.constraint
         total = sum(c for c, _ in constraint.terms)
-        needed = total - constraint.rhs
-        chosen: List[int] = []
-        acc = 0
-        for false_coef, false_lit in self._false_terms_descending(stored):
-            if acc > needed:
-                break
-            chosen.append(false_lit)
-            acc += false_coef
-        if acc <= needed:
-            raise AssertionError("constraint %r is not violated" % constraint)
-        return tuple(chosen)
+        trail = self.trail
+        return trail.false_cover(constraint, total - constraint.rhs, len(trail))
 
     # ------------------------------------------------------------------
     def model(self) -> dict:

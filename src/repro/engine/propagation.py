@@ -12,11 +12,14 @@ For clauses this degenerates to classical unit propagation.
 
 Slack updates are applied *eagerly* at assignment time (and undone at
 backtrack time), which keeps the database consistent even when a conflict
-interrupts the propagation queue.  Reasons for implications are computed
-eagerly too, as clausal explanations: a greedy (largest coefficients
-first) subset of the constraint's false literals strong enough to force
-the implication — this keeps conflict analysis purely clausal, the
-strategy of the bsolo family of solvers.
+interrupts the propagation queue.  Reasons for implications are clausal
+explanations: a greedy (largest coefficients first) subset of the
+constraint's false literals strong enough to force the implication —
+this keeps conflict analysis purely clausal, the strategy of the bsolo
+family of solvers.  An implication records only the implying constraint
+and coefficient (a :class:`~repro.engine.assignment.DeferredReason`);
+the trail builds the clausal tuple if conflict analysis reads it, which
+most implications never need.
 
 The eager per-assignment work — O(occurrences) slack updates on every
 assignment and undo — is what the ``"watched"`` backend
@@ -38,6 +41,7 @@ from collections import deque
 from typing import Deque, Optional
 
 from ..pb.constraints import Constraint
+from .assignment import DeferredReason
 from .constraint_db import ConstraintDatabase, StoredConstraint
 from .interface import Conflict, PropagationEngine, register_engine
 
@@ -127,9 +131,10 @@ class Propagator(PropagationEngine):
             var = lit if lit > 0 else -lit
             if values[var] >= 0:
                 continue
-            reason = self._build_reason(stored, lit, coef)
             self.num_propagations += 1
-            self.imply(lit, reason, antecedent=constraint)
+            self.imply(
+                lit, DeferredReason(constraint, lit, coef), antecedent=constraint
+            )
         return None
 
     # ------------------------------------------------------------------
@@ -159,8 +164,9 @@ class Propagator(PropagationEngine):
     def reduce_learned(self, keep) -> int:
         """Forget learned constraints failing ``keep`` (clause deletion).
 
-        An implied literal keeps its (value-copied) reason, so soundness
-        is unaffected; only future propagation strength changes.
+        An implied literal's reason holds the immutable constraint, not
+        the deleted stored record, so soundness is unaffected; only
+        future propagation strength changes.
         """
         removed = self.database.remove_learned(keep)
         if removed:

@@ -49,6 +49,7 @@ from collections import deque
 from typing import Deque, Optional
 
 from ..pb.constraints import Constraint
+from .assignment import DeferredReason
 from .constraint_db import (
     KIND_CLAUSE,
     KIND_GENERAL,
@@ -394,7 +395,7 @@ class WatchedPropagator(PropagationEngine):
             if values[l if l > 0 else -l] < 0:
                 self.num_propagations += 1
                 self.imply(
-                    l, self._build_reason(stored, l, coef), antecedent=constraint
+                    l, DeferredReason(constraint, l, coef), antecedent=constraint
                 )
         return None
 

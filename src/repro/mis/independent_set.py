@@ -24,6 +24,13 @@ Consecutive search nodes differ by a handful of trail assignments, so
 the unit-cost term ordering is computed once (costs are static), and the
 last ``(value, false_literals, free_vars)`` evaluation is cached and
 re-used until a variable of the constraint is assigned or unassigned.
+
+A *costless* row — every literal negative or of cost 0, as in every
+eq. 10/13 cut and many at-most rows — has knapsack value 0 whenever it
+is open, so it can never contribute to the bound: only whether it is
+satisfied, open or violated matters.  Such a row is evaluated in one
+pass over its supply and residual rhs, with no term ordering, free-set
+or false-literal bookkeeping.
 Invalidation is driven by a :class:`~repro.engine.assignment.TrailDelta`
 feed (see :meth:`MISBound.attach_trail`) instead of rescanning the full
 ``fixed`` mapping; without an attached trail every call conservatively
@@ -99,6 +106,13 @@ def constraint_min_cost(
     return total, false_literals, free_vars
 
 
+#: Results of a costless row: satisfied, open at cost 0, violated.  The
+#: bound never reads their literal sets.
+_SATISFIED: Tuple[Optional[float], List[int], Set[int]] = (None, [], set())
+_OPEN_FREE: Tuple[Optional[float], List[int], Set[int]] = (0.0, [], set())
+_VIOLATED: Tuple[Optional[float], List[int], Set[int]] = (math.inf, [], set())
+
+
 class _ConstraintState:
     """Per-constraint incremental state.
 
@@ -106,22 +120,23 @@ class _ConstraintState:
     computed once — restricting it to the currently free terms yields
     exactly the order :func:`constraint_min_cost` would sort its free
     list into, so the cached evaluation below is bit-for-bit identical
-    to the cold computation.
+    to the cold computation.  Costless rows need no ordering
+    (``sorted_terms`` is None).
     """
 
     __slots__ = ("constraint", "sorted_terms", "variables", "result", "valid")
 
     def __init__(self, constraint: Constraint, costs: Mapping[int, int]):
         self.constraint = constraint
+        self.sorted_terms: Optional[Tuple[Tuple[int, int], ...]] = None
+        if any(lit > 0 and costs.get(lit, 0) for _, lit in constraint.terms):
 
-        def unit_cost(term: Tuple[int, int]) -> float:
-            coef, lit = term
-            cost = costs.get(lit, 0) if lit > 0 else 0
-            return cost / coef
+            def unit_cost(term: Tuple[int, int]) -> float:
+                coef, lit = term
+                cost = costs.get(lit, 0) if lit > 0 else 0
+                return cost / coef
 
-        self.sorted_terms: Tuple[Tuple[int, int], ...] = tuple(
-            sorted(constraint.terms, key=unit_cost)
-        )
+            self.sorted_terms = tuple(sorted(constraint.terms, key=unit_cost))
         self.variables = frozenset(variable(lit) for _, lit in constraint.terms)
         self.result: Optional[Tuple[Optional[float], List[int], Set[int]]] = None
         self.valid = False
@@ -130,9 +145,21 @@ class _ConstraintState:
         self, fixed: Mapping[int, int], costs: Mapping[int, int]
     ) -> Tuple[Optional[float], List[int], Set[int]]:
         """Identical outcome to :func:`constraint_min_cost`, minus the
-        per-call sort."""
+        per-call sort (for a costless row: the same value, with empty
+        literal sets)."""
         constraint = self.constraint
         rhs = constraint.rhs
+        if self.sorted_terms is None:
+            supply = 0
+            for coef, lit in constraint.terms:
+                value = fixed.get(lit if lit > 0 else -lit)
+                if value is None:
+                    supply += coef
+                elif (value == 1) == (lit > 0):
+                    rhs -= coef
+            if rhs <= 0:
+                return _SATISFIED
+            return _VIOLATED if supply < rhs else _OPEN_FREE
         false_literals: List[int] = []
         free_vars: Set[int] = set()
         supply = 0
@@ -201,6 +228,7 @@ class MISBound:
         #: keyed by constraint; rebuilt whenever the cut list changes.
         self._extra_states: Dict[Constraint, _ConstraintState] = {}
         self._extras_key: Optional[Tuple[Constraint, ...]] = None
+        self._extras_list: List[_ConstraintState] = []
         self._delta = None  # TrailDelta once attach_trail() is called
         self.num_calls = 0
         self.total_seconds = 0.0
@@ -267,7 +295,8 @@ class MISBound:
                     state = _ConstraintState(constraint, self._costs)
                 self._extra_states[constraint] = state
             self._extras_key = extras
-        return [self._extra_states[constraint] for constraint in extras]
+            self._extras_list = [self._extra_states[c] for c in extras]
+        return self._extras_list
 
     def _compute(
         self,

@@ -1,5 +1,9 @@
 """Unit tests for the Section 5 cut generator."""
 
+import random
+
+import pytest
+
 from repro.core import CutGenerator
 from repro.pb import Constraint, Objective, PBInstance
 
@@ -105,3 +109,73 @@ class TestCutsFor:
                     assert cut.is_satisfied_by(assignment), (
                         "cut %r removed solution %r of cost %d" % (cut, assignment, cost)
                     )
+
+
+# ----------------------------------------------------------------------
+# Templates against a from-scratch build
+# ----------------------------------------------------------------------
+def _reference_cuts(instance, upper):
+    """Eq. 10 and eq. 13 cuts normalized from scratch for ``upper``:
+    ``(knapsack, [(cut, source)], proven_source)``."""
+    costs = instance.objective.costs
+    knapsack = None
+    if costs:
+        knapsack = Constraint.less_equal(
+            [(cost, var) for var, cost in costs.items()], upper - 1
+        )
+        if knapsack.is_tautology:
+            knapsack = None
+    pairs = []
+    for source in instance.constraints:
+        if not costs or not source.is_cardinality:
+            continue
+        if any(lit < 0 for lit in source.literals):
+            continue
+        threshold = source.cardinality_threshold
+        if threshold < 1:
+            continue
+        value_v = sum(sorted(costs.get(v, 0) for v in source.literals)[:threshold])
+        if value_v <= 0:
+            continue
+        budget = upper - 1 - value_v
+        if budget < 0:
+            return knapsack, pairs, source
+        members = set(source.literals)
+        outside = [(c, v) for v, c in costs.items() if v not in members]
+        if not outside or sum(c for c, _ in outside) <= budget:
+            continue
+        pairs.append((Constraint.less_equal(outside, budget), source))
+    return knapsack, pairs, None
+
+
+def _random_cut_instance(seed):
+    rng = random.Random(seed)
+    n = rng.randint(3, 12)
+    constraints = []
+    for _ in range(rng.randint(1, 6)):
+        arity = rng.randint(1, n)
+        members = rng.sample(range(1, n + 1), arity)
+        if rng.random() < 0.2:
+            members[0] = -members[0]  # not usable by eq. 11
+        constraints.append(Constraint.at_least(members, rng.randint(1, arity)))
+    costs = {v: rng.randint(1, 9) for v in range(1, n + 1) if rng.random() < 0.8}
+    return PBInstance(constraints, Objective(costs), n)
+
+
+class TestTemplatesMatchScratchBuild:
+    @pytest.mark.parametrize("block", range(4))
+    def test_every_upper(self, block):
+        for seed in range(block * 25, (block + 1) * 25):
+            instance = _random_cut_instance(seed)
+            generator = CutGenerator(instance)
+            uppers = list(range(-1, instance.objective.max_value + 2))
+            random.Random(seed).shuffle(uppers)  # incumbents in any order
+            for upper in uppers:
+                knapsack, pairs, proven = _reference_cuts(instance, upper)
+                got_knapsack = generator.knapsack_cut(upper)
+                got_pairs, got_proven = generator.cardinality_cuts_with_sources(upper)
+                assert got_proven is proven, (seed, upper)
+                assert got_knapsack == knapsack, (seed, upper)
+                assert [s for _, s in got_pairs] == [s for _, s in pairs]
+                for (cut, _), (ref, _) in zip(got_pairs, pairs):
+                    assert (cut.terms, cut.rhs) == (ref.terms, ref.rhs), (seed, upper)

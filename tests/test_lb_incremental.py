@@ -6,18 +6,27 @@ as an unattached (cold) one handed the same partial assignment.  These
 tests replay seeded decision walks on a real propagation engine and
 compare the pair in lockstep, then check the solver end-to-end against
 a cold-bounded run and the exhaustive optimum.
+
+Two :class:`MISBound` objects share every evaluation path, so the walks
+also compare against :func:`reference_mis`, which rebuilds the bound
+from :func:`constraint_min_cost` at every node, with the instance's
+eq. 10/13 cuts as extra rows.
 """
 
+import math
 import random
 
 import pytest
 
 from repro.baselines import BruteForceSolver
+from repro.core.cuts import CutGenerator
 from repro.core.options import SolverOptions
 from repro.core.solver import BsoloSolver
 from repro.engine.interface import Conflict, make_engine
 from repro.experiments.lbbench import bench_drive, drive_walk
+from repro.lp.tolerances import ceil_guarded
 from repro.mis import MISBound
+from repro.mis.independent_set import constraint_min_cost
 from repro.pb import Constraint, Objective, PBInstance
 
 
@@ -80,7 +89,68 @@ def walk_nodes(instance, seed, max_nodes):
         engine.backtrack(0)
 
 
+def reference_mis(instance, fixed, extras):
+    """The MIS bound recomputed from :func:`constraint_min_cost` alone:
+    ``(value, infeasible, explanation)``."""
+    costs = instance.objective.costs
+    candidates = []
+    for constraint in list(instance.constraints) + list(extras):
+        value, _, free_vars = constraint_min_cost(constraint, fixed, costs)
+        if value is None:
+            continue
+        if value == math.inf:
+            return 0, True, []
+        if value <= 0 or not free_vars:
+            continue
+        candidates.append((value, constraint, free_vars))
+    candidates.sort(key=lambda item: (-item[0] / len(item[2]), -item[0]))
+    used = set()
+    total = 0.0
+    explanation = []
+    for value, constraint, free_vars in candidates:
+        if free_vars & used:
+            continue
+        used |= free_vars
+        total += value
+        explanation.append(constraint)
+    return max(ceil_guarded(total), 0), False, explanation
+
+
+def with_cardinality_rows(instance: PBInstance, seed: int) -> PBInstance:
+    """``instance`` plus a few positive at-least rows, so eq. 13 cuts
+    exist beside the knapsack cut."""
+    rng = random.Random(seed)
+    n = instance.num_variables
+    extra = [
+        Constraint.at_least(rng.sample(range(1, n + 1), 3), 1)
+        for _ in range(2)
+    ]
+    return PBInstance(list(instance.constraints) + extra, instance.objective, n)
+
+
 class TestMISLockstep:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_cuts_as_extras_match_reference(self, seed):
+        instance = with_cardinality_rows(random_instance(seed), seed)
+        generator = CutGenerator(instance)
+        bound = MISBound(instance)
+        rng = random.Random(seed)
+        attached = False
+        extras = []
+        for trail, fixed in walk_nodes(instance, seed + 900, max_nodes=60):
+            if not attached:
+                bound.attach_trail(trail)
+                attached = True
+            if rng.random() < 0.3:
+                # a new incumbent: the cut list changes, as in the solver
+                upper = rng.randint(1, instance.objective.max_value + 1)
+                extras, _ = generator.cuts_for(upper)
+            got = bound.compute(fixed, extras)
+            value, infeasible, explanation = reference_mis(instance, fixed, extras)
+            assert (got.value, got.infeasible) == (value, infeasible)
+            assert got.explanation == explanation
+        assert bound.num_calls > 0
+
     @pytest.mark.parametrize("seed", range(12))
     def test_incremental_equals_cold(self, seed):
         instance = random_instance(seed)

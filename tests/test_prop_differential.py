@@ -12,6 +12,10 @@ with three layers of evidence:
   must reach the same status and the same optimum cost;
 * a smoke run of the propbench harness, whose drive mode replays one
   seeded walk on every backend and checks lockstep propagation counts.
+
+Deferred PB reasons are checked against the eager greedy builder they
+replaced: on every backend the reason read late from the trail must
+equal the one built at implication time.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ import pytest
 
 from repro.benchgen import generate_planted, ptl_suite, routing_suite
 from repro.core import OPTIMAL, BsoloSolver, SolverOptions
+from repro.engine.assignment import DeferredReason
+from repro.engine.conflict import ConflictAnalyzer, RootConflictError
 from repro.engine.interface import Conflict, make_engine
 from repro.experiments.propbench import (
     family_instances,
@@ -186,6 +192,149 @@ class TestLearnedDeletion:
         for offset, instance in enumerate(instances):
             for seed in range(4):
                 _run_deletion_lockstep(instance, 100 * offset + seed)
+
+
+# ----------------------------------------------------------------------
+# Deferred reasons against the eager reference
+# ----------------------------------------------------------------------
+def _eager_reason(trail, deferred: DeferredReason):
+    """The reason as built at implication time: the implied literal, then
+    the constraint's false literals, largest coefficients first (ties in
+    term order), until they exceed ``total - rhs - coef``."""
+    constraint = deferred.constraint
+    false_terms = [
+        (coef, lit)
+        for coef, lit in constraint.terms
+        if trail.literal_is_false(lit)
+    ]
+    false_terms.sort(key=lambda term: -term[0])
+    needed = sum(c for c, _ in constraint.terms) - constraint.rhs - deferred.coef
+    chosen = [deferred.literal]
+    acc = 0
+    for coef, lit in false_terms:
+        if acc > needed:
+            break
+        chosen.append(lit)
+        acc += coef
+    assert acc > needed
+    return tuple(chosen)
+
+
+class _ReasonRecorder:
+    """Records the eager reference reason of every deferred implication
+    an engine makes, and compares it with ``trail.reason`` on demand."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.pending = []  # (var, deferred, eager reason)
+        self.compared = 0
+        #: comparisons where a false literal of the implying constraint
+        #: was assigned after the implied one (the position filter bites)
+        self.filtered = 0
+        imply = engine.imply
+
+        def recording_imply(literal, reason, antecedent=None):
+            if isinstance(reason, DeferredReason):
+                var = literal if literal > 0 else -literal
+                self.pending.append((var, reason, _eager_reason(engine.trail, reason)))
+            imply(literal, reason, antecedent)
+
+        engine.imply = recording_imply
+
+    def check(self) -> None:
+        """Read every still-deferred reason and compare it with its eager
+        reference; call it just before a backtrack, when the trail holds
+        everything assigned after the implications."""
+        trail = self.engine.trail
+        for var, deferred, eager in self.pending:
+            if trail._reason[var] is not deferred:
+                continue  # backtracked since, or already read
+            later_false = [
+                lit
+                for _, lit in deferred.constraint.terms
+                if trail.literal_is_false(lit)
+                and trail.literals.index(-lit) > trail.literals.index(deferred.literal)
+            ]
+            assert trail.reason(var) == eager, (var, deferred.constraint)
+            self.compared += 1
+            if later_false:
+                self.filtered += 1
+        self.pending = [
+            entry for entry in self.pending if trail._reason[entry[0]] is entry[1]
+        ]
+
+
+def _reason_walk(backend: str, seed: int, recorder_stats: list) -> None:
+    """Random decisions with first-UIP analysis on conflicts (which reads
+    reasons the way the solver does), checking deferred reasons against
+    the eager reference before every backtrack."""
+    rng = random.Random(seed)
+    num_vars = rng.randint(6, 14)
+    engine = make_engine(backend, num_vars)
+    for _ in range(rng.randint(4, 18)):
+        if isinstance(engine.add_constraint(_random_constraint(rng, num_vars)), Conflict):
+            return
+    recorder = _ReasonRecorder(engine)
+    analyzer = ConflictAnalyzer(num_vars)
+    trail = engine.trail
+    if isinstance(engine.propagate(), Conflict):
+        return
+    for _ in range(40):
+        free = [v for v in range(1, num_vars + 1) if trail.value(v) < 0]
+        if not free:
+            recorder.check()
+            engine.backtrack(rng.randint(0, trail.decision_level))
+            continue
+        var = rng.choice(free)
+        engine.decide(var if rng.random() < 0.5 else -var)
+        conflict = engine.propagate()
+        if conflict is None and rng.random() > 0.15:
+            continue
+        recorder.check()
+        if conflict is not None:
+            try:
+                analyzer.analyze(conflict.literals, trail)
+            except RootConflictError:
+                break
+        engine.backtrack(rng.randint(0, trail.decision_level - 1))
+    recorder.check()
+    recorder_stats.append((recorder.compared, recorder.filtered))
+
+
+class TestDeferredReasons:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_late_read_equals_eager_reference(self, backend):
+        stats = []
+        for seed in range(120):
+            _reason_walk(backend, 7000 + seed, stats)
+        compared = sum(c for c, _ in stats)
+        filtered = sum(f for _, f in stats)
+        assert compared > 200
+        # the walks must exercise reads where a later falsified literal
+        # of the implying constraint is on the trail
+        assert filtered > 10
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_later_false_literal_is_not_in_the_reason(self, backend):
+        # 3a + 2b + c + d >= 4: c false leaves slack 2 and implies a (3);
+        # b (2) falls afterwards and implies d.  The greedy over false
+        # literals would pick b first, but b was not false when a was
+        # implied: the reason of a must be (a, c).
+        engine = make_engine(backend, 4)
+        engine.add_constraint(
+            Constraint.greater_equal([(3, 1), (2, 2), (1, 3), (1, 4)], 4)
+        )
+        assert engine.propagate() is None
+        engine.decide(-3)
+        assert engine.propagate() is None
+        assert engine.trail.value(1) == 1
+        engine.decide(-2)
+        assert engine.propagate() is None
+        assert engine.trail.value(4) == 1
+        assert engine.trail.reason(1) == (1, 3)
+        assert engine.trail.reason(4) == (4, 2, 3)
+        # cached in place: a second read returns the same tuple
+        assert engine.trail.reason(1) is engine.trail.reason(1)
 
 
 # ----------------------------------------------------------------------
