@@ -327,6 +327,8 @@ class BsoloSolver:
                 self._hotspot.stop()
             self.stats.elapsed = time.monotonic() - start
             self.stats.phase_times = self._timer.snapshot()
+            # mid-search the count is synced only at logic conflicts
+            self.stats.propagations = self._propagator.num_propagations
             self._collect_lb_stats()
         if tracer.enabled:
             tracer.emit(

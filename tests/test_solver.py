@@ -236,6 +236,20 @@ class TestStats:
         # the solver must at least have estimated bounds
         assert result.stats.lower_bound_calls >= 1
 
+    @pytest.mark.parametrize("backend", ["counter", "watched"])
+    def test_propagations_counted_without_logic_conflicts(self, backend):
+        # solved to optimality through implications and cuts alone: no
+        # logic conflict ever syncs the count mid-search
+        instance = PBInstance(
+            [Constraint.at_least([1, 2, 3], 2)], Objective({1: 1, 2: 2, 3: 3})
+        )
+        solver = BsoloSolver(instance, SolverOptions(propagation=backend))
+        result = solver.solve()
+        assert (result.status, result.best_cost) == (OPTIMAL, 3)
+        assert result.stats.logic_conflicts == 0
+        assert result.stats.propagations == solver._propagator.num_propagations
+        assert result.stats.propagations > 0
+
     def test_plain_makes_no_lb_calls(self):
         solver = BsoloSolver(covering_instance(), SolverOptions(lower_bound="plain"))
         solver.solve()
