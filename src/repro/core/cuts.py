@@ -38,13 +38,13 @@ from ..pb.instance import PBInstance
 class _CutTemplate:
     """``sum c_j x_j <= budget`` in normalized ``>=`` form, for any budget.
 
-    ``terms`` are the unsaturated normalized terms and ``shift`` the rhs
-    the negation adds, so the cut for ``budget`` is ``terms >= shift -
-    budget`` with coefficients saturated at that rhs.  ``total`` is the
-    sum of the costs, the tautology threshold.
+    ``terms`` are the unsaturated normalized terms ``c_j ~x_j``.  Costs
+    are positive (:class:`~repro.pb.objective.Objective`), so negation
+    moves exactly their ``total`` to the rhs: the cut for ``budget`` is
+    ``terms >= total - budget`` with coefficients saturated at that rhs.
     """
 
-    __slots__ = ("terms", "shift", "total", "max_coef")
+    __slots__ = ("terms", "total", "max_coef")
 
     def __init__(self, costs: List[Term]):
         # Normalized at rhs offset 1 so the rhs stays positive and the
@@ -52,14 +52,14 @@ class _CutTemplate:
         self.terms, rhs = normalize_terms(
             [(-cost, var) for cost, var in costs], 1, saturate=False
         )
-        self.shift = rhs - 1
-        self.total = sum(cost for cost, _ in costs)
+        self.total = rhs - 1
         self.max_coef = max((coef for coef, _ in self.terms), default=0)
 
-    def cut(self, budget: int) -> Constraint:
-        """The cut ``sum c_j x_j <= budget``; its rhs is positive unless
-        the caller already ruled out ``total <= budget``."""
-        rhs = self.shift - budget
+    def cut(self, budget: int) -> Optional[Constraint]:
+        """The cut ``sum c_j x_j <= budget``, or None for a tautology."""
+        rhs = self.total - budget
+        if rhs <= 0:
+            return None
         terms = self.terms
         if self.max_coef > rhs:
             terms = tuple((coef if coef <= rhs else rhs, lit) for coef, lit in terms)
@@ -89,9 +89,9 @@ class CutGenerator:
         # Built on the first incumbent, so solves that never find one
         # (and solver set-up) pay nothing.
         self._knapsack: Optional[_CutTemplate] = None
-        #: ``(source, V, template or None when N-K is empty)`` per source
-        #: with ``V > 0``, in input order.
-        self._eq13: Optional[List[Tuple[Constraint, int, Optional[_CutTemplate]]]] = None
+        #: ``(source, V, template over N-K)`` per source with ``V > 0``,
+        #: in input order.
+        self._eq13: Optional[List[Tuple[Constraint, int, _CutTemplate]]] = None
 
     # ------------------------------------------------------------------
     def knapsack_cut(self, upper: int) -> Optional[Constraint]:
@@ -104,12 +104,9 @@ class CutGenerator:
             self._knapsack = _CutTemplate(
                 [(cost, var) for var, cost in costs.items()]
             )
-        budget = upper - 1
-        if self._knapsack.shift <= budget:
-            return None  # tautology
-        return self._knapsack.cut(budget)
+        return self._knapsack.cut(upper - 1)
 
-    def _eq13_templates(self) -> List[Tuple[Constraint, int, Optional[_CutTemplate]]]:
+    def _eq13_templates(self) -> List[Tuple[Constraint, int, _CutTemplate]]:
         if self._eq13 is None:
             costs = self._objective.costs
             self._eq13 = []
@@ -126,8 +123,7 @@ class CutGenerator:
                     for var, cost in costs.items()
                     if var not in member_set
                 ]
-                template = _CutTemplate(outside) if outside else None
-                self._eq13.append((source, value_v, template))
+                self._eq13.append((source, value_v, _CutTemplate(outside)))
         return self._eq13
 
     def cardinality_cuts_with_sources(
@@ -147,9 +143,9 @@ class CutGenerator:
             budget = upper - 1 - value_v
             if budget < 0:
                 return pairs, source
-            if template is None or template.total <= budget:
-                continue  # no cost outside K, or a tautology
-            pairs.append((template.cut(budget), source))
+            cut = template.cut(budget)
+            if cut is not None:  # None: no cost outside K can exceed it
+                pairs.append((cut, source))
         return pairs, None
 
     def cardinality_cuts(self, upper: int) -> Tuple[List[Constraint], bool]:

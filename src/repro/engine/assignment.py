@@ -167,9 +167,7 @@ class Trail:
         if reason is None or reason.__class__ is tuple:
             return reason
         constraint = reason.constraint
-        total = 0
-        for coef, _ in constraint.terms:
-            total += coef
+        total = sum(coef for coef, _ in constraint.terms)
         built = (reason.literal,) + self.false_cover(
             constraint, total - constraint.rhs - reason.coef, self._position[var]
         )

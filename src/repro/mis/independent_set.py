@@ -24,6 +24,12 @@ Consecutive search nodes differ by a handful of trail assignments, so
 the unit-cost term ordering is computed once (costs are static), and the
 last ``(value, false_literals, free_vars)`` evaluation is cached and
 re-used until a variable of the constraint is assigned or unassigned.
+Invalidation is driven by a :class:`~repro.engine.assignment.TrailDelta`
+feed (see :meth:`MISBound.attach_trail`) instead of rescanning the full
+``fixed`` mapping; without an attached trail every call conservatively
+re-evaluates everything, which is exactly the cold behaviour (the
+greedy selection itself is always re-run — it is global and cheap
+relative to the per-constraint knapsacks).
 
 A *costless* row — every literal negative or of cost 0, as in every
 eq. 10/13 cut and many at-most rows — has knapsack value 0 whenever it
@@ -31,12 +37,6 @@ is open, so it can never contribute to the bound: only whether it is
 satisfied, open or violated matters.  Such a row is evaluated in one
 pass over its supply and residual rhs, with no term ordering, free-set
 or false-literal bookkeeping.
-Invalidation is driven by a :class:`~repro.engine.assignment.TrailDelta`
-feed (see :meth:`MISBound.attach_trail`) instead of rescanning the full
-``fixed`` mapping; without an attached trail every call conservatively
-re-evaluates everything, which is exactly the cold behaviour (the
-greedy selection itself is always re-run — it is global and cheap
-relative to the per-constraint knapsacks).
 """
 
 from __future__ import annotations
@@ -107,10 +107,10 @@ def constraint_min_cost(
 
 
 #: Results of a costless row: satisfied, open at cost 0, violated.  The
-#: bound never reads their literal sets.
-_SATISFIED: Tuple[Optional[float], List[int], Set[int]] = (None, [], set())
-_OPEN_FREE: Tuple[Optional[float], List[int], Set[int]] = (0.0, [], set())
-_VIOLATED: Tuple[Optional[float], List[int], Set[int]] = (math.inf, [], set())
+#: bound never reads their (empty, shared) literal sets.
+_SATISFIED = (None, (), frozenset())
+_OPEN_FREE = (0.0, (), frozenset())
+_VIOLATED = (math.inf, (), frozenset())
 
 
 class _ConstraintState:
