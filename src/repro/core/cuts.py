@@ -71,7 +71,6 @@ class CutGenerator:
 
     def __init__(self, instance: PBInstance, cardinality_cuts: bool = True):
         self._objective = instance.objective
-        self._cardinality_cuts = cardinality_cuts
         # Pre-extract the cardinality constraints usable by eq. 11: all
         # literals positive (the "smallest costs" argument needs x_j = 1
         # to be what pays).  The source constraints themselves are kept
@@ -137,8 +136,6 @@ class CutGenerator:
         reaches the bound, so the incumbent is optimal), or None.
         """
         pairs: List[Tuple[Constraint, Constraint]] = []
-        if not self._cardinality_cuts or not self._objective.costs:
-            return pairs, None
         for source, value_v, template in self._eq13_templates():
             budget = upper - 1 - value_v
             if budget < 0:
