@@ -24,7 +24,7 @@ from ..core.result import (
     UNKNOWN,
     UNSATISFIABLE,
 )
-from ..core.stats import SolverStats
+from ..core.stats import SolverStats, record_metrics
 from ..mis.independent_set import MISBound
 from ..obs.events import (
     IncumbentEvent,
@@ -74,7 +74,7 @@ class CoveringBnBSolver:
         self._timer = PhaseTimer() if opts.profile else NULL_TIMER
         self.stats = SolverStats()
         self._costs = instance.objective.costs
-        self._mis = MISBound(instance, metrics=opts.metrics)
+        self._mis = MISBound(instance)
 
     # ------------------------------------------------------------------
     def solve(self) -> SolveResult:
@@ -280,6 +280,13 @@ class CoveringBnBSolver:
                 status = UNSATISFIABLE
         self.stats.elapsed = time.monotonic() - start
         self.stats.phase_times = self._timer.snapshot()
+        record_metrics(
+            options.metrics,
+            {
+                "mis_hits": self._mis.cache_hits,
+                "mis_misses": self._mis.cache_misses,
+            },
+        )
         if best is not None:
             best_cost = upper + objective.offset
         else:

@@ -58,7 +58,6 @@ class SolverOptions:
         phase_saving: bool = False,
         pb_learning: bool = False,
         propagation: str = "counter",
-        on_new_solution=None,
         time_limit: Optional[float] = None,
         max_conflicts: Optional[int] = None,
         max_decisions: Optional[int] = None,
@@ -146,9 +145,6 @@ class SolverOptions:
         #: Validated lazily by ``make_engine`` so third-party backends
         #: registered after option construction still work.
         self.propagation = propagation
-        #: Progress callback ``(cost, assignment) -> None`` invoked on
-        #: every improving solution (cost includes the objective offset).
-        self.on_new_solution = on_new_solution
         #: Wall-clock budget in seconds (None = unlimited).
         self.time_limit = time_limit
         #: Conflict budget (None = unlimited).
@@ -169,9 +165,9 @@ class SolverOptions:
         #: Collect per-phase wall times into ``stats.phase_times``.
         self.profile = profile
         #: Metrics registry (:class:`repro.obs.metrics.MetricsRegistry`);
-        #: None = no metrics, with zero per-update overhead (the solver
-        #: resolves instruments once and guards hot paths on a cached
-        #: enabled flag — the null-tracer discipline).
+        #: None = no metrics.  The solve's counts reach it once, when
+        #: ``solve()`` ends; only the bound-call wall-time histogram is
+        #: recorded during search.
         self.metrics = metrics
         #: Hotspot profiler (:class:`repro.obs.prof.HotspotProfiler`);
         #: when set the solver runs it around the solve, scoping samples
@@ -187,7 +183,7 @@ class SolverOptions:
         #: Incumbent callback ``(cost, assignment) -> None`` fired on
         #: every improving solution (cost includes the objective offset).
         #: The portfolio runner uses this to publish incumbents to the
-        #: other workers; fires alongside the legacy ``on_new_solution``.
+        #: other workers.
         self.on_incumbent = on_incumbent
         #: Cooperative bound import: a zero-argument callable returning
         #: the best cost known *outside* this solver (offset included),
@@ -250,7 +246,6 @@ class SolverOptions:
         and tracer included), suitable for ``SolverOptions(**kwargs)``."""
         kwargs = self.describe()
         kwargs.update(
-            on_new_solution=self.on_new_solution,
             tracer=self.tracer,
             metrics=self.metrics,
             hotspot=self.hotspot,

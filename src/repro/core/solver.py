@@ -66,7 +66,7 @@ from .result import (
     UNKNOWN,
     UNSATISFIABLE,
 )
-from .stats import SolverStats
+from .stats import SolverStats, record_metrics
 
 logger = logging.getLogger("repro.bsolo")
 
@@ -74,7 +74,6 @@ logger = logging.getLogger("repro.bsolo")
 def make_bounders(
     instance: PBInstance,
     options: SolverOptions,
-    metrics=None,
 ) -> Tuple[Optional[MISBound], Optional[object]]:
     """Build the ``(prefilter, bounder)`` pair for ``options.lower_bound``.
 
@@ -88,19 +87,15 @@ def make_bounders(
     if method == PLAIN or instance.objective.is_constant:
         return None, None
     if method == MIS:
-        return None, MISBound(instance, metrics=metrics)
+        return None, MISBound(instance)
     if method == LGR:
         return None, LagrangianBound(
             instance,
             SubgradientOptions(max_iterations=options.lgr_iterations),
         )
-    prefilter = (
-        MISBound(instance, metrics=metrics) if method == HYBRID else None
-    )
+    prefilter = MISBound(instance) if method == HYBRID else None
     return prefilter, LPRelaxationBound(
-        instance,
-        max_iterations=options.lp_max_iterations,
-        metrics=metrics,
+        instance, max_iterations=options.lp_max_iterations
     )
 
 
@@ -147,10 +142,18 @@ class BsoloSolver:
         tracer = self._options.tracer
         self._tracer = tracer if tracer is not None else NULL_TRACER
         metrics = self._options.metrics
-        self._metrics = (
-            metrics if (metrics is not None and metrics.enabled) else None
+        #: The one per-event instrument.  Counts reach the registry once,
+        #: when ``solve()`` ends (:func:`record_metrics`), but no count
+        #: can rebuild a distribution of bound-call wall times.
+        self._m_lb_seconds = (
+            metrics.histogram(
+                "solver_lower_bound_seconds",
+                "Wall time of one lower-bound estimation",
+                labels=("method",),
+            )
+            if metrics is not None and metrics.enabled
+            else None
         )
-        self._m_enabled = self._metrics is not None
         #: Opt-in hotspot profiler; forces phase accounting on so its
         #: samples can be scoped to solver phases.
         self._hotspot = self._options.hotspot
@@ -161,8 +164,6 @@ class BsoloSolver:
             self._timer = PhaseTimer(listener=listener)
         else:
             self._timer = NULL_TIMER
-        if self._m_enabled:
-            self._bind_metrics()
         if session is not None:
             # Borrow the session's persistent state: engine (constraints
             # pre-loaded), activity, restart/bound-schedule state and the
@@ -178,7 +179,6 @@ class BsoloSolver:
                 self._options.propagation,
                 instance.num_variables,
                 tracer=self._tracer if self._tracer.enabled else None,
-                metrics=self._metrics,
             )
             self._activity = VSIDSActivity(
                 instance.num_variables, decay=self._options.vsids_decay
@@ -248,47 +248,8 @@ class BsoloSolver:
         self._next_progress = self._options.progress_interval
 
     # ------------------------------------------------------------------
-    def _bind_metrics(self) -> None:
-        """Resolve metric instruments once, at construction time.
-
-        Hot paths only touch the cached children behind the
-        ``self._m_enabled`` guard — the same zero-cost-when-disabled
-        discipline as the null tracer.
-        """
-        m = self._metrics
-        conflicts = m.counter(
-            "solver_conflicts", "Conflicts by type", labels=("type",)
-        )
-        self._m_conflicts_logic = conflicts.labels(type="logic")
-        self._m_conflicts_bound = conflicts.labels(type="bound")
-        self._m_decisions = m.counter(
-            "solver_decisions", "Branching decisions"
-        )
-        self._m_cuts = m.counter(
-            "solver_cuts", "Cutting constraints added (Section 5)"
-        )
-        self._m_prunings = m.counter(
-            "solver_prunings", "Nodes pruned by the lower bound"
-        )
-        self._m_uncertified = m.counter(
-            "solver_uncertified_prunes",
-            "Prunes declined because no certificate could be logged",
-        )
-        self._m_incumbents = m.counter(
-            "solver_incumbents", "Improving solutions found"
-        )
-        self._m_restarts = m.counter("solver_restarts", "Restarts performed")
-        self._m_lb_seconds = m.histogram(
-            "solver_lower_bound_seconds",
-            "Wall time of one lower-bound estimation",
-            labels=("method",),
-        )
-
-    # ------------------------------------------------------------------
     def _make_bounder(self):
-        self._prefilter, bounder = make_bounders(
-            self._instance, self._options, metrics=self._metrics
-        )
+        self._prefilter, bounder = make_bounders(self._instance, self._options)
         return bounder
 
     # ------------------------------------------------------------------
@@ -303,6 +264,7 @@ class BsoloSolver:
         assumptions").
         """
         start = time.monotonic()
+        self._totals_at_start = self._running_totals()
         if assumptions is None:
             assumptions = self._preset_assumptions
         self._assumptions = list(assumptions or [])
@@ -327,9 +289,18 @@ class BsoloSolver:
                 self._hotspot.stop()
             self.stats.elapsed = time.monotonic() - start
             self.stats.phase_times = self._timer.snapshot()
-            # mid-search the count is synced only at logic conflicts
-            self.stats.propagations = self._propagator.num_propagations
+            counts = {
+                key: total - self._totals_at_start[key]
+                for key, total in self._running_totals().items()
+            }
+            self.stats.propagations = counts["propagations"]
             self._collect_lb_stats()
+            record_metrics(
+                self._options.metrics,
+                counts,
+                self.stats,
+                backend=self._propagator.name,
+            )
         if tracer.enabled:
             tracer.emit(
                 ResultEvent(
@@ -372,6 +343,26 @@ class BsoloSolver:
         self._best_assignment = None
         self.stats.external_bounds += 1
         return True
+
+    def _running_totals(self) -> Dict[str, int]:
+        """What the engine and the bounders have counted so far.
+
+        A session call shares both with earlier calls, so :meth:`solve`
+        reads these totals at both ends and reports the difference.
+        """
+        engine = self._propagator
+        totals = {
+            "propagations": engine.num_propagations,
+            "propagate_calls": engine.num_propagate_calls,
+        }
+        for bounder in (self._prefilter, self._bounder):
+            if isinstance(bounder, MISBound):
+                totals["mis_hits"] = bounder.cache_hits
+                totals["mis_misses"] = bounder.cache_misses
+            elif isinstance(bounder, LPRelaxationBound):
+                totals["lp_pivots"] = bounder.total_iterations
+                totals["lp_batch_pivots"] = bounder.total_batch_pivots
+        return totals
 
     def _collect_lb_stats(self) -> None:
         detail: Dict[str, Dict[str, float]] = {}
@@ -514,9 +505,6 @@ class BsoloSolver:
                 timer.pop()
             if conflict is not None:
                 self.stats.logic_conflicts += 1
-                self.stats.propagations = propagator.num_propagations
-                if self._m_enabled:
-                    self._m_conflicts_logic.inc()
                 if tracer.enabled:
                     tracer.emit(
                         ConflictEvent(
@@ -539,8 +527,6 @@ class BsoloSolver:
                     and propagator.trail.decision_level > self._root_level
                 ):
                     self.stats.restarts += 1
-                    if self._m_enabled:
-                        self._m_restarts.inc()
                     if tracer.enabled:
                         tracer.emit(RestartEvent(conflicts=self.stats.conflicts))
                     # Session calls restart to the guard level, never to 0.
@@ -585,7 +571,7 @@ class BsoloSolver:
                 self._schedule.record(
                     pruned, bound_seconds, self._last_bound_method
                 )
-                if self._m_enabled:
+                if self._m_lb_seconds is not None:
                     self._m_lb_seconds.labels(
                         method=self._last_bound_method
                     ).observe(bound_seconds)
@@ -604,8 +590,6 @@ class BsoloSolver:
             if literal is None:  # pragma: no cover - all_assigned handles this
                 return self._finish()
             self.stats.decisions += 1
-            if self._m_enabled:
-                self._m_decisions.inc()
             if (
                 self._options.max_decisions is not None
                 and self.stats.decisions > self._options.max_decisions
@@ -656,8 +640,6 @@ class BsoloSolver:
             for cut in cuts:
                 conflict = self._propagator.add_constraint(cut)
                 self.stats.cuts_added += 1
-                if self._m_enabled:
-                    self._m_cuts.inc()
                 if self._tracer.enabled:
                     self._tracer.emit(CutEvent(size=len(cut)))
                 if conflict is not None and not self._resolve(
@@ -677,6 +659,11 @@ class BsoloSolver:
             return
         self._next_progress = self.stats.conflicts + self._options.progress_interval
         self.stats.progress_reports += 1
+        # on_progress is the only reader of the count during search
+        self.stats.propagations = (
+            self._propagator.num_propagations
+            - self._totals_at_start["propagations"]
+        )
         best = (
             self._upper + self._objective.offset
             if self._best_assignment is not None
@@ -719,12 +706,8 @@ class BsoloSolver:
             )
             if not self._certify_infeasibility(clause):
                 self.stats.uncertified_prunes += 1
-                if self._m_enabled:
-                    self._m_uncertified.inc()
                 return False, False
             self.stats.bound_conflicts += 1
-            if self._m_enabled:
-                self._m_conflicts_bound.inc()
             if tracer.enabled:
                 tracer.emit(
                     LowerBoundEvent(
@@ -784,14 +767,9 @@ class BsoloSolver:
                 )
             if not self._certify_bound_clause(bound_clause, bound, clause):
                 self.stats.uncertified_prunes += 1
-                if self._m_enabled:
-                    self._m_uncertified.inc()
                 return False, False
             self.stats.bound_conflicts += 1
             self.stats.prunings += 1
-            if self._m_enabled:
-                self._m_conflicts_bound.inc()
-                self._m_prunings.inc()
             if tracer.enabled:
                 tracer.emit(
                     ConflictEvent(type="bound", level=trail.decision_level)
@@ -912,9 +890,9 @@ class BsoloSolver:
             # instance: results, callbacks and cuts see real variables.
             assignment.pop(self._session.guard_var, None)
         cost = self._objective.path_cost(assignment)
-        self.stats.solutions_found += 1
         improved = cost < self._upper
         if improved:
+            self.stats.solutions_found += 1
             if self._proof is not None:
                 # The 'o' step doubles as the derivation of the eq. 10
                 # improvement axiom the later steps build on.
@@ -929,8 +907,6 @@ class BsoloSolver:
             self._best_assignment = dict(assignment)
             self._upper = cost
             reported = cost + self._objective.offset
-            if self._m_enabled:
-                self._m_incumbents.inc()
             logger.debug("new incumbent: cost %d", reported)
             if self._tracer.enabled:
                 self._tracer.emit(
@@ -940,8 +916,6 @@ class BsoloSolver:
                         conflicts=self.stats.conflicts,
                     )
                 )
-            if self._options.on_new_solution is not None:
-                self._options.on_new_solution(reported, dict(assignment))
             if self._options.on_incumbent is not None:
                 self._options.on_incumbent(reported, dict(assignment))
 
@@ -980,8 +954,6 @@ class BsoloSolver:
                 if proof is None or proof.log_proven_cut(proven_source):
                     return self._finish()
                 self.stats.uncertified_prunes += 1
-                if self._m_enabled:
-                    self._m_uncertified.inc()
             # The knapsack cut (eq. 10) IS the improvement axiom the 'o'
             # step derived, so it needs no proof step of its own.
             cuts = [] if knapsack is None else [knapsack]
@@ -998,8 +970,6 @@ class BsoloSolver:
                     cut, learned=self._session is not None
                 )
                 self.stats.cuts_added += 1
-                if self._m_enabled:
-                    self._m_cuts.inc()
                 if self._tracer.enabled:
                     self._tracer.emit(CutEvent(size=len(cut)))
             # For the relaxations, each new solution's cuts dominate the

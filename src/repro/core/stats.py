@@ -1,8 +1,9 @@
-"""Search statistics collected by the solvers."""
+"""Search statistics collected by the solvers, and their one way into a
+metrics registry (:func:`record_metrics`)."""
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Mapping, Optional
 
 
 class SolverStats:
@@ -15,7 +16,8 @@ class SolverStats:
         self.logic_conflicts = 0
         #: Bound conflicts (path + lower >= upper, paper Section 4).
         self.bound_conflicts = 0
-        #: Implications discovered by propagation.
+        #: Implications discovered by propagation during this run (a
+        #: session call counts only its own, though its engine persists).
         self.propagations = 0
         #: Lower bound estimations performed.
         self.lower_bound_calls = 0
@@ -27,7 +29,7 @@ class SolverStats:
         self.pb_resolvents = 0
         #: Cutting constraints added from improved solutions (Section 5).
         self.cuts_added = 0
-        #: Solutions found (upper bound improvements).
+        #: Solutions found that improved the upper bound.
         self.solutions_found = 0
         #: Sum over conflicts of (conflict level - backjump level); the
         #: excess over 1 measures non-chronological jumps.
@@ -58,7 +60,9 @@ class SolverStats:
         #: when profiling is enabled, and sums to <= elapsed.
         self.phase_times: Dict[str, float] = {}
         #: Per-bounder detail (calls / iterations / seconds), keyed by
-        #: lower-bound method name.
+        #: lower-bound method name.  A session call reports its session's
+        #: totals so far: the bounders and the adaptive schedule persist
+        #: across calls.
         self.lb_stats: Dict[str, Dict[str, float]] = {}
 
     @property
@@ -72,6 +76,20 @@ class SolverStats:
         self.backjump_total += jump
         if jump > self.backjump_max:
             self.backjump_max = jump
+
+    def add(self, other: Mapping[str, Any]) -> None:
+        """Fold another run's :meth:`as_dict` into these stats.
+
+        Counters and ``elapsed`` add, ``backjump_max`` takes the max and
+        ``phase_times`` add per phase.  ``interrupted`` and ``lb_stats``
+        are left alone: whether they combine depends on how the runs
+        relate.
+        """
+        for name in _SUMMED_FIELDS:
+            setattr(self, name, getattr(self, name) + (other.get(name) or 0))
+        self.backjump_max = max(self.backjump_max, other.get("backjump_max") or 0)
+        for phase, seconds in (other.get("phase_times") or {}).items():
+            self.phase_times[phase] = self.phase_times.get(phase, 0.0) + seconds
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-serializable snapshot (``phase_times`` / ``lb_stats`` are
@@ -113,3 +131,79 @@ class SolverStats:
                 self.elapsed,
             )
         )
+
+
+#: The fields :meth:`SolverStats.add` sums: every number but ``backjump_max``.
+_SUMMED_FIELDS = tuple(
+    name
+    for name, value in vars(SolverStats()).items()
+    if type(value) in (int, float) and name != "backjump_max"
+)
+
+
+def record_metrics(
+    registry,
+    counts: Mapping[str, int],
+    stats: Optional[SolverStats] = None,
+    backend: Optional[str] = None,
+) -> None:
+    """Add one solve's counts to ``registry`` when the solve ends.
+
+    The solvers count into :class:`SolverStats`, their engine and their
+    bounders only; this is the one place those counts reach a
+    :class:`~repro.obs.metrics.MetricsRegistry`, so it owns the name,
+    help text and labels of every counter family.  ``stats`` feeds the
+    ``solver_*`` families.  ``counts`` holds what the engine and the
+    bounders counted during this solve: ``propagations`` and
+    ``propagate_calls`` (recorded under the engine's ``backend`` name),
+    ``mis_hits``/``mis_misses`` and ``lp_pivots``/``lp_batch_pivots``.
+    A family is recorded only when its source is given, so the registry
+    lists the families of the parts that ran.  Nothing is recorded
+    without an enabled registry.
+    """
+    if registry is None or not registry.enabled:
+        return
+    counter = registry.counter
+    if stats is not None:
+        conflicts = counter("solver_conflicts", "Conflicts by type", labels=("type",))
+        conflicts.labels(type="logic").inc(stats.logic_conflicts)
+        conflicts.labels(type="bound").inc(stats.bound_conflicts)
+        counter("solver_decisions", "Branching decisions").inc(stats.decisions)
+        counter("solver_cuts", "Cutting constraints added (Section 5)").inc(
+            stats.cuts_added
+        )
+        counter("solver_prunings", "Nodes pruned by the lower bound").inc(
+            stats.prunings
+        )
+        counter(
+            "solver_uncertified_prunes",
+            "Prunes declined because no certificate could be logged",
+        ).inc(stats.uncertified_prunes)
+        counter("solver_incumbents", "Improving solutions found").inc(
+            stats.solutions_found
+        )
+        counter("solver_restarts", "Restarts performed").inc(stats.restarts)
+    if backend is not None:
+        counter(
+            "engine_propagations",
+            "Implications discovered by BCP",
+            labels=("backend",),
+        ).labels(backend=backend).inc(counts["propagations"])
+        counter(
+            "engine_propagate_calls",
+            "Calls to the propagation fixed-point loop",
+            labels=("backend",),
+        ).labels(backend=backend).inc(counts["propagate_calls"])
+    if "mis_hits" in counts:
+        cache = counter(
+            "mis_cache", "MIS constraint-state cache outcomes", labels=("outcome",)
+        )
+        cache.labels(outcome="hit").inc(counts["mis_hits"])
+        cache.labels(outcome="miss").inc(counts["mis_misses"])
+    if "lp_pivots" in counts:
+        counter("lp_pivots", "Simplex pivots performed by the LP bounder").inc(
+            counts["lp_pivots"]
+        )
+        counter(
+            "lp_batch_pivots", "Simplex pivots applied via the batched array kernels"
+        ).inc(counts["lp_batch_pivots"])

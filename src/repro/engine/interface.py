@@ -96,27 +96,16 @@ class PropagationEngine(ABC):
     #: Registry name of the backend (set by subclasses).
     name = "abstract"
 
-    def __init__(self, num_variables: int, tracer=None, metrics=None):
+    def __init__(self, num_variables: int, tracer=None):
         self.trail = Trail(num_variables)
+        #: Implications discovered so far (the backends count them).
         self.num_propagations = 0
+        #: Calls to the propagation loop so far (the backends count them).
+        self.num_propagate_calls = 0
         self._tracer = tracer if (tracer is not None and tracer.enabled) else None
-        self._metrics = metrics if (metrics is not None and metrics.enabled) else None
         self._batch_mark = 0
-        if self._metrics is not None:
-            # Resolve instruments once; the propagate wrapper only calls
-            # .inc() on the hot path.
-            self._m_propagations = self._metrics.counter(
-                "engine_propagations",
-                "Implications discovered by BCP",
-                labels=("backend",),
-            ).labels(backend=self.name)
-            self._m_propagate_calls = self._metrics.counter(
-                "engine_propagate_calls",
-                "Calls to the propagation fixed-point loop",
-                labels=("backend",),
-            ).labels(backend=self.name)
-        if self._tracer is None and self._metrics is None:
-            # Skip the batch-accounting wrapper entirely on the null path.
+        if self._tracer is None:
+            # Skip the trace-batching wrapper entirely on the null path.
             self.propagate = self._propagate_loop  # type: ignore[method-assign]
         # var -> the PB constraint that implied it (for cutting-plane
         # learning; the clausal reason on the trail is authoritative for
@@ -139,7 +128,11 @@ class PropagationEngine(ABC):
 
     @abstractmethod
     def _propagate_loop(self) -> Optional[Conflict]:
-        """Run implication discovery to a fixed point (no tracing)."""
+        """Run implication discovery to a fixed point (no tracing).
+
+        Adds one to ``num_propagate_calls`` on entry and one to
+        ``num_propagations`` per implication.
+        """
 
     @abstractmethod
     def backtrack(self, target_level: int) -> None:
@@ -201,14 +194,15 @@ class PropagationEngine(ABC):
     def propagate(self) -> Optional[Conflict]:
         """Run boolean constraint propagation to a fixed point.
 
-        Returns the first conflict discovered, or ``None``.
+        Returns the first conflict discovered, or ``None``.  With a
+        tracer, each call that implied something or hit a conflict emits
+        one batch event; an engine built without one runs the bare loop
+        in place of this wrapper.
         """
-        if self._tracer is None and self._metrics is None:
-            return self._propagate_loop()
         conflict = self._propagate_loop()
         delta = self.num_propagations - self._batch_mark
         self._batch_mark = self.num_propagations
-        if self._tracer is not None and (delta or conflict is not None):
+        if delta or conflict is not None:
             self._tracer.emit(
                 PropagationEvent(
                     count=delta,
@@ -216,10 +210,6 @@ class PropagationEngine(ABC):
                     conflict=conflict is not None,
                 )
             )
-        if self._metrics is not None:
-            self._m_propagate_calls.inc()
-            if delta:
-                self._m_propagations.inc(delta)
         return conflict
 
     # ------------------------------------------------------------------
@@ -261,10 +251,9 @@ def register_engine(
 ) -> None:
     """Register ``factory(num_variables, tracer=None) -> engine`` under
     ``name``.  Re-registering a name replaces it (tests use this to
-    inject instrumented engines).  Factories that also accept a
-    ``metrics`` keyword get it forwarded when the caller supplies one;
-    older two-argument factories keep working as long as nobody asks
-    them for metrics."""
+    inject instrumented engines).  The engine counts its own work in
+    ``num_propagations`` and ``num_propagate_calls``; the solver reads
+    those when a solve ends."""
     _ENGINES[name] = (factory, description)
 
 
@@ -278,14 +267,8 @@ def engine_descriptions() -> Dict[str, str]:
     return {name: desc for name, (_, desc) in sorted(_ENGINES.items())}
 
 
-def make_engine(
-    name: str, num_variables: int, tracer=None, metrics=None
-) -> PropagationEngine:
-    """Instantiate a registered propagation backend.
-
-    ``metrics`` is forwarded only when set, so third-party factories
-    registered before the metrics layer existed keep working.
-    """
+def make_engine(name: str, num_variables: int, tracer=None) -> PropagationEngine:
+    """Instantiate a registered propagation backend."""
     try:
         factory = _ENGINES[name][0]
     except KeyError:
@@ -293,6 +276,4 @@ def make_engine(
             "unknown propagation engine %r (choose from %s)"
             % (name, ", ".join(available_engines()))
         ) from None
-    if metrics is not None:
-        return factory(num_variables, tracer=tracer, metrics=metrics)
     return factory(num_variables, tracer=tracer)

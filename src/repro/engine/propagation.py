@@ -59,8 +59,8 @@ class Propagator(PropagationEngine):
 
     name = "counter"
 
-    def __init__(self, num_variables: int, tracer=None, metrics=None):
-        super().__init__(num_variables, tracer=tracer, metrics=metrics)
+    def __init__(self, num_variables: int, tracer=None):
+        super().__init__(num_variables, tracer=tracer)
         self.database = ConstraintDatabase(self.trail)
         self._pending: Deque[StoredConstraint] = deque()
 
@@ -99,6 +99,7 @@ class Propagator(PropagationEngine):
     # Propagation
     # ------------------------------------------------------------------
     def _propagate_loop(self) -> Optional[Conflict]:
+        self.num_propagate_calls += 1
         while self._pending:
             stored = self._pending.popleft()
             stored.queued = False

@@ -66,8 +66,8 @@ class WatchedPropagator(PropagationEngine):
 
     name = "watched"
 
-    def __init__(self, num_variables: int, tracer=None, metrics=None):
-        super().__init__(num_variables, tracer=tracer, metrics=metrics)
+    def __init__(self, num_variables: int, tracer=None):
+        super().__init__(num_variables, tracer=tracer)
         self.database = WatchedConstraintDatabase(self.trail)
         #: Newly added constraints awaiting one exact implication scan.
         self._pending: Deque[StoredConstraint] = deque()
@@ -134,6 +134,7 @@ class WatchedPropagator(PropagationEngine):
     # Propagation
     # ------------------------------------------------------------------
     def _propagate_loop(self) -> Optional[Conflict]:
+        self.num_propagate_calls += 1
         trail_list = self.trail._trail
         values = self.trail._value
         pending = self._pending

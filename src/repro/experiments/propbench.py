@@ -23,9 +23,6 @@ solve mode (end to end)
     numbers measure realized solver throughput, not per-implication
     cost.
 
-Each family also records ``metrics_overhead``: the drive replay on the
-``counter`` backend with and without a disabled metrics registry.
-
 ``run_propbench`` writes everything to ``BENCH_propagation.json``.
 """
 
@@ -85,17 +82,14 @@ def family_instances(
 # Drive mode
 # ----------------------------------------------------------------------
 def drive_replay(
-    instance: PBInstance, backend: str, seed: int, rounds: int, metrics=None
+    instance: PBInstance, backend: str, seed: int, rounds: int
 ) -> Dict[str, Any]:
     """Replay one seeded decision walk on ``backend``.
 
     Returns the implication count and the wall time of the timed region
-    (everything after constraint loading).  ``metrics`` is forwarded to
-    the engine — pass a disabled registry to measure the
-    zero-overhead-when-disabled contract (see
-    :func:`bench_metrics_overhead`).
+    (everything after constraint loading).
     """
-    engine = make_engine(backend, instance.num_variables, metrics=metrics)
+    engine = make_engine(backend, instance.num_variables)
     for constraint in instance.constraints:
         engine.add_constraint(constraint)
     engine.propagate()
@@ -177,55 +171,6 @@ def bench_drive(
                 entry["props_per_sec"] / baseline["props_per_sec"], 3
             )
     return result
-
-
-# ----------------------------------------------------------------------
-# Metrics overhead
-# ----------------------------------------------------------------------
-def bench_metrics_overhead(
-    instances: Sequence[PBInstance],
-    backend: str = "counter",
-    rounds: int = 120,
-    trials: int = 3,
-    seed: int = 1000,
-) -> Dict[str, Any]:
-    """Measure the cost of carrying a *disabled* metrics registry.
-
-    The zero-overhead-when-disabled contract (see ``docs/DESIGN.md``)
-    promises that passing ``NULL_METRICS`` to a solver costs nothing
-    measurable on the hot path: instruments resolve to ``None`` at
-    construction and the propagate wrapper is bypassed entirely.  This
-    benchmark replays the same seeded decision walk with no registry and
-    with the disabled registry, best-of-``trials`` each, and reports the
-    relative overhead (expected within noise of 0%; the acceptance bar
-    is 2%).  Trials alternate between the two registries so slow drift
-    on the host (thermal throttling, background load) hits both sides
-    equally instead of biasing whichever phase ran second.
-    """
-    from ..obs.metrics import NULL_METRICS
-
-    timings: Dict[str, Optional[float]] = {"baseline": None, "disabled": None}
-    for _ in range(max(1, trials)):
-        for label, registry in (("baseline", None), ("disabled", NULL_METRICS)):
-            seconds = 0.0
-            for index, instance in enumerate(instances):
-                outcome = drive_replay(
-                    instance, backend, seed + index, rounds, metrics=registry
-                )
-                seconds += outcome["seconds"]
-            best = timings[label]
-            if best is None or seconds < best:
-                timings[label] = seconds
-    baseline = timings["baseline"]
-    overhead = (
-        (timings["disabled"] / baseline - 1.0) * 100.0 if baseline > 0 else 0.0
-    )
-    return {
-        "backend": backend,
-        "baseline_seconds": round(timings["baseline"], 6),
-        "disabled_seconds": round(timings["disabled"], 6),
-        "overhead_pct": round(overhead, 3),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -344,9 +289,6 @@ def run_propbench(
             "instances": len(instances),
             "variables": sum(inst.num_variables for inst in instances),
             "drive": bench_drive(instances, backends, rounds=rounds, trials=trials),
-            "metrics_overhead": bench_metrics_overhead(
-                instances, rounds=rounds, trials=trials
-            ),
         }
         if solve:
             entry["solve"] = bench_solve(
@@ -387,12 +329,6 @@ def format_summary(report: Dict[str, Any]) -> str:
         if not drive["lockstep_props_equal"]:
             lines.append(
                 "  %-7s drive  WARNING: propagation counts diverged" % family
-            )
-        overhead = entry.get("metrics_overhead")
-        if overhead:
-            lines.append(
-                "  %-7s drive  disabled-metrics overhead = %+.2f%% (%s)"
-                % (family, overhead["overhead_pct"], overhead["backend"])
             )
         solve = entry.get("solve")
         if solve:

@@ -139,16 +139,11 @@ class SolverSession:
         self._variable_names = dict(instance.variable_names)
 
         tracer = self._options.tracer
-        metrics = self._options.metrics
-        self._metrics = (
-            metrics if (metrics is not None and metrics.enabled) else None
-        )
         #: Persistent engine, sized to include the guard variable.
         self.propagator = make_engine(
             self._options.propagation,
             self.guard_var,
             tracer=tracer if (tracer is not None and tracer.enabled) else None,
-            metrics=self._metrics,
         )
         #: Persistent branching activity (warm across calls).
         self.activity = VSIDSActivity(
@@ -382,9 +377,7 @@ class SolverSession:
         for bounder in (self.prefilter, self.bounder):
             if bounder is not None and hasattr(bounder, "detach_trail"):
                 bounder.detach_trail(trail)
-        self.prefilter, self.bounder = make_bounders(
-            self._instance, self._options, metrics=self._metrics
-        )
+        self.prefilter, self.bounder = make_bounders(self._instance, self._options)
         for bounder in (self.prefilter, self.bounder):
             if bounder is not None and hasattr(bounder, "attach_trail"):
                 bounder.attach_trail(trail)

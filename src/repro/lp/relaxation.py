@@ -71,7 +71,6 @@ class LPRelaxationBound:
         instance: PBInstance,
         max_iterations: int = 20000,
         tight_tol: float = TIGHT_TOL,
-        metrics=None,
     ):
         self._instance = instance
         self._max_iterations = max_iterations
@@ -80,22 +79,6 @@ class LPRelaxationBound:
         self.total_iterations = 0
         self.total_batch_pivots = 0
         self.total_seconds = 0.0
-        # Metrics (optional): pivot counters resolved once, fed with the
-        # per-call deltas after each compute.
-        live = metrics if (metrics is not None and metrics.enabled) else None
-        self._m_pivots = (
-            live.counter("lp_pivots", "Simplex pivots performed by the LP bounder")
-            if live is not None
-            else None
-        )
-        self._m_batch_pivots = (
-            live.counter(
-                "lp_batch_pivots",
-                "Simplex pivots applied via the batched array kernels",
-            )
-            if live is not None
-            else None
-        )
 
     def stats_dict(self) -> Dict[str, float]:
         """Structured per-bounder stats (merged into ``SolverStats``)."""
@@ -117,19 +100,10 @@ class LPRelaxationBound:
         cuts in the relaxation (Section 5) without mutating the instance.
         """
         started = time.perf_counter()
-        iterations_before = self.total_iterations
-        batch_before = self.total_batch_pivots
         try:
             return self._compute(fixed, extra_constraints)
         finally:
             self.total_seconds += time.perf_counter() - started
-            if self._m_pivots is not None:
-                delta = self.total_iterations - iterations_before
-                if delta:
-                    self._m_pivots.inc(delta)
-                batch_delta = self.total_batch_pivots - batch_before
-                if batch_delta and self._m_batch_pivots is not None:
-                    self._m_batch_pivots.inc(batch_delta)
 
     def _compute(
         self,

@@ -198,23 +198,9 @@ class MISBound:
 
     name = "mis"
 
-    def __init__(self, instance: PBInstance, metrics=None):
+    def __init__(self, instance: PBInstance):
         self._instance = instance
         self._costs = instance.objective.costs
-        # Metrics (optional): cache hit/miss counters resolved once; the
-        # per-constraint loop only touches plain ints, the counters are
-        # updated in one batch per call.
-        live = metrics if (metrics is not None and metrics.enabled) else None
-        if live is not None:
-            family = live.counter(
-                "mis_cache", "MIS constraint-state cache outcomes",
-                labels=("outcome",),
-            )
-            self._m_hits = family.labels(outcome="hit")
-            self._m_misses = family.labels(outcome="miss")
-        else:
-            self._m_hits = None
-            self._m_misses = None
         self._states = [
             _ConstraintState(constraint, self._costs)
             for constraint in instance.constraints
@@ -271,14 +257,10 @@ class MISBound:
     ) -> LowerBound:
         """``P.lower`` from a variable-disjoint set of constraints."""
         started = time.perf_counter()
-        hits_before, misses_before = self.cache_hits, self.cache_misses
         try:
             return self._compute(fixed, extra_constraints)
         finally:
             self.total_seconds += time.perf_counter() - started
-            if self._m_hits is not None:
-                self._m_hits.inc(self.cache_hits - hits_before)
-                self._m_misses.inc(self.cache_misses - misses_before)
 
     # ------------------------------------------------------------------
     def _sync_extras(

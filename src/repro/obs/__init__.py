@@ -74,8 +74,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     NullMetricsRegistry,
-    default_registry,
-    set_default_registry,
 )
 from .prof import HotspotProfiler, format_hotspots
 from .report import format_profile, format_progress, gap_history, trace_summary
@@ -126,7 +124,6 @@ __all__ = [
     "RunHeaderEvent",
     "Tracer",
     "WorkerSummaryEvent",
-    "default_registry",
     "event_from_record",
     "format_hotspots",
     "format_profile",
@@ -136,7 +133,6 @@ __all__ = [
     "merge_trace_files",
     "merge_traces",
     "read_trace",
-    "set_default_registry",
     "straggler_summary",
     "trace_summary",
     "worker_spans",

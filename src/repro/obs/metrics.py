@@ -7,13 +7,15 @@ long benchmark runs, CI jobs.
 
 Design rules, in order of importance:
 
-1. **Zero cost when disabled.**  The shared :data:`NULL_METRICS`
-   registry hands out inert instruments and reports ``enabled = False``;
-   instrumented code resolves its instruments once (at construction
-   time) and guards hot-path updates with a cached boolean, exactly the
-   :data:`~repro.obs.trace.NULL_TRACER` discipline.  The propagation
-   engines go further and bypass their accounting wrapper entirely when
-   neither tracing nor metrics are live.
+1. **One count per event.**  The solvers count into plain ints
+   (:class:`~repro.core.stats.SolverStats`, the engine's and the
+   bounders' own counters), and :func:`repro.core.stats.record_metrics`
+   adds them to the registry once, when a solve ends, so the search
+   updates no counter and a run without a registry pays nothing for
+   one.  The one per-event instrument is the solver's bound-call
+   wall-time histogram, which no count can rebuild.  The shared
+   :data:`NULL_METRICS` registry hands out inert instruments and
+   reports ``enabled = False``.
 2. **Deterministic exposition.**  :meth:`MetricsRegistry.render_text`
    and :meth:`MetricsRegistry.as_dict` order families and label sets
    lexicographically, so two runs that did the same work render the
@@ -498,20 +500,3 @@ class NullMetricsRegistry:
 
 #: Shared no-op instance: safe because it holds no state.
 NULL_METRICS = NullMetricsRegistry()
-
-#: Process-wide default registry, used by call sites that opt into
-#: metrics without threading a registry explicitly (CLI ``--metrics``).
-_default_registry: MetricsRegistry = MetricsRegistry()
-
-
-def default_registry() -> MetricsRegistry:
-    """The process-wide default :class:`MetricsRegistry`."""
-    return _default_registry
-
-
-def set_default_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the process-wide default registry; returns the old one."""
-    global _default_registry
-    old = _default_registry
-    _default_registry = registry
-    return old

@@ -22,7 +22,6 @@ _PROCESS_LOCAL_FIELDS = (
     "tracer",
     "metrics",
     "hotspot",
-    "on_new_solution",
     "on_progress",
     "on_incumbent",
     "external_bound",

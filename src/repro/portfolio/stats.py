@@ -15,26 +15,6 @@ from typing import Any, Dict, List, Optional
 
 from ..core.stats import SolverStats
 
-#: Aggregate counters summed from the worker stats dicts.
-_SUMMED_FIELDS = (
-    "decisions",
-    "logic_conflicts",
-    "bound_conflicts",
-    "propagations",
-    "lower_bound_calls",
-    "prunings",
-    "learned_constraints",
-    "pb_resolvents",
-    "cuts_added",
-    "solutions_found",
-    "backjump_total",
-    "necessary_assignments",
-    "restarts",
-    "resolution_steps",
-    "progress_reports",
-    "external_bounds",
-)
-
 
 class PortfolioStats(SolverStats):
     """Sum-over-workers counters plus portfolio-level accounting."""
@@ -76,17 +56,7 @@ class PortfolioStats(SolverStats):
                 entry["trace_path"] = obs["trace_path"]
                 entry["trace_events"] = obs.get("trace_events", 0)
         self.workers.append(entry)
-        for field in _SUMMED_FIELDS:
-            value = stats_dict.get(field)
-            if value:
-                setattr(self, field, getattr(self, field) + int(value))
-        jump = int(stats_dict.get("backjump_max") or 0)
-        if jump > self.backjump_max:
-            self.backjump_max = jump
-        for phase, seconds_in_phase in (stats_dict.get("phase_times") or {}).items():
-            self.phase_times[phase] = (
-                self.phase_times.get(phase, 0.0) + seconds_in_phase
-            )
+        self.add(stats_dict)
 
     def add_worker_failure(self, label: str, solver: str, error: str) -> None:
         """Record a worker that crashed instead of returning."""

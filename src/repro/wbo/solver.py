@@ -91,7 +91,7 @@ class WBOSolver:
                 -compiled.relax_var[index] for index in sorted(active)
             ]
             result = session.solve_under(assumptions)
-            self._merge_stats(stats, result.stats)
+            stats.add(result.stats.as_dict())
             if result.status == UNKNOWN:
                 # Budget expired mid-loop: report the incumbent if any.
                 return self._package(best if best is not None else result, stats)
@@ -120,7 +120,7 @@ class WBOSolver:
             if cost is not None and cost <= lower:
                 return self._package(best, stats)  # bound certifies it
             final = session.solve_under((), upper_bound=cost)
-            self._merge_stats(stats, final.stats)
+            stats.add(final.stats.as_dict())
             if final.best_assignment is None:
                 # The exact pass only *confirmed* the incumbent (its
                 # witnessing model is the one we already hold).
@@ -134,14 +134,6 @@ class WBOSolver:
             return self._package(final, stats)
 
     # ------------------------------------------------------------------
-    def _merge_stats(self, total: SolverStats, call: SolverStats) -> None:
-        """Accumulate the headline counters across session calls."""
-        total.decisions += call.decisions
-        total.logic_conflicts += call.logic_conflicts
-        total.bound_conflicts += call.bound_conflicts
-        total.propagations += call.propagations
-        total.elapsed += call.elapsed
-
     def _package(self, result: SolveResult, stats: SolverStats) -> SolveResult:
         """Translate a PBO result on the compiled instance to WBO shape:
         model projected to the original variables, ``cost`` re-checked

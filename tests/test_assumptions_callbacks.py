@@ -90,9 +90,7 @@ class TestSolutionCallback:
             trace.append((cost, assignment))
 
         instance = covering_instance()
-        options = SolverOptions(
-            lower_bound="plain", on_new_solution=record
-        )
+        options = SolverOptions(lower_bound="plain", on_incumbent=record)
         result = BsoloSolver(instance, options).solve()
         assert result.status == OPTIMAL
         costs = [cost for cost, _ in trace]
@@ -109,6 +107,6 @@ class TestSolutionCallback:
             [Constraint.clause([1])], Objective({1: 2}, offset=10)
         )
         seen = []
-        options = SolverOptions(on_new_solution=lambda c, a: seen.append(c))
+        options = SolverOptions(on_incumbent=lambda c, a: seen.append(c))
         BsoloSolver(instance, options).solve()
         assert seen == [12]

@@ -1,7 +1,7 @@
 """Tests for the benchmark regression tracker (tools/benchdiff.py).
 
 Covers the comparison rules (lockstep always; relative/rate/cost checks
-same-config only; overhead self-check), the findings renderer, and the
+same-config only), the findings renderer, and the
 CLI exit-code contract (0 clean, 1 regression, 2 IO error).
 """
 
@@ -38,7 +38,6 @@ def _report(config=None):
                     "costs": [4, 7],
                     "statuses": ["optimal", "optimal"],
                 },
-                "metrics_overhead": {"overhead_pct": 1.5},
             }
         },
     }
@@ -94,7 +93,7 @@ class TestCompareReports:
         findings = benchdiff.compare_reports(base, cand)
         assert not any(f["regression"] for f in findings)
         kinds = {f["kind"] for f in findings}
-        assert kinds == {"lockstep", "overhead"}
+        assert kinds == {"lockstep"}
 
     def test_worse_cost_is_a_regression(self):
         base, cand = _report(), _report()
@@ -109,16 +108,6 @@ class TestCompareReports:
         findings = benchdiff.compare_reports(base, cand)
         bad = [f for f in findings if f["regression"]]
         assert [f["kind"] for f in bad] == ["statuses"]
-
-    def test_overhead_self_check_ignores_baseline(self):
-        base = _report()
-        cand = _report(config={"rounds": 1})  # config mismatch is fine
-        cand["families"]["mcnc"]["metrics_overhead"]["overhead_pct"] = 25.0
-        findings = benchdiff.compare_reports(base, cand, overhead_limit=10.0)
-        bad = [f for f in findings if f["regression"]]
-        assert [f["kind"] for f in bad] == ["overhead"]
-        findings = benchdiff.compare_reports(base, cand, overhead_limit=30.0)
-        assert not any(f["regression"] for f in findings)
 
     def test_metric_missing_from_candidate_is_skipped(self):
         base, cand = _report(), _report()

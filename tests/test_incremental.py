@@ -15,6 +15,7 @@ from repro.benchgen import (
     STREAM_BUILDERS,
     assumption_stream,
     constraint_stream,
+    generate_ptl_mapping,
     objective_stream,
 )
 from repro.core import SolverOptions
@@ -105,6 +106,17 @@ class TestSessionBasics:
         with pytest.raises(ValueError):
             session.solve_under([99])
         assert session.solve().status == OPTIMAL  # still usable
+
+    def test_calls_count_only_their_own_propagations(self):
+        session = make_session(
+            generate_ptl_mapping(seed=3), options(lower_bound="mis")
+        )
+        counts = [
+            session.solve_under(assumptions).stats.propagations
+            for assumptions in ([], [1], [-2], [3, -4])
+        ]
+        assert all(counts)
+        assert sum(counts) == session.propagator.num_propagations
 
     def test_stats_snapshot(self):
         session = make_session(covering_instance(), options())

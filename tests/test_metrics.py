@@ -2,13 +2,18 @@
 
 Covers instrument semantics (counter/gauge/histogram), family labeling
 rules, deterministic exposition, cross-process snapshot/merge, the
-NULL_METRICS zero-cost contract, and solver integration (counters agree
-with SolverStats).
+inert NULL_METRICS registry, and solver integration: every counter
+family equals its SolverStats or lb_stats source, and counts reach the
+registry once, when a solve ends.
 """
 
 import pytest
 
 from repro import SolverOptions, parse, solve
+from repro.baselines.covering_bnb import CoveringBnBSolver
+from repro.benchgen import generate_covering, generate_ptl_mapping, generate_routing
+from repro.core.solver import BsoloSolver
+from repro.incremental import SolverSession
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -17,9 +22,8 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NULL_METRICS,
     NullMetricsRegistry,
-    default_registry,
-    set_default_registry,
 )
+from repro.portfolio import PortfolioSolver, WorkerSpec
 
 OPT_INSTANCE = """\
 * #variable= 3 #constraint= 3
@@ -271,46 +275,164 @@ class TestNullMetrics:
         assert null.families() == []
 
 
-class TestDefaultRegistry:
-    """Process-wide default registry swap semantics."""
+def expected_counters(stats, backend="counter"):
+    """The counter samples a solve with ``stats`` (a ``SolverStats.as_dict()``)
+    must record, keyed by family name and label values; the engine's
+    ``engine_propagate_calls`` has no ``SolverStats`` source and is left out."""
+    expected = {
+        ("solver_conflicts", "logic"): stats["logic_conflicts"],
+        ("solver_conflicts", "bound"): stats["bound_conflicts"],
+        ("solver_decisions",): stats["decisions"],
+        ("solver_cuts",): stats["cuts_added"],
+        ("solver_prunings",): stats["prunings"],
+        ("solver_uncertified_prunes",): stats["uncertified_prunes"],
+        ("solver_incumbents",): stats["solutions_found"],
+        ("solver_restarts",): stats["restarts"],
+        ("engine_propagations", backend): stats["propagations"],
+    }
+    lb_stats = stats["lb_stats"]
+    mis = lb_stats.get("mis") or lb_stats.get("mis_prefilter")
+    if mis is not None:
+        expected[("mis_cache", "hit")] = mis["cache_hits"]
+        expected[("mis_cache", "miss")] = mis["cache_misses"]
+    if "lpr" in lb_stats:
+        expected[("lp_pivots",)] = lb_stats["lpr"]["iterations"]
+        expected[("lp_batch_pivots",)] = lb_stats["lpr"]["batch_pivots"]
+    return expected
 
-    def test_set_default_registry_swaps_and_returns_old(self):
-        fresh = MetricsRegistry()
-        old = set_default_registry(fresh)
-        try:
-            assert default_registry() is fresh
-        finally:
-            set_default_registry(old)
-        assert default_registry() is old
+
+def recorded_counters(registry):
+    """Every counter sample of ``registry``, keyed like expected_counters."""
+    samples = {}
+    for name, family in registry.as_dict().items():
+        if family["type"] == "counter":
+            for sample in family["samples"]:
+                key = (name,) + tuple(sample["labels"].values())
+                samples[key] = sample["value"]
+    return samples
+
+
+def summed(counters):
+    """Add up per-run counter samples."""
+    total = {}
+    for samples in counters:
+        for key, value in samples.items():
+            total[key] = total.get(key, 0) + value
+    return total
 
 
 class TestSolverIntegration:
     """Metrics recorded during a real solve agree with SolverStats."""
 
     def test_solve_records_consistent_counters(self):
-        instance = parse(OPT_INSTANCE)
-        registry = MetricsRegistry()
-        result = solve(instance, SolverOptions(metrics=registry))
-        assert result.status == "optimal"
-        assert result.best_cost == 3
-        assert (
-            registry.get_value("solver_decisions") == result.stats.decisions
+        ptl = generate_ptl_mapping(seed=3)
+        cases = [(ptl, dict(lower_bound=method)) for method in ("mis", "lpr", "hybrid")]
+        # without the eq. 10 cut bsolo also reaches non-improving
+        # solutions, which solver_incumbents must not count
+        cases.append(
+            (
+                generate_routing(3, 3, 7, 2, 5, seed=11),
+                dict(lower_bound="plain", upper_bound_cuts=False),
+            )
         )
-        text = registry.render_text()
-        assert "engine_propagations" in text
-        # propagation counters carry the backend label
-        assert 'backend="' in text
+        for instance, options in cases:
+            for backend in ("counter", "watched"):
+                registry = MetricsRegistry()
+                solver = BsoloSolver(
+                    instance,
+                    SolverOptions(propagation=backend, metrics=registry, **options),
+                )
+                result = solver.solve()
+                assert result.status == "optimal"
+                recorded = recorded_counters(registry)
+                calls = recorded.pop(("engine_propagate_calls", backend))
+                assert calls == solver._propagator.num_propagate_calls > 0
+                assert recorded == expected_counters(
+                    result.stats.as_dict(), backend
+                ), (options, backend)
 
-    def test_default_solve_records_nothing(self):
-        instance = parse(OPT_INSTANCE)
-        fresh = MetricsRegistry()
-        old = set_default_registry(fresh)
-        try:
-            result = solve(instance)
-            assert result.status == "optimal"
-            assert fresh.render_text() == ""
-        finally:
-            set_default_registry(old)
+    def test_session_calls_add_up(self):
+        registry = MetricsRegistry()
+        session = SolverSession(
+            generate_ptl_mapping(seed=3),
+            SolverOptions(lower_bound="mis", metrics=registry),
+        )
+        per_call = []
+        for assumptions in ([], [1], [-2], [3, -4]):
+            stats = session.solve_under(assumptions).stats.as_dict()
+            # the MIS bounder persists: its lb_stats are session totals
+            lb_stats, stats["lb_stats"] = stats["lb_stats"], {}
+            per_call.append(expected_counters(stats))
+        expected = summed(per_call)
+        expected[("mis_cache", "hit")] = lb_stats["mis"]["cache_hits"]
+        expected[("mis_cache", "miss")] = lb_stats["mis"]["cache_misses"]
+        recorded = recorded_counters(registry)
+        engine = session.propagator
+        assert recorded.pop(("engine_propagate_calls", "counter")) == (
+            engine.num_propagate_calls
+        )
+        assert recorded == expected
+
+    def test_covering_bnb_records_its_mis_cache(self):
+        registry = MetricsRegistry()
+        solver = CoveringBnBSolver(
+            generate_covering(minterms=30, implicants=20, seed=4),
+            SolverOptions(metrics=registry),
+        )
+        assert solver.solve().status == "optimal"
+        mis = solver._mis.stats_dict()
+        assert mis["cache_misses"] > 0
+        assert recorded_counters(registry) == {
+            ("mis_cache", "hit"): mis["cache_hits"],
+            ("mis_cache", "miss"): mis["cache_misses"],
+        }
+
+    def test_portfolio_registry_sums_worker_stats(self):
+        registry = MetricsRegistry()
+        specs = [
+            WorkerSpec("bsolo-mis"),
+            WorkerSpec("bsolo-lpr", SolverOptions(propagation="watched")),
+        ]
+        result = PortfolioSolver(
+            generate_ptl_mapping(seed=3),
+            specs=specs,
+            time_limit=60.0,
+            metrics=registry,
+        ).solve()
+        assert result.status == "optimal"
+        backends = {"bsolo-mis": "counter", "bsolo-lpr": "watched"}
+        workers = result.stats.workers
+        assert len(workers) == 2
+        recorded = recorded_counters(registry)
+        for backend in ("counter", "watched"):
+            assert recorded.pop(("engine_propagate_calls", backend)) > 0
+        assert recorded == summed(
+            expected_counters(entry["stats"], backends[entry["solver"]])
+            for entry in workers
+        )
+
+    def test_hot_path_touches_no_counter(self):
+        # Counters reach the registry once, when solve() ends: a snapshot
+        # taken mid-search holds no counts, only the bound-time histogram.
+        registry = MetricsRegistry()
+        snapshots = []
+        options = SolverOptions(
+            lower_bound="mis",
+            metrics=registry,
+            on_incumbent=lambda cost, model: snapshots.append(registry.as_dict()),
+        )
+        result = solve(generate_ptl_mapping(seed=3), options=options)
+        assert result.status == "optimal"
+        assert snapshots
+        for snapshot in snapshots:
+            for name, family in snapshot.items():
+                if family["type"] == "counter":
+                    assert all(
+                        sample["value"] == 0 for sample in family["samples"]
+                    ), name
+        family = registry.as_dict()["solver_lower_bound_seconds"]
+        observed = sum(sample["count"] for sample in family["samples"])
+        assert observed == result.stats.lower_bound_calls > 0
 
     def test_lower_bound_histogram_observed(self):
         instance = parse(OPT_INSTANCE)

@@ -150,10 +150,14 @@ class TestPortfolioStats:
         one, two = SolverStats(), SolverStats()
         one.decisions, two.decisions = 10, 32
         one.external_bounds = 2
+        one.backjump_max, two.backjump_max = 5, 3
+        two.uncertified_prunes = 4
         stats.add_worker_result("a@0", "bsolo", OPTIMAL, 4, 0.5, one.as_dict())
         stats.add_worker_result("b@1", "milp", UNKNOWN, None, 0.7, two.as_dict())
         assert stats.decisions == 42
         assert stats.external_bounds == 2
+        assert stats.backjump_max == 5
+        assert stats.uncertified_prunes == 4
         assert len(stats.workers) == 2
 
     def test_failures_and_dict_shape(self):

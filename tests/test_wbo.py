@@ -13,6 +13,7 @@ import repro
 from repro.benchgen import generate_random_wbo, wbo_suite
 from repro.core import SolverOptions
 from repro.core.result import OPTIMAL, UNSATISFIABLE
+from repro.incremental import SolverSession
 from repro.pb import Constraint, Objective, PBInstance
 from repro.pb.opb import OPBError, parse_wbo, write_wbo
 from repro.wbo import (
@@ -176,6 +177,34 @@ class TestSolverModes:
         assert len(solver.cores) >= 1
         for core in solver.cores:
             assert all(0 <= index < 2 for index in core)
+
+    def test_core_guided_stats_sum_its_session_calls(self, monkeypatch):
+        calls = []
+        solve_under = SolverSession.solve_under
+
+        def recording(session, *args, **kwargs):
+            result = solve_under(session, *args, **kwargs)
+            calls.append((session, result.stats))
+            return result
+
+        monkeypatch.setattr(SolverSession, "solve_under", recording)
+        result = WBOSolver(generate_random_wbo(seed=1), mode="core-guided").solve()
+        assert result.status == OPTIMAL
+        assert len(calls) > 1
+        session = calls[0][0]
+        assert result.stats.propagations == session.propagator.num_propagations
+        for field in (
+            "lower_bound_calls",
+            "cuts_added",
+            "learned_constraints",
+            "solutions_found",
+            "decisions",
+            "conflicts",
+        ):
+            assert getattr(result.stats, field) == sum(
+                getattr(stats, field) for _, stats in calls
+            ), field
+        assert result.stats.lower_bound_calls > 0
 
     def test_options_respected(self):
         result = solve_wbo(

@@ -30,14 +30,9 @@ solution quality (same-config only)
     per-instance ``costs`` must not get worse, and the number of solved
     ``statuses`` must not drop.
 
-candidate self-checks (no baseline needed)
-    ``metrics_overhead.overhead_pct`` must stay under
-    ``--overhead-limit`` — the zero-overhead-when-disabled contract.
-
 ``--quick`` regenerates a quick candidate in-process (the CI smoke
 configuration of propbench) and diffs it against the committed baseline;
-because the configs differ only the scale-invariant checks and the
-self-checks apply.
+because the configs differ only the scale-invariant checks apply.
 
 Exit codes: 0 no regression, 1 regression(s) found, 2 usage/IO error.
 """
@@ -76,7 +71,6 @@ def compare_reports(
     candidate: Dict[str, Any],
     tolerance: float = 25.0,
     rate_tolerance: float = 50.0,
-    overhead_limit: float = 10.0,
 ) -> List[Dict[str, Any]]:
     """Diff two benchmark reports; returns the list of findings.
 
@@ -162,16 +156,6 @@ def compare_reports(
                 path, "statuses", base_value, cand_value,
                 regression=solved(cand_value) < solved(base_value),
             )
-
-    # Candidate self-checks: the disabled-metrics overhead contract.
-    for path, value in sorted(cand_leaves.items()):
-        if _leaf_name(path) == "overhead_pct":
-            record(
-                path, "overhead", None, value,
-                regression=isinstance(value, (int, float))
-                and value > overhead_limit,
-                note="limit %.1f%%" % overhead_limit,
-            )
     return findings
 
 
@@ -249,10 +233,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="allowed degradation of absolute rates (default 50%%)",
     )
     parser.add_argument(
-        "--overhead-limit", type=float, default=10.0, metavar="PCT",
-        help="maximum disabled-metrics overhead self-check (default 10%%)",
-    )
-    parser.add_argument(
         "--report", metavar="FILE", default=None,
         help="write the findings as JSON",
     )
@@ -273,7 +253,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         baseline, candidate,
         tolerance=args.tolerance,
         rate_tolerance=args.rate_tolerance,
-        overhead_limit=args.overhead_limit,
     )
     print(format_findings(findings))
     if args.report:
