@@ -125,41 +125,30 @@ class CutGenerator:
                 self._eq13.append((source, value_v, _CutTemplate(outside)))
         return self._eq13
 
-    def cardinality_cuts_with_sources(
+    def cuts(
         self, upper: int
-    ) -> Tuple[List[Tuple[Constraint, Constraint]], Optional[Constraint]]:
-        """Eq. 13 cuts for the new ``upper``, each paired with its source.
+    ) -> Tuple[List[Tuple[Optional[Constraint], Constraint]], Optional[Constraint]]:
+        """Every cut for a new incumbent of cost ``upper``, keyed by source.
 
-        Returns ``(pairs, proven_source)``: ``pairs`` holds
-        ``(cut, source_cardinality_constraint)`` and ``proven_source`` is
-        the input whose cut's rhs went negative (eq. 12's ``V`` alone
-        reaches the bound, so the incumbent is optimal), or None.
+        Returns ``(keyed, proven_source)``.  ``keyed`` holds
+        ``(source, cut)`` pairs: source None for the eq. 10 knapsack cut,
+        then each eq. 13 cut with the cardinality input it was derived
+        from, in input order.  A source's cut keeps its terms while
+        ``upper`` falls unless a coefficient saturates, so the solver
+        keeps one engine row per source and tightens it.
+        ``proven_source`` is the input whose cut's rhs went negative
+        (eq. 12's ``V`` alone reaches the bound, so the incumbent is
+        optimal), or None; ``keyed`` then stops before it.
         """
-        pairs: List[Tuple[Constraint, Constraint]] = []
+        knapsack = self.knapsack_cut(upper)
+        keyed: List[Tuple[Optional[Constraint], Constraint]] = (
+            [] if knapsack is None else [(None, knapsack)]
+        )
         for source, value_v, template in self._eq13_templates():
             budget = upper - 1 - value_v
             if budget < 0:
-                return pairs, source
+                return keyed, source
             cut = template.cut(budget)
             if cut is not None:  # None: no cost outside K can exceed it
-                pairs.append((cut, source))
-        return pairs, None
-
-    def cardinality_cuts(self, upper: int) -> Tuple[List[Constraint], bool]:
-        """Eq. 13 cuts for the new ``upper``.
-
-        Returns ``(cuts, optimum_proven)``; the flag is True when some
-        cut's rhs went negative (eq. 12's ``V`` alone reaches the bound).
-        """
-        pairs, proven = self.cardinality_cuts_with_sources(upper)
-        return [cut for cut, _ in pairs], proven is not None
-
-    def cuts_for(self, upper: int) -> Tuple[List[Constraint], bool]:
-        """All cuts triggered by a solution of cost ``upper``."""
-        cuts: List[Constraint] = []
-        knapsack = self.knapsack_cut(upper)
-        if knapsack is not None:
-            cuts.append(knapsack)
-        card_cuts, proven = self.cardinality_cuts(upper)
-        cuts.extend(card_cuts)
-        return cuts, proven
+                keyed.append((source, cut))
+        return keyed, None

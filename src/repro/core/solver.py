@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..covering.reductions import reduce_covering
 from ..engine.activity import VSIDSActivity
 from ..engine.conflict import ConflictAnalyzer, RootConflictError, highest_level
+from ..engine.constraint_db import StoredConstraint
 from ..engine.interface import make_engine
 from ..engine.pb_resolution import ResolutionScratch
 from ..engine.restarts import RestartScheduler
@@ -211,7 +212,12 @@ class BsoloSolver:
             for bounder in (self._prefilter, self._bounder):
                 if bounder is not None and hasattr(bounder, "attach_trail"):
                     bounder.attach_trail(self._propagator.trail)
+        #: This round's cuts, the relaxations' extra rows.
         self._cut_constraints: List[Constraint] = []
+        #: id(cut source) -> the one engine row holding its cut; the
+        #: eq. 10 knapsack cut's source is None.  Keyed by identity:
+        #: ``Constraint`` hashes structurally.
+        self._live_cuts: Dict[int, StoredConstraint] = {}
         self._lp_values: Dict[int, float] = {}
 
         # Internal bounds live on the *path-cost scale* (objective offset
@@ -632,22 +638,10 @@ class BsoloSolver:
         if not self.set_upper_bound(cost):
             return None
         if self._options.upper_bound_cuts:
-            self._timer.push("cuts")
-            cuts, proven = self._cut_generator.cuts_for(self._upper)
-            self._timer.pop()
-            if proven:
+            keyed = self._incumbent_cuts()
+            if keyed is None:
                 return self._finish()
-            for cut in cuts:
-                conflict = self._propagator.add_constraint(cut)
-                self.stats.cuts_added += 1
-                if self._tracer.enabled:
-                    self._tracer.emit(CutEvent(size=len(cut)))
-                if conflict is not None and not self._resolve(
-                    conflict.literals,
-                    conflict.stored.constraint if conflict.stored else None,
-                ):
-                    return self._finish()
-            self._cut_constraints = list(cuts)
+            self._install_cuts(keyed)
         return None
 
     # ------------------------------------------------------------------
@@ -695,9 +689,7 @@ class BsoloSolver:
         trail = self._propagator.trail
         timer = self._timer
         tracer = self._tracer
-        fixed = trail.assignment()
-        path = self._objective.path_cost(fixed)
-        bound = self._compute_bound(fixed, path)
+        bound, fixed, path = self._compute_bound()
         self.stats.lower_bound_calls += 1
 
         if bound.infeasible:
@@ -844,28 +836,39 @@ class BsoloSolver:
                 proof.log_rup(clause)
         return True
 
-    def _compute_bound(self, fixed: Dict[int, int], path: int) -> LowerBound:
+    def _compute_bound(self) -> Tuple[LowerBound, Dict[int, int], int]:
+        """Estimate the node's lower bound: ``(bound, fixed, path)``.
+
+        The bound's inputs, the partial assignment ``fixed`` and its
+        ``path`` cost, exist only for the bound, so they are built
+        inside the first ``lower_bound.<method>`` phase.
+        """
         timer = self._timer
-        if self._prefilter is not None and self._schedule.use_prefilter():
-            # hybrid mode: if the cheap MIS bound already prunes (or
-            # detects infeasibility), skip the LP entirely.  The adaptive
-            # schedule benches the pre-filter while its payoff is
-            # negligible, escalating straight to the LP.
-            timer.push("lower_bound.mis")
-            cheap = self._prefilter.compute(fixed, self._cut_constraints)
-            timer.pop()
-            if cheap.infeasible or path + cheap.value >= self._upper:
-                self._last_bound_method = "mis"
-                return cheap
-        self._last_bound_method = self._bounder.name
-        timer.push("lower_bound." + self._bounder.name)
+        prefilter = self._prefilter is not None and self._schedule.use_prefilter()
+        timer.push("lower_bound." + ("mis" if prefilter else self._bounder.name))
         try:
+            fixed = self._propagator.trail.assignment()
+            path = self._objective.path_cost(fixed)
+            if prefilter:
+                # hybrid mode: if the cheap MIS bound already prunes (or
+                # detects infeasibility), skip the LP entirely.  The
+                # adaptive schedule benches the pre-filter while its
+                # payoff is negligible, escalating straight to the LP.
+                cheap = self._prefilter.compute(fixed, self._cut_constraints)
+                if cheap.infeasible or path + cheap.value >= self._upper:
+                    self._last_bound_method = "mis"
+                    return cheap, fixed, path
+                timer.pop()
+                timer.push("lower_bound." + self._bounder.name)
+            self._last_bound_method = self._bounder.name
             if isinstance(self._bounder, LagrangianBound):
                 target = max(float(self._upper - path), 1.0)
-                return self._bounder.compute(
+                bound = self._bounder.compute(
                     fixed, self._cut_constraints, upper_target=target
                 )
-            return self._bounder.compute(fixed, self._cut_constraints)
+            else:
+                bound = self._bounder.compute(fixed, self._cut_constraints)
+            return bound, fixed, path
         finally:
             timer.pop()
 
@@ -939,54 +942,89 @@ class BsoloSolver:
             # kept across calls.
             self._session.on_solve_local(self._propagator)
 
+        keyed = None
         if improved and self._options.upper_bound_cuts:
-            proof = self._proof
-            self._timer.push("cuts")
-            knapsack = self._cut_generator.knapsack_cut(self._upper)
-            pairs, proven_source = (
-                self._cut_generator.cardinality_cuts_with_sources(self._upper)
-            )
-            self._timer.pop()
-            if proven_source is not None:
-                # Eq. 12's V alone reaches the bound: incumbent optimal.
-                # Under proof the unsatisfiable eq. 13 cut is the
-                # certificate (it contradicts the checker's database).
-                if proof is None or proof.log_proven_cut(proven_source):
-                    return self._finish()
-                self.stats.uncertified_prunes += 1
-            # The knapsack cut (eq. 10) IS the improvement axiom the 'o'
-            # step derived, so it needs no proof step of its own.
-            cuts = [] if knapsack is None else [knapsack]
-            for cut, source in pairs:
-                if proof is not None and not proof.log_cardinality_cut(
-                    source, cut
-                ):
-                    continue  # uncertifiable cut: skip rather than trust
-                cuts.append(cut)
-            for cut in cuts:
-                # Session calls flag cuts as learned so the end-of-call
-                # cleanup can delete them (they are incumbent-relative).
-                self._propagator.add_constraint(
-                    cut, learned=self._session is not None
-                )
-                self.stats.cuts_added += 1
-                if self._tracer.enabled:
-                    self._tracer.emit(CutEvent(size=len(cut)))
-            # For the relaxations, each new solution's cuts dominate the
-            # previous round's (smaller rhs, same support): replace rather
-            # than accumulate, keeping the LPs small.
-            self._cut_constraints = list(cuts)
+            keyed = self._incumbent_cuts()
+            if keyed is None:
+                return self._finish()
 
         # The solution node itself is now bound-conflicting
-        # (path >= upper): learn w_pp and continue the search.
+        # (path >= upper): learn w_pp and continue the search.  The cuts
+        # go in after its backjump, so the next propagate reports a cut
+        # still violated there as an ordinary logic conflict.
         clause = tuple(path_explanation(self._objective, self._propagator.trail))
         if self._proof is not None:
             # RUP: negating w_pp sets every costed path variable to 1,
             # which violates the current improvement axiom.
             self._proof.log_rup(clause)
-        if not self._resolve(clause):
+        self._timer.push("analyze")
+        resolved = self._resolve(clause)
+        self._timer.pop()
+        if not resolved:
             return self._finish()
+        if keyed is not None:
+            self._install_cuts(keyed)
         return None
+
+    def _incumbent_cuts(
+        self,
+    ) -> Optional[List[Tuple[Optional[Constraint], Constraint]]]:
+        """The Section 5 cuts for the incumbent ``P.upper``, keyed by
+        source (see :meth:`CutGenerator.cuts`); None when eq. 12 proves
+        the incumbent optimal.  Under proof, each eq. 13 cut is logged
+        and one the logger cannot certify is left out."""
+        proof = self._proof
+        self._timer.push("cuts")
+        keyed, proven_source = self._cut_generator.cuts(self._upper)
+        self._timer.pop()
+        if proven_source is not None:
+            # Eq. 12's V alone reaches the bound: incumbent optimal.
+            # Under proof the unsatisfiable eq. 13 cut is the
+            # certificate (it contradicts the checker's database).
+            if proof is None or proof.log_proven_cut(proven_source):
+                return None
+            self.stats.uncertified_prunes += 1
+        if proof is None:
+            return keyed
+        # The knapsack cut (eq. 10) IS the improvement axiom the 'o'
+        # step derived, so it needs no proof step of its own.
+        with self._timer.phase("proof"):
+            return [
+                (source, cut)
+                for source, cut in keyed
+                if source is None or proof.log_cardinality_cut(source, cut)
+            ]
+
+    def _install_cuts(
+        self, keyed: List[Tuple[Optional[Constraint], Constraint]]
+    ) -> None:
+        """Swap each source's new cut into its one live engine row.
+
+        A source's cut keeps its support from round to round and its rhs
+        only tightens, so the new cut dominates the old one: the engine
+        tightens the row in place instead of stacking a row per
+        incumbent.  The rows are queued, so the next propagate finds
+        each implication and any violation.
+        """
+        propagator = self._propagator
+        live = self._live_cuts
+        tracer = self._tracer
+        # Session calls flag cuts as learned so the end-of-call cleanup
+        # can delete them (they are incumbent-relative).
+        learned = self._session is not None
+        self._timer.push("cuts")
+        for source, cut in keyed:
+            key = id(source)
+            live[key] = propagator.replace_constraint(
+                live.get(key), cut, learned=learned
+            )
+            self.stats.cuts_added += 1
+            if tracer.enabled:
+                tracer.emit(CutEvent(size=len(cut)))
+        self._timer.pop()
+        # The relaxations read this round's cuts only, for the same
+        # reason: they dominate the previous round's.
+        self._cut_constraints = [cut for _, cut in keyed]
 
     # ------------------------------------------------------------------
     # Conflict resolution (logic conflicts and bound conflicts alike)
@@ -1105,11 +1143,15 @@ class BsoloSolver:
         cutoff = indices[len(indices) // 2]
         # Session frame constraints ride in the database as learned (so
         # pop() can delete them) but must never be garbage-collected.
+        # Nor may a live cut row, which session calls flag as learned
+        # for the end-of-call cleanup: it is its source's only row.
         protected = (
             self._session.protected_ids if self._session is not None else None
         )
+        live = {id(stored) for stored in self._live_cuts.values()}
         self._propagator.reduce_learned(
             lambda stored: (protected is not None and id(stored) in protected)
+            or id(stored) in live
             or len(stored.constraint) <= 2
             or stored.index > cutoff
         )

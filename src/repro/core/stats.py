@@ -27,7 +27,9 @@ class SolverStats:
         self.learned_constraints = 0
         #: Cutting-plane resolvents learned (pb_learning option).
         self.pb_resolvents = 0
-        #: Cutting constraints added from improved solutions (Section 5).
+        #: Section 5 cuts installed from improved solutions, one per cut
+        #: per improvement.  bsolo keeps one engine row per cut source
+        #: and tightens it, so this is not the number of rows stored.
         self.cuts_added = 0
         #: Solutions found that improved the upper bound.
         self.solutions_found = 0

@@ -27,7 +27,9 @@ Two databases share the :class:`StoredConstraint` record:
 
 Constraints may be added mid-search (learned clauses, bound-conflict
 clauses, knapsack cuts — paper Sections 4 and 5): the initial state is
-computed against the current trail.
+computed against the current trail.  A row may also be *replaced*
+(:meth:`ConstraintDatabase.replace`): the Section 5 cuts keep one row
+per cut source, and each improved solution tightens it in place.
 """
 
 from __future__ import annotations
@@ -116,33 +118,106 @@ class StoredConstraint:
         )
 
 
-class ConstraintDatabase:
-    """All constraints (original + learned) with slack bookkeeping."""
+class _Rows:
+    """The row list both databases keep, and the one-row swap.
+
+    Subclasses provide ``_attach(stored)`` and ``_detach(stored)``,
+    which enter and remove a row's occurrence or watch entries against
+    the current trail, and ``_retune(stored, rhs)``, which shifts a
+    row's counters to a new rhs over unchanged terms and returns False
+    when the row's regime cannot take it (the row is then re-attached).
+    """
 
     def __init__(self, trail: Trail):
         self._trail = trail
         self.constraints: List[StoredConstraint] = []
-        # literal -> list of (stored, coefficient) for constraints containing it
-        self._occurrences: Dict[int, List[Tuple[StoredConstraint, int]]] = {}
-
-    # ------------------------------------------------------------------
-    def add(self, constraint: Constraint, learned: bool = False) -> StoredConstraint:
-        """Attach a constraint; slack reflects the current trail."""
-        stored = StoredConstraint(constraint, len(self.constraints), learned)
-        self.constraints.append(stored)
-        slack = -constraint.rhs
-        for coef, lit in constraint.terms:
-            self._occurrences.setdefault(lit, []).append((stored, coef))
-            if not self._trail.literal_is_false(lit):
-                slack += coef
-        stored.slack = slack
-        return stored
 
     def __len__(self) -> int:
         return len(self.constraints)
 
     def __iter__(self):
         return iter(self.constraints)
+
+    def num_learned(self) -> int:
+        """Number of learned (non-input) constraints in the database."""
+        return sum(1 for stored in self.constraints if stored.learned)
+
+    def holds(self, stored: StoredConstraint) -> bool:
+        """True while ``stored`` is a row here (not deleted or replaced)."""
+        index = stored.index
+        return index < len(self.constraints) and self.constraints[index] is stored
+
+    # ------------------------------------------------------------------
+    def add(self, constraint: Constraint, learned: bool = False) -> StoredConstraint:
+        """Attach a constraint; its state reflects the current trail."""
+        stored = StoredConstraint(constraint, len(self.constraints), learned)
+        self.constraints.append(stored)
+        self._attach(stored)
+        return stored
+
+    def replace(
+        self,
+        old: Optional[StoredConstraint],
+        constraint: Constraint,
+        learned: bool = False,
+    ) -> StoredConstraint:
+        """Put ``constraint`` in the place of the row ``old``.
+
+        Over the same terms and kind, ``old`` itself takes the new rhs
+        in O(1) when its regime allows it (``_retune``).  Otherwise
+        ``old`` leaves every occurrence or watch list and a new record,
+        attached against the current trail, takes its slot and index.
+        With ``old`` None or no longer held, this is :meth:`add`.
+        """
+        if old is None or not self.holds(old):
+            return self.add(constraint, learned)
+        terms = old.constraint.terms
+        if (
+            (constraint.terms is terms or constraint.terms == terms)
+            and classify(constraint) == old.kind
+            and self._retune(old, constraint.rhs)
+        ):
+            old.constraint = constraint
+            old.required = constraint.rhs + old.max_coef
+            old.learned = learned
+            return old
+        self._detach(old)
+        stored = StoredConstraint(constraint, old.index, learned)
+        self.constraints[old.index] = stored
+        self._attach(stored)
+        return stored
+
+
+class ConstraintDatabase(_Rows):
+    """All constraints (original + learned) with slack bookkeeping."""
+
+    def __init__(self, trail: Trail):
+        super().__init__(trail)
+        # literal -> list of (stored, coefficient) for constraints containing it
+        self._occurrences: Dict[int, List[Tuple[StoredConstraint, int]]] = {}
+
+    # ------------------------------------------------------------------
+    def _attach(self, stored: StoredConstraint) -> None:
+        constraint = stored.constraint
+        slack = -constraint.rhs
+        for coef, lit in constraint.terms:
+            self._occurrences.setdefault(lit, []).append((stored, coef))
+            if not self._trail.literal_is_false(lit):
+                slack += coef
+        stored.slack = slack
+
+    def _detach(self, stored: StoredConstraint) -> None:
+        occurrences = self._occurrences
+        for _, lit in stored.constraint.terms:
+            entries = occurrences[lit]
+            for position, entry in enumerate(entries):
+                if entry[0] is stored:
+                    del entries[position]
+                    break
+
+    def _retune(self, stored: StoredConstraint, rhs: int) -> bool:
+        stored.slack += stored.constraint.rhs - rhs
+        return True
 
     def occurrences(self, literal: int) -> List[Tuple[StoredConstraint, int]]:
         """Constraints containing ``literal`` (with its coefficient)."""
@@ -196,10 +271,6 @@ class ConstraintDatabase:
                 self._occurrences.setdefault(lit, []).append((stored, coef))
         return removed
 
-    def num_learned(self) -> int:
-        """Number of learned (non-input) constraints in the database."""
-        return sum(1 for stored in self.constraints if stored.learned)
-
     # ------------------------------------------------------------------
     def check_slacks(self) -> None:
         """Debug invariant: recompute every slack from scratch."""
@@ -213,7 +284,7 @@ class ConstraintDatabase:
                 )
 
 
-class WatchedConstraintDatabase:
+class WatchedConstraintDatabase(_Rows):
     """All constraints (original + learned) with per-kind watcher lists.
 
     Watcher lists map a literal to the constraints that must be *woken*
@@ -231,8 +302,7 @@ class WatchedConstraintDatabase:
     """
 
     def __init__(self, trail: Trail):
-        self._trail = trail
-        self.constraints: List[StoredConstraint] = []
+        super().__init__(trail)
         #: literal -> [(stored, other_lit)] for binary clauses.  Both
         #: literals of a binary clause are permanently watched: no
         #: replacement can ever exist, so the wake path skips watcher
@@ -250,20 +320,13 @@ class WatchedConstraintDatabase:
         self.pb_occ: Dict[int, List[Tuple[StoredConstraint, int]]] = {}
 
     # ------------------------------------------------------------------
-    def add(self, constraint: Constraint, learned: bool = False) -> StoredConstraint:
-        """Attach a constraint; watches reflect the current trail.
+    def _attach(self, stored: StoredConstraint) -> None:
+        """Initialize watch structures against the current trail.
 
         ``stored.slack`` is set to the attach-time slack as a snapshot
         for the caller's violation check — unlike the counter database
         it is **not** maintained afterwards.
         """
-        stored = StoredConstraint(constraint, len(self.constraints), learned)
-        self.constraints.append(stored)
-        stored.slack = self._attach(stored)
-        return stored
-
-    def _attach(self, stored: StoredConstraint) -> int:
-        """Initialize watch structures; returns the attach-time slack."""
         trail = self._trail
         constraint = stored.constraint
         nonfalse = sum(
@@ -271,9 +334,10 @@ class WatchedConstraintDatabase:
             for coef, lit in constraint.terms
             if not trail.literal_is_false(lit)
         )
+        stored.slack = nonfalse - constraint.rhs
         if stored.kind == KIND_GENERAL:
             self._attach_general(stored, nonfalse)
-            return nonfalse - constraint.rhs
+            return
 
         # Clause / cardinality: order literals non-false first, false
         # ones by descending assignment level, so that when a false
@@ -290,7 +354,7 @@ class WatchedConstraintDatabase:
             if len(lits) == 2:
                 self.binary_watch.setdefault(lits[0], []).append((stored, lits[1]))
                 self.binary_watch.setdefault(lits[1], []).append((stored, lits[0]))
-                return nonfalse - constraint.rhs
+                return
             watch_count = min(2, len(lits))
             watch_map = self.clause_watch
         else:
@@ -304,11 +368,29 @@ class WatchedConstraintDatabase:
                 # (eager wsum + deduped exact scans), which also matches
                 # the profile winner on tight routing cardinalities.
                 self._degrade_at_birth(stored, nonfalse)
-                return nonfalse - constraint.rhs
+                return
             watch_map = self.card_watch
         for lit in lits[:watch_count]:
             watch_map.setdefault(lit, []).append(stored)
-        return nonfalse - constraint.rhs
+
+    def _detach(self, stored: StoredConstraint) -> None:
+        """Drop every watch entry of ``stored``, including the stale
+        ``pb_watch`` entries a degraded row leaves behind."""
+        for lit in stored.constraint.literals:
+            for watch_map in (self.clause_watch, self.card_watch):
+                entries = watch_map.get(lit)
+                if entries and stored in entries:
+                    entries.remove(stored)
+            for watch_map in (self.binary_watch, self.pb_watch, self.pb_occ):
+                entries = watch_map.get(lit)
+                if entries:
+                    entries[:] = [entry for entry in entries if entry[0] is not stored]
+
+    def _retune(self, stored: StoredConstraint, rhs: int) -> bool:
+        # Only the counter regime keeps a sum over every term: there
+        # ``wsum - rhs`` is the slack for any rhs.  A watch set was
+        # chosen for the old ``required`` and is re-attached instead.
+        return stored.watch_all
 
     def _degrade_at_birth(self, stored: StoredConstraint, nonfalse: int) -> None:
         """Counter-regime attachment: every term in ``pb_occ``.
@@ -375,17 +457,6 @@ class WatchedConstraintDatabase:
             pb_occ.setdefault(lit, []).append((stored, coef))
         stored.watch_set.clear()
         stored.watch_all = True
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.constraints)
-
-    def __iter__(self):
-        return iter(self.constraints)
-
-    def num_learned(self) -> int:
-        """Number of learned (non-input) constraints in the database."""
-        return sum(1 for stored in self.constraints if stored.learned)
 
     # ------------------------------------------------------------------
     def remove_learned(self, keep) -> int:

@@ -46,6 +46,15 @@ Every backend must guarantee, for any interleaving of the calls below:
 * ``backtrack(level)`` undoes every assignment above ``level`` and
   restores all internal bookkeeping; a subsequent ``propagate`` is a
   no-op unless constraints were added in between.
+* ``replace_constraint(old, constraint)`` swaps one row for another
+  (the Section 5 cuts keep one row per cut source).  The result is
+  queued, never reported: the next ``propagate`` finds a violation as
+  an ordinary conflict and every implication the new row forces.  When
+  the record is not kept (the terms or regime differ), the *replaced*
+  record leaves every watcher list and pending queue at once: it is
+  never woken again or returned inside a later :class:`Conflict`.
+  Implications already on the trail keep their reasons, which hold the
+  old immutable :class:`Constraint`.
 * ``reduce_learned`` must purge every internal reference (watcher lists,
   pending queues) to deleted constraints: no deleted
   :class:`~repro.engine.constraint_db.StoredConstraint` may ever be
@@ -124,6 +133,23 @@ class PropagationEngine(ABC):
         Returns a conflict immediately when the constraint is violated
         under the current trail; otherwise schedules it for implication
         scanning by the next :meth:`propagate`.
+        """
+
+    @abstractmethod
+    def replace_constraint(
+        self,
+        old: Optional[StoredConstraint],
+        constraint: Constraint,
+        learned: bool = False,
+    ) -> StoredConstraint:
+        """Swap the row ``old`` for ``constraint``; returns the new row.
+
+        Over the same terms, a row whose regime allows it is tightened
+        in place and returned itself; otherwise the new row takes
+        ``old``'s slot.  ``old`` None, or deleted since, attaches a new
+        row.  Either way the row is queued for the next
+        :meth:`propagate`, which reports it if it is violated; no
+        conflict is returned here.
         """
 
     @abstractmethod

@@ -83,6 +83,23 @@ class Propagator(PropagationEngine):
         self._pending.append(stored)
         return None
 
+    def replace_constraint(
+        self,
+        old: Optional[StoredConstraint],
+        constraint: Constraint,
+        learned: bool = False,
+    ) -> StoredConstraint:
+        """Swap the row ``old`` for ``constraint`` and queue the result;
+        ``database.replace`` decides between in place and re-attach."""
+        stored = self.database.replace(old, constraint, learned)
+        if stored is not old and old is not None and old.queued:
+            old.queued = False
+            self._pending.remove(old)
+        if not stored.queued:
+            stored.queued = True
+            self._pending.append(stored)
+        return stored
+
     # ------------------------------------------------------------------
     # Eager slack maintenance on every assignment
     # ------------------------------------------------------------------

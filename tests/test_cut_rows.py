@@ -1,0 +1,184 @@
+"""The Section 5 cuts live in one engine row per cut source.
+
+Each improved solution tightens the knapsack row (eq. 10) and one row per
+eq. 13 source instead of stacking a new row per incumbent.  These tests
+pin that, and what the solver gains from it beyond speed:
+
+* local and imported incumbents swap into the same rows, so the engine
+  ends with one row per live cut source;
+* a cut the w_pp backjump leaves violated is reported by propagation as
+  a logic conflict, so no relaxation is ever found infeasible for it;
+* in a session, clause garbage collection never deletes a live cut row,
+  and the end-of-call cleanup still removes every cut row;
+* the w_pp resolve is timed under ``analyze``, the swap under ``cuts``
+  and the bound inputs under ``lower_bound.<method>``.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.api import make_solver
+from repro.benchgen import generate_ptl_mapping, generate_routing
+from repro.core import OPTIMAL, BsoloSolver, SolverOptions
+from repro.incremental import SolverSession
+from repro.incremental import session as session_module
+from repro.obs.timers import PhaseTimer
+from repro.pb.objective import Objective
+
+BACKENDS = ("counter", "watched")
+
+
+def grout(seed: int):
+    return generate_routing(
+        rows=4, cols=4, nets=8, capacity=2, detours=5, seed=seed
+    )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("seed, optimum", [(2006, 22), (2009, 18), (2017, 14)])
+def test_violated_cut_reaches_propagation(backend, seed, optimum):
+    """Every bound conflict is a prune: none is an infeasible relaxation
+    caused by a cut the engine had not propagated."""
+    instance = grout(seed)
+    assert make_solver(instance, "milp").solve().best_cost == optimum
+    result = make_solver(
+        instance, "bsolo-mis", SolverOptions(propagation=backend)
+    ).solve()
+    assert result.status == OPTIMAL and result.best_cost == optimum
+    assert result.stats.bound_conflicts == result.stats.prunings
+
+
+def _recording_solvers(monkeypatch):
+    """Make sessions build solvers that append themselves to a list."""
+    solvers = []
+
+    class Recording(BsoloSolver):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            solvers.append(self)
+
+    monkeypatch.setattr(session_module, "BsoloSolver", Recording)
+    return solvers
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "instance, optimum",
+    [
+        (generate_ptl_mapping(nodes=9, extra_edges=4, seed=3), 982),
+        (grout(2017), 14),
+    ],
+    ids=["ptl", "grout"],
+)
+def test_session_gc_keeps_live_cut_rows(monkeypatch, backend, instance, optimum):
+    assert make_solver(instance, "milp").solve().best_cost == optimum
+    solvers = _recording_solvers(monkeypatch)
+    rows_checked = []
+
+    def on_incumbent(cost, model):
+        # the rows of the previous incumbents of this call, through
+        # every garbage collection since
+        constraints = session.propagator.database.constraints
+        for row in solvers[-1]._live_cuts.values():
+            assert row in constraints
+            rows_checked.append(row)
+
+    session = SolverSession(
+        instance,
+        SolverOptions(
+            lower_bound="mis",
+            max_learned=4,
+            preprocess=False,
+            propagation=backend,
+            on_incumbent=on_incumbent,
+        ),
+    )
+    for _ in range(3):
+        result = session.solve()
+        assert result.status == OPTIMAL and result.best_cost == optimum
+        solver = solvers[-1]
+        assert solver._live_cuts
+        cuts = set(map(id, solver._cut_constraints))
+        for stored in session.propagator.database.constraints:
+            assert stored not in solver._live_cuts.values()
+            assert id(stored.constraint) not in cuts
+    assert rows_checked
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_phases_of_the_incumbent_path(monkeypatch, backend):
+    instance = generate_ptl_mapping(nodes=9, extra_edges=4, seed=3)
+    solver = BsoloSolver(
+        instance, SolverOptions(lower_bound="mis", propagation=backend)
+    )
+    current = [""]
+    solver._timer = PhaseTimer(listener=lambda name: current.__setitem__(0, name))
+    seen = {"resolve": set(), "swap": set(), "bound_inputs": set()}
+    in_solution = [False]
+
+    on_solution = solver._on_solution
+
+    def traced_on_solution():
+        in_solution[0] = True
+        try:
+            return on_solution()
+        finally:
+            in_solution[0] = False
+
+    resolve = solver._resolve
+
+    def traced_resolve(*args, **kwargs):
+        if in_solution[0]:
+            seen["resolve"].add(current[0])
+        return resolve(*args, **kwargs)
+
+    replace = solver._propagator.replace_constraint
+
+    def traced_replace(*args, **kwargs):
+        seen["swap"].add(current[0])
+        return replace(*args, **kwargs)
+
+    path_cost = Objective.path_cost
+
+    def traced_path_cost(objective, assignment):
+        if not in_solution[0]:
+            seen["bound_inputs"].add(current[0])
+        return path_cost(objective, assignment)
+
+    solver._on_solution = traced_on_solution
+    solver._resolve = traced_resolve
+    solver._propagator.replace_constraint = traced_replace
+    monkeypatch.setattr(Objective, "path_cost", traced_path_cost)
+    result = solver.solve()
+    assert result.status == OPTIMAL
+    assert solver.stats.solutions_found > 1
+    assert seen["resolve"] == {"analyze"}
+    assert seen["swap"] == {"cuts"}
+    assert seen["bound_inputs"] == {"lower_bound.mis"}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("imported", [None, 1100], ids=["local", "imported"])
+def test_one_engine_row_per_cut_source(backend, imported):
+    """Local and imported incumbents swap into the same rows: the engine
+    ends with the instance's rows plus one per live cut source."""
+    instance = generate_ptl_mapping(nodes=9, extra_edges=4, seed=3)
+    options = SolverOptions(
+        lower_bound="mis",
+        propagation=backend,
+        preprocess=False,
+        covering_reductions=False,
+    )
+    if imported is not None:
+        options = options.replace(
+            external_bound=lambda: imported, poll_interval=1
+        )
+    solver = BsoloSolver(instance, options)
+    result = solver.solve()
+    assert result.status == OPTIMAL and result.best_cost == 982
+    assert solver.stats.solutions_found > 1
+    assert solver.stats.external_bounds == (imported is not None)
+    rows = [s for s in solver._propagator.database.constraints if not s.learned]
+    assert len(rows) == len(instance.constraints) + len(solver._live_cuts)
+    assert solver.stats.cuts_added > len(solver._live_cuts)

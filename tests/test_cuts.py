@@ -42,10 +42,16 @@ class TestKnapsackCut:
         assert CutGenerator(instance).knapsack_cut(5) is None
 
 
+def cardinality_cuts(generator, upper):
+    """The eq. 13 cuts of ``generator.cuts(upper)`` and its proven flag."""
+    keyed, proven = generator.cuts(upper)
+    return [cut for source, cut in keyed if source is not None], proven is not None
+
+
 class TestCardinalityCuts:
     def test_eq13_cut_emitted(self):
         instance = instance_with_cardinality()
-        cuts, proven = CutGenerator(instance).cardinality_cuts(9)
+        cuts, proven = cardinality_cuts(CutGenerator(instance), 9)
         assert not proven
         # Both constraints are cardinality constraints (the clause (4|5)
         # has threshold 1).  For {1,2,3} >= 2: V = 1 + 2 = 3 and the cut is
@@ -60,34 +66,37 @@ class TestCardinalityCuts:
     def test_optimum_proven_when_v_reaches_bound(self):
         instance = instance_with_cardinality()
         # upper = 3: V = 3 > upper - 1 = 2 -> no better solution exists
-        cuts, proven = CutGenerator(instance).cardinality_cuts(3)
+        cuts, proven = cardinality_cuts(CutGenerator(instance), 3)
         assert proven
 
     def test_negative_literals_excluded(self):
         instance = PBInstance(
             [Constraint.at_least([-1, 2], 1)], Objective({1: 1, 2: 2, 3: 5})
         )
-        cuts, proven = CutGenerator(instance).cardinality_cuts(10)
+        cuts, proven = cardinality_cuts(CutGenerator(instance), 10)
         assert cuts == [] and not proven
 
     def test_disabled(self):
         generator = CutGenerator(instance_with_cardinality(), cardinality_cuts=False)
-        cuts, proven = generator.cardinality_cuts(9)
+        cuts, proven = cardinality_cuts(generator, 9)
         assert cuts == [] and not proven
 
     def test_tautological_cut_skipped(self):
         instance = instance_with_cardinality()
         # huge upper: budget exceeds total outside cost
-        cuts, proven = CutGenerator(instance).cardinality_cuts(100)
+        cuts, proven = cardinality_cuts(CutGenerator(instance), 100)
         assert cuts == [] and not proven
 
 
 class TestCutsFor:
     def test_combined(self):
         instance = instance_with_cardinality()
-        cuts, proven = CutGenerator(instance).cuts_for(9)
-        assert not proven
-        assert len(cuts) == 3  # knapsack + two cardinality cuts
+        keyed, proven = CutGenerator(instance).cuts(9)
+        assert proven is None
+        # knapsack (keyed None) + two cardinality cuts keyed by source
+        assert [source for source, _ in keyed] == [None] + list(
+            instance.constraints
+        )
 
     def test_cut_soundness_never_removes_better_solutions(self):
         """Any solution strictly cheaper than the incumbent satisfies all
@@ -96,8 +105,9 @@ class TestCutsFor:
 
         instance = instance_with_cardinality()
         upper = 9
-        cuts, proven = CutGenerator(instance).cuts_for(upper)
-        assert not proven
+        keyed, proven = CutGenerator(instance).cuts(upper)
+        assert proven is None
+        cuts = [cut for _, cut in keyed]
         n = instance.num_variables
         for bits in itertools.product((0, 1), repeat=n):
             assignment = {v: bits[v - 1] for v in range(1, n + 1)}
@@ -172,10 +182,12 @@ class TestTemplatesMatchScratchBuild:
             random.Random(seed).shuffle(uppers)  # incumbents in any order
             for upper in uppers:
                 knapsack, pairs, proven = _reference_cuts(instance, upper)
-                got_knapsack = generator.knapsack_cut(upper)
-                got_pairs, got_proven = generator.cardinality_cuts_with_sources(upper)
+                assert generator.knapsack_cut(upper) == knapsack, (seed, upper)
+                keyed, got_proven = generator.cuts(upper)
                 assert got_proven is proven, (seed, upper)
-                assert got_knapsack == knapsack, (seed, upper)
-                assert [s for _, s in got_pairs] == [s for _, s in pairs]
-                for (cut, _), (ref, _) in zip(got_pairs, pairs):
+                if knapsack is not None:
+                    assert keyed[0] == (None, knapsack), (seed, upper)
+                    keyed = keyed[1:]
+                assert [s for s, _ in keyed] == [s for _, s in pairs]
+                for (_, cut), (ref, _) in zip(keyed, pairs):
                     assert (cut.terms, cut.rhs) == (ref.terms, ref.rhs), (seed, upper)

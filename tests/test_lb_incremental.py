@@ -145,7 +145,8 @@ class TestMISLockstep:
             if rng.random() < 0.3:
                 # a new incumbent: the cut list changes, as in the solver
                 upper = rng.randint(1, instance.objective.max_value + 1)
-                extras, _ = generator.cuts_for(upper)
+                keyed, _ = generator.cuts(upper)
+                extras = [cut for _, cut in keyed]
             a = incremental.compute(fixed, extras)
             b = cold.compute(fixed, extras)
             value, infeasible, explanation = reference_mis(instance, fixed, extras)

@@ -6,7 +6,8 @@ with three layers of evidence:
 * randomized lockstep scripts driving both engines through the same
   decide/propagate/backtrack steps and comparing implied sets,
   conflict outcomes and assignment values at every step — including
-  mid-search learned-constraint deletion on every propbench family and
+  mid-search learned-constraint deletion and row swaps (the Section 5
+  cuts' ``replace_constraint``) on every propbench family and
   coefficients near ``2**40``;
 * full solves on small instances from each benchmark family, which
   must reach the same status and the same optimum cost;
@@ -29,6 +30,7 @@ from repro.benchgen import generate_planted, ptl_suite, routing_suite
 from repro.core import OPTIMAL, BsoloSolver, SolverOptions
 from repro.engine.assignment import DeferredReason
 from repro.engine.conflict import ConflictAnalyzer, RootConflictError
+from repro.engine.constraint_db import KIND_GENERAL
 from repro.engine.interface import Conflict, make_engine
 from repro.experiments.propbench import (
     family_instances,
@@ -59,11 +61,7 @@ def _random_constraint(rng: random.Random, num_vars: int) -> Constraint:
 
 
 def _lockstep_decide(engines, rng: random.Random, context) -> None:
-    """Decide one random free literal on every engine and propagate.
-
-    A conflict must be reported by all engines or none; after a
-    non-conflicting propagate the implied-literal fixpoint must match.
-    """
+    """Decide one random free literal on every engine and propagate."""
     num_vars = engines[0].trail.num_variables
     free = [v for v in range(1, num_vars + 1) if engines[0].trail.value(v) < 0]
     if not free:
@@ -72,12 +70,26 @@ def _lockstep_decide(engines, rng: random.Random, context) -> None:
     lit = var if rng.random() < 0.5 else -var
     for engine in engines:
         engine.decide(lit)
+    _lockstep_propagate(engines, rng, context)
+
+
+def _lockstep_propagate(engines, rng: random.Random, context) -> bool:
+    """Propagate every engine; backtrack at random on a conflict.
+
+    A conflict must be reported by all engines or none; after a
+    non-conflicting propagate the implied-literal fixpoint must match
+    and each backend's own bookkeeping must check out.  Returns True
+    on a conflict at level 0, which refutes the rows: no backtrack can
+    undo it, so the script ends there.
+    """
     results = [engine.propagate() for engine in engines]
     kinds = [isinstance(result, Conflict) for result in results]
     assert len(set(kinds)) == 1, ("conflict mismatch", context, kinds)
     if kinds[0]:
         level = engines[0].trail.decision_level
-        target = rng.randint(0, max(0, level - 1))
+        if level == 0:
+            return True
+        target = rng.randint(0, level - 1)
         for engine in engines:
             engine.backtrack(target)
     else:
@@ -91,6 +103,12 @@ def _lockstep_decide(engines, rng: random.Random, context) -> None:
                 backend,
                 implied[0] ^ other,
             )
+        for engine in engines:
+            if engine.name == "counter":
+                engine.database.check_slacks()
+            else:
+                engine.database.check_invariants()
+    return False
 
 
 def _lockstep_backtrack(engines, rng: random.Random) -> None:
@@ -148,6 +166,52 @@ def _random_clause(rng: random.Random, num_vars: int) -> Constraint:
     return Constraint.clause([v if rng.random() < 0.5 else -v for v in variables])
 
 
+def _tightened(rng: random.Random, constraint: Constraint) -> Constraint:
+    """``constraint`` over the same support with a higher rhs, as a new
+    incumbent tightens a Section 5 cut.  Mostly the terms tuple itself is
+    kept (the in-place path); now and then one coefficient is raised and
+    saturates at the new rhs, so the terms change (the re-attach path)."""
+    slack = sum(c for c, _ in constraint.terms) - constraint.rhs
+    rhs = constraint.rhs + rng.randint(1, max(1, slack // 2))
+    if rng.random() < 0.7:
+        return Constraint(constraint.terms, rhs)
+    terms = list(constraint.terms)
+    position = rng.randrange(len(terms))
+    terms[position] = (rhs + rng.randint(0, 3), terms[position][1])
+    return Constraint.greater_equal(terms, rhs)
+
+
+def _lockstep_swap(engines, rng: random.Random, context) -> bool:
+    """Tighten one to three live general-PB rows (one row may be picked
+    twice, so a queued row is swapped again), then propagate.  Returns
+    True when the tightened rows are refuted at the root."""
+    rows = engines[0].database.constraints
+    general = [
+        index
+        for index, stored in enumerate(rows)
+        if stored.kind == KIND_GENERAL
+        and stored.constraint.rhs < sum(c for c, _ in stored.constraint.terms)
+    ]
+    if not general:
+        return False
+    for _ in range(rng.randint(1, 3)):
+        index = rng.choice(general)
+        row = rows[index].constraint
+        tighter = _tightened(rng, row)
+        for engine in engines:
+            old = engine.database.constraints[index]
+            assert old.constraint is row  # rows line up across backends
+            stored = engine.replace_constraint(old, tighter, learned=old.learned)
+            assert stored.index == index and stored.constraint is tighter
+            if stored is not old:
+                assert not engine.database.holds(old)
+        if tighter.rhs >= sum(c for c, _ in tighter.terms):
+            general.remove(index)
+            if not general:
+                break
+    return _lockstep_propagate(engines, rng, context)
+
+
 def _run_deletion_lockstep(instance, seed: int) -> None:
     rng = random.Random(seed)
     num_vars = instance.num_variables
@@ -158,7 +222,10 @@ def _run_deletion_lockstep(instance, seed: int) -> None:
     learned: list = []
     for step in range(60):
         op = rng.random()
-        if op < 0.15:
+        if op < 0.1:
+            if _lockstep_swap(engines, rng, (seed, step)):
+                return
+        elif op < 0.25:
             # every engine learns the same object, so deletion can be
             # coordinated by identity
             clause = _random_clause(rng, num_vars)
@@ -168,7 +235,7 @@ def _run_deletion_lockstep(instance, seed: int) -> None:
             ]
             kinds = [isinstance(result, Conflict) for result in results]
             assert len(set(kinds)) == 1, ("add", seed, step)
-        elif op < 0.25 and learned:
+        elif op < 0.35 and learned:
             doomed = {id(c) for c in learned if rng.random() < 0.5}
             learned = [c for c in learned if id(c) not in doomed]
             removed = [
@@ -178,7 +245,7 @@ def _run_deletion_lockstep(instance, seed: int) -> None:
                 for engine in engines
             ]
             assert len(set(removed)) == 1, ("removed", seed, step, removed)
-        elif op < 0.7:
+        elif op < 0.75:
             _lockstep_decide(engines, rng, (seed, step))
         else:
             _lockstep_backtrack(engines, rng)

@@ -264,14 +264,14 @@ class TestCutProperties:
     @SLOW
     @given(pb_instances(), st.integers(1, 25))
     def test_cuts_keep_strictly_better_solutions(self, instance, upper):
-        cuts, proven = CutGenerator(instance).cuts_for(upper)
+        keyed, proven = CutGenerator(instance).cuts(upper)
         for assignment in all_assignments(instance.num_variables):
             if not instance.check(assignment):
                 continue
             cost = instance.objective.path_cost(assignment)
             if cost < upper:
-                assert not proven
-                for cut in cuts:
+                assert proven is None
+                for _, cut in keyed:
                     assert cut.is_satisfied_by(assignment)
 
     @SLOW

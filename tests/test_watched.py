@@ -379,3 +379,106 @@ class TestReduceLearnedMidSearch:
         assert engine.propagate() is None
         assert not engine.trail.is_assigned(2)
         assert not engine.trail.is_assigned(3)
+
+
+# ----------------------------------------------------------------------
+# Row swaps (the stale-reference audit, for replaced records)
+# ----------------------------------------------------------------------
+def _referenced(engine):
+    """Every record named by the engine's occurrence or watch lists and
+    its pending queue."""
+    database = engine.database
+    if engine.name == "counter":
+        maps = [database._occurrences]
+    else:
+        maps = [
+            database.binary_watch,
+            database.clause_watch,
+            database.card_watch,
+            database.pb_watch,
+            database.pb_occ,
+        ]
+    records = [
+        entry[0] if isinstance(entry, tuple) else entry
+        for watch_map in maps
+        for entries in watch_map.values()
+        for entry in entries
+    ]
+    return records + list(engine._pending)
+
+
+def _check_bookkeeping(engine):
+    if engine.name == "counter":
+        engine.database.check_slacks()
+    else:
+        engine.database.check_invariants()
+
+
+@pytest.mark.parametrize("backend", ["counter", "watched"])
+class TestReplaceMidSearch:
+    def test_same_terms_tighten_in_place(self, backend):
+        engine = make_engine(backend, 4)
+        cut = Constraint.greater_equal([(3, 1), (2, 2), (2, 3), (1, 4)], 3)
+        row = engine.replace_constraint(None, cut)
+        assert engine.propagate() is None
+        engine.decide(-1)
+        assert engine.propagate() is None
+        if backend == "watched":
+            assert row.watch_all  # dense: the counter regime from birth
+        tighter = Constraint(cut.terms, 4)
+        assert engine.replace_constraint(row, tighter) is row
+        assert row.constraint is tighter and row.queued
+        # supply 5, slack 1: both coefficient-2 literals are implied
+        assert engine.propagate() is None
+        assert engine.trail.literal_is_true(2) and engine.trail.literal_is_true(3)
+        assert not engine.trail.is_assigned(4)
+        _check_bookkeeping(engine)
+
+    def test_replaced_record_is_never_referenced_again(self, backend):
+        engine = make_engine(backend, 6)
+        terms = [(5, 1), (4, 2), (3, 3), (1, 4), (1, 5), (1, 6)]
+        row = engine.replace_constraint(None, Constraint.greater_equal(terms, 4))
+        assert engine.propagate() is None
+        engine.decide(-4)
+        assert engine.propagate() is None
+        # x1's coefficient saturates at the new rhs: the terms change,
+        # so the row is re-attached in the same slot on every backend
+        terms[0] = (9, 1)
+        new = engine.replace_constraint(row, Constraint.greater_equal(terms, 6))
+        assert new is not row and new.index == row.index
+        assert not engine.database.holds(row)
+        assert all(record is not row for record in _referenced(engine))
+        assert any(record is new for record in _referenced(engine))
+        # swapped again before any propagate: the still-queued record
+        # leaves the pending queue too
+        assert new.queued
+        terms[3] = (2, 4)
+        again = engine.replace_constraint(new, Constraint.greater_equal(terms, 6))
+        assert again is not new and not new.queued
+        assert all(record not in (row, new) for record in _referenced(engine))
+        assert engine.propagate() is None
+        _check_bookkeeping(engine)
+        # under -1 the supply is 9: a replacement with rhs 10 is
+        # returned queued, not as a conflict, and propagate reports it
+        engine.decide(-1)
+        assert engine.propagate() is None
+        live = engine.replace_constraint(again, Constraint(again.constraint.terms, 10))
+        conflict = engine.propagate()
+        assert isinstance(conflict, Conflict) and conflict.stored is live
+        engine.backtrack(0)
+        assert engine.propagate() is None
+        assert all(record not in (row, new) for record in _referenced(engine))
+        _check_bookkeeping(engine)
+
+    def test_replacing_a_deleted_row_attaches_a_new_one(self, backend):
+        engine = make_engine(backend, 3)
+        terms = ((2, 1), (1, 2), (1, 3))
+        row = engine.replace_constraint(None, Constraint(terms, 2), learned=True)
+        assert engine.reduce_learned(lambda stored: False) == 1
+        new = engine.replace_constraint(row, Constraint(terms, 3), learned=True)
+        assert new is not row and engine.database.constraints == [new]
+        assert all(record is not row for record in _referenced(engine))
+        engine.decide(-2)
+        assert engine.propagate() is None
+        assert engine.trail.literal_is_true(1) and engine.trail.literal_is_true(3)
+        _check_bookkeeping(engine)
