@@ -1,5 +1,5 @@
 """Perturbation streams and soft-constraint families for incremental
-benchmarks.
+solving.
 
 A *perturbation stream* is a base :class:`~repro.pb.instance.PBInstance`
 plus an ordered list of :class:`StreamStep`\\ s.  Each step describes one
@@ -7,16 +7,15 @@ plus an ordered list of :class:`StreamStep`\\ s.  Each step describes one
 together with the session mutations (push a constraint frame, pop,
 replace the objective) applied immediately before it.  The same step
 list can be replayed *cold* — one fresh solver per step on the
-materialised effective instance — which is exactly what
-``repro.experiments.increbench`` does to measure warm-session speedups
-under a lockstep-equality oracle.
+materialised effective instance — which is how ``test_stream_lockstep``
+in ``tests/test_incremental.py`` checks that every warm answer equals
+the cold one.
 
 Three stream flavours mirror the three reuse paths of a session:
 
 * :func:`assumption_stream` — assumptions only; the instance never
   changes, so retained learned constraints, branching activity and the
-  MIS trail cache all carry over between calls.  This
-  is the family expected to show the largest warm-over-cold speedup.
+  MIS trail cache all carry over between calls.
 * :func:`constraint_stream` — pushes and pops constraint frames (with
   occasional assumptions), exercising frame-tagged learned-constraint
   cleanup and bounder rebuilds.
@@ -288,8 +287,9 @@ def generate_random_wbo(
 
 
 def wbo_suite(count: int = 3, scale: float = 1.0, seed: int = 7000) -> List:
-    """A small suite of random WBO instances for benchmark harnesses;
-    ``scale`` grows/shrinks the variable and constraint counts."""
+    """A small suite of random WBO instances; ``scale`` grows/shrinks the
+    variable and constraint counts.  ``tests/test_wbo.py`` solves the
+    default suite in both WBO modes and checks they agree."""
     rng = random.Random(seed)
     return [
         generate_random_wbo(

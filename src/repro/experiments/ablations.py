@@ -3,8 +3,9 @@
 Turns individual techniques on/off (bound-conflict learning, cuts,
 LP-guided branching, preprocessing, and the post-paper extensions) and
 runs the resulting configurations on one instance family, reporting
-status / time / decisions per configuration — the programmatic
-counterpart of the ``benchmarks/test_bench_*`` ablations.
+status / time / decisions per configuration.  ``TestAblations`` in
+``tests/test_scaling_ablations.py`` runs every configuration and checks
+that they agree on each optimum.
 """
 
 from __future__ import annotations

@@ -119,11 +119,10 @@ class Table1Result:
         return written
 
     def bsolo_ordering_holds(self) -> bool:
-        """Claim 1: plain <= MIS and plain <= LGR <= LPR in #solved."""
+        """Claim 1: plain <= MIS <= LGR <= LPR in #solved."""
         totals = self.solved_by_solver()
-        plain, mis = totals["bsolo-plain"], totals["bsolo-mis"]
-        lgr, lpr = totals["bsolo-lgr"], totals["bsolo-lpr"]
-        return plain <= mis and plain <= lgr <= lpr
+        solved = [totals[name] for name in BSOLO_NAMES]
+        return solved == sorted(solved)
 
     def acc_rows_identical_for_bsolo(self) -> bool:
         """Claim 4: without a cost function every bsolo variant does the

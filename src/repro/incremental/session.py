@@ -34,8 +34,8 @@ retained clauses are objective-independent logical consequences, so
 
 The correctness oracle is *cold-equivalence lockstep*: a session solve
 must report the same optimum and status as a fresh one-shot solve of
-the same instance (see ``tests/test_incremental.py`` and
-``repro.experiments.increbench``).
+the same instance (see ``test_stream_lockstep`` in
+``tests/test_incremental.py``).
 """
 
 from __future__ import annotations

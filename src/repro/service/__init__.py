@@ -22,7 +22,7 @@ Layers, bottom-up:
 * :mod:`repro.service.server` — the :class:`SolveService` orchestrator
   and the stdlib-``asyncio`` HTTP front end (``python -m repro serve``);
 * :mod:`repro.service.client` — a minimal blocking client used by the
-  tests, the examples and the ``servebench`` load generator.
+  tests, the examples and the ``service-mix`` bench workload.
 
 Protocol reference: ``docs/SERVICE.md``.
 """

@@ -5,7 +5,7 @@ The client is the reference consumer of the protocol in
 streams surface as generators of ``(event, data)`` pairs, and server
 rejections raise :class:`ServiceError` carrying the protocol error
 code.  Used by the smoke tests, ``examples/service_client.py`` and the
-``servebench`` load generator.
+``service-mix`` workload of ``python3 -m bench``.
 
 Typical use::
 

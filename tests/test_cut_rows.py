@@ -182,3 +182,16 @@ def test_one_engine_row_per_cut_source(backend, imported):
     rows = [s for s in solver._propagator.database.constraints if not s.learned]
     assert len(rows) == len(instance.constraints) + len(solver._live_cuts)
     assert solver.stats.cuts_added > len(solver._live_cuts)
+
+
+def test_eq13_cuts_fire_on_exactly_one_rows():
+    """PTL instances carry exactly-one rows, so an improved solution
+    tightens eq. 13 rows beside the knapsack row: more cut swaps than
+    incumbents (without eq. 13 the two counts are equal)."""
+    instance = generate_ptl_mapping(nodes=10, extra_edges=5, seed=2)
+    options = SolverOptions(
+        lower_bound="mis", cardinality_cuts=True, time_limit=10.0
+    )
+    solver = BsoloSolver(instance, options)
+    assert solver.solve().status == OPTIMAL
+    assert solver.stats.cuts_added > solver.stats.solutions_found

@@ -4,10 +4,13 @@ import json
 
 import pytest
 
+from repro.core import OPTIMAL, UNKNOWN, SolveResult
 from repro.experiments import (
     BSOLO_NAMES,
     FAMILIES,
     SOLVER_NAMES,
+    RunRecord,
+    Table1Result,
     family_instances,
     format_matrix,
     format_table1,
@@ -83,6 +86,35 @@ class TestFamilies:
         assert large[0].num_variables > small[0].num_variables
 
 
+def table1_with_totals(totals):
+    """A one-family :class:`Table1Result` whose bsolo columns solve
+    ``totals`` (plain, MIS, LGR, LPR) of 20 instances."""
+    records = {
+        name: [
+            RunRecord(name, "ptl-%d" % (i + 1),
+                      SolveResult(OPTIMAL if i < count else UNKNOWN), 0.0)
+            for i in range(20)
+        ]
+        for name, count in zip(BSOLO_NAMES, totals)
+    }
+    return Table1Result({"ptl": records}, BSOLO_NAMES)
+
+
+class TestBsoloOrdering:
+    @pytest.mark.parametrize(
+        "totals,holds",
+        [
+            ((15, 16, 16, 20), True),
+            ((15, 18, 16, 20), False),  # MIS above LGR
+            ((16, 15, 17, 20), False),  # plain above MIS
+            ((15, 16, 18, 17), False),  # LGR above LPR
+        ],
+        ids=["ties", "mis-above-lgr", "plain-above-mis", "lgr-above-lpr"],
+    )
+    def test_whole_chain_checked(self, totals, holds):
+        assert table1_with_totals(totals).bsolo_ordering_holds() is holds
+
+
 class TestTable1:
     @pytest.fixture(scope="class")
     def result(self):
@@ -112,6 +144,10 @@ class TestTable1:
 
     def test_acc_identical(self, result):
         assert result.acc_rows_identical_for_bsolo()
+        # without a cost function no bsolo variant calls its bounder
+        for name in BSOLO_NAMES:
+            for record in result.per_family["acc"][name]:
+                assert record.result.stats.lower_bound_calls == 0
 
     def test_matrix_formatting_direct(self, result):
         text = format_matrix(result.per_family["grout"], SOLVER_NAMES)

@@ -4,8 +4,10 @@ import itertools
 
 import pytest
 
+from repro.benchgen import generate_covering
 from repro.lagrangian import LagrangianBound, SubgradientOptions
 from repro.lp import LPRelaxationBound
+from repro.mis import MISBound
 from repro.pb import Constraint, Objective, PBInstance
 
 
@@ -52,6 +54,19 @@ class TestBoundValue:
             instance, SubgradientOptions(max_iterations=500)
         ).compute({})
         assert lgr.value <= lpr
+
+    def test_enough_iterations_reach_the_weaker_of_mis_and_lpr(self):
+        # Section 6: LGR converges slowly, but 800 subgradient steps on a
+        # generated covering instance end between min(MIS, LPR) and LPR
+        instance = generate_covering(
+            minterms=60, implicants=30, density=0.12, max_cost=60, seed=1
+        )
+        mis = MISBound(instance).compute({}).value
+        lpr = LPRelaxationBound(instance).compute({}).value
+        lgr = LagrangianBound(
+            instance, SubgradientOptions(max_iterations=800)
+        ).compute({})
+        assert min(mis, lpr) <= lgr.value <= lpr
 
     def test_nothing_left(self):
         bound = LagrangianBound(covering_instance()).compute({1: 1, 2: 1, 3: 1})

@@ -23,7 +23,7 @@ from repro.core.cuts import CutGenerator
 from repro.core.options import SolverOptions
 from repro.core.solver import BsoloSolver
 from repro.engine.interface import Conflict, make_engine
-from repro.experiments.lbbench import bench_drive, drive_walk
+from repro.experiments.table1 import family_instances
 from repro.lp.tolerances import ceil_guarded
 from repro.mis import MISBound
 from repro.mis.independent_set import constraint_min_cost
@@ -128,32 +128,45 @@ def with_cardinality_rows(instance: PBInstance, seed: int) -> PBInstance:
     return PBInstance(list(instance.constraints) + extra, instance.objective, n)
 
 
+def assert_lockstep(instance, seed, max_nodes):
+    """Walk ``max_nodes`` nodes; at each, the trail-fed and the cold
+    :class:`MISBound` and :func:`reference_mis` agree, with the eq. 10/13
+    cuts of a random incumbent as extra rows."""
+    generator = CutGenerator(instance)
+    incremental = MISBound(instance)
+    cold = MISBound(instance)
+    rng = random.Random(seed)
+    extras = []
+    attached = False
+    for trail, fixed in walk_nodes(instance, seed + 500, max_nodes):
+        if not attached:
+            incremental.attach_trail(trail)
+            attached = True
+        if rng.random() < 0.3:
+            # a new incumbent: the cut list changes, as in the solver
+            upper = rng.randint(1, instance.objective.max_value + 1)
+            keyed, _ = generator.cuts(upper)
+            extras = [cut for _, cut in keyed]
+        a = incremental.compute(fixed, extras)
+        b = cold.compute(fixed, extras)
+        value, infeasible, explanation = reference_mis(instance, fixed, extras)
+        assert (a.value, a.infeasible) == (b.value, b.infeasible)
+        assert (a.value, a.infeasible) == (value, infeasible)
+        assert a.explanation == b.explanation == explanation
+    assert incremental.cache_hits > 0 or incremental.num_calls <= 1
+
+
 class TestMISLockstep:
     @pytest.mark.parametrize("seed", range(12))
     def test_incremental_equals_cold(self, seed):
         instance = with_cardinality_rows(random_instance(seed), seed)
-        generator = CutGenerator(instance)
-        incremental = MISBound(instance)
-        cold = MISBound(instance)
-        rng = random.Random(seed)
-        extras = []
-        attached = False
-        for trail, fixed in walk_nodes(instance, seed + 500, max_nodes=50):
-            if not attached:
-                incremental.attach_trail(trail)
-                attached = True
-            if rng.random() < 0.3:
-                # a new incumbent: the cut list changes, as in the solver
-                upper = rng.randint(1, instance.objective.max_value + 1)
-                keyed, _ = generator.cuts(upper)
-                extras = [cut for _, cut in keyed]
-            a = incremental.compute(fixed, extras)
-            b = cold.compute(fixed, extras)
-            value, infeasible, explanation = reference_mis(instance, fixed, extras)
-            assert (a.value, a.infeasible) == (b.value, b.infeasible)
-            assert (a.value, a.infeasible) == (value, infeasible)
-            assert a.explanation == b.explanation == explanation
-        assert incremental.cache_hits > 0 or incremental.num_calls <= 1
+        assert_lockstep(instance, seed, max_nodes=50)
+
+    @pytest.mark.parametrize("family", ["mcnc", "ptl", "grout"])
+    def test_table1_families(self, family):
+        instances, _ = family_instances(family, count=2, scale=0.5)
+        for seed, instance in enumerate(instances):
+            assert_lockstep(instance, seed, max_nodes=40)
 
     def test_extras_churn(self):
         instance = random_instance(99)
@@ -165,22 +178,6 @@ class TestMISLockstep:
             a = incremental.compute({}, extras)
             b = cold.compute({}, extras)
             assert (a.value, a.infeasible) == (b.value, b.infeasible)
-
-
-class TestBenchDriveLockstep:
-    """The benchmark's own lockstep flags must hold (the CI smoke job
-    asserts them from the generated report)."""
-
-    def test_drive_walk_flags(self):
-        instance = random_instance(11)
-        outcome = drive_walk(instance, seed=1, max_nodes=40)
-        assert outcome["mis_equal"]
-
-    def test_bench_drive_aggregates(self):
-        instances = [random_instance(s) for s in (21, 22)]
-        result = bench_drive(instances, seed=5, max_nodes=25)
-        assert result["lockstep_mis_equal"]
-        assert result["mis_incremental"]["calls"] == result["mis_cold"]["calls"]
 
 
 class TestSolverEquivalence:

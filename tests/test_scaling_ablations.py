@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.benchgen import generate_covering
+from repro.benchgen import generate_covering, generate_routing
 from repro.experiments import (
     ABLATIONS,
     crossover_size,
@@ -58,24 +58,21 @@ class TestAblations:
             generate_covering(minterms=15, implicants=10, density=0.2, seed=s)
             for s in (1, 2)
         ]
-        return run_ablations(
-            instances,
-            names=["full", "no-cuts", "with-pb-learning"],
-            time_limit=5.0,
+        # a routing instance on which bound conflicts dominate, so the
+        # Section 4 backjumps, Section 5 cuts and LP-guided branching all act
+        instances.append(
+            generate_routing(rows=5, cols=5, nets=10, capacity=2, detours=3, seed=9)
         )
+        return run_ablations(instances, time_limit=5.0)
 
     def test_all_configurations_run(self, records):
-        assert [record.name for record in records] == [
-            "full",
-            "no-cuts",
-            "with-pb-learning",
-        ]
+        assert [record.name for record in records] == list(ABLATIONS)
         for record in records:
-            assert len(record.results) == 2
+            assert len(record.results) == 3
 
     def test_all_solve_small_instances(self, records):
         for record in records:
-            assert record.solved == 2
+            assert record.solved == 3
 
     def test_agreement_across_configurations(self, records):
         costs = {

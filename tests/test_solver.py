@@ -3,6 +3,7 @@
 import pytest
 
 from repro.baselines.brute_force import BruteForceSolver, brute_force_optimum
+from repro.benchgen import generate_covering, generate_routing
 from repro.core import (
     BsoloSolver,
     OPTIMAL,
@@ -160,6 +161,41 @@ class TestOptionVariants:
         options = SolverOptions(lower_bound="lpr", lp_guided_branching=False)
         result = solve(covering_instance(), options)
         assert result.status == OPTIMAL and result.best_cost == 4
+
+    @pytest.mark.parametrize(
+        "technique,instance,factor",
+        [
+            # Section 4: learn w_bc and backjump, against blaming every
+            # decision and stepping back one level
+            (
+                "bound_conflict_learning",
+                generate_covering(
+                    minterms=40, implicants=22, density=0.15, max_cost=30, seed=5
+                ),
+                2,
+            ),
+            # Section 5: branch on the most fractional route selector,
+            # against VSIDS alone
+            (
+                "lp_guided_branching",
+                generate_routing(
+                    rows=5, cols=5, nets=8, capacity=2, detours=3, seed=21
+                ),
+                3,
+            ),
+        ],
+        ids=["ncb", "lp-branching"],
+    )
+    def test_technique_does_not_blow_up_decisions(self, technique, instance, factor):
+        decisions = {}
+        for enabled in (True, False):
+            options = SolverOptions(
+                lower_bound="lpr", time_limit=10.0, **{technique: enabled}
+            )
+            solver = BsoloSolver(instance, options)
+            assert solver.solve().status == OPTIMAL
+            decisions[enabled] = solver.stats.decisions
+        assert decisions[True] <= factor * decisions[False]
 
     def test_lb_frequency(self):
         options = SolverOptions(lower_bound="lpr", lb_frequency=3)

@@ -263,6 +263,13 @@ class TestSuiteGenerators:
         for wbo in suite:
             assert wbo.soft and wbo.hard
             assert solve_wbo(wbo).status in (OPTIMAL, UNSATISFIABLE)
+        # the default suite has a planted hard part: both modes prove the
+        # same optimum on every instance
+        for wbo in wbo_suite(count=3, seed=7000):
+            direct = WBOSolver(wbo, mode="direct").solve()
+            core = WBOSolver(wbo, mode="core-guided").solve()
+            assert direct.status == OPTIMAL
+            assert (core.status, core.cost) == (direct.status, direct.cost)
 
     def test_reexports(self):
         assert repro.WBOInstance is WBOInstance
