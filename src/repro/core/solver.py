@@ -367,7 +367,6 @@ class BsoloSolver:
                 totals["mis_misses"] = bounder.cache_misses
             elif isinstance(bounder, LPRelaxationBound):
                 totals["lp_pivots"] = bounder.total_iterations
-                totals["lp_batch_pivots"] = bounder.total_batch_pivots
         return totals
 
     def _collect_lb_stats(self) -> None:

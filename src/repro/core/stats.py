@@ -158,7 +158,7 @@ def record_metrics(
     ``solver_*`` families.  ``counts`` holds what the engine and the
     bounders counted during this solve: ``propagations`` and
     ``propagate_calls`` (recorded under the engine's ``backend`` name),
-    ``mis_hits``/``mis_misses`` and ``lp_pivots``/``lp_batch_pivots``.
+    ``mis_hits``/``mis_misses`` and ``lp_pivots``.
     A family is recorded only when its source is given, so the registry
     lists the families of the parts that ran.  Nothing is recorded
     without an enabled registry.
@@ -206,6 +206,3 @@ def record_metrics(
         counter("lp_pivots", "Simplex pivots performed by the LP bounder").inc(
             counts["lp_pivots"]
         )
-        counter(
-            "lp_batch_pivots", "Simplex pivots applied via the batched array kernels"
-        ).inc(counts["lp_batch_pivots"])

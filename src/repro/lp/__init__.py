@@ -1,4 +1,5 @@
-"""LP substrate: bounded simplex and the LPR lower bound (Section 3.1)."""
+"""LP substrate: the node-LP dual simplex, the general two-phase simplex
+and the LPR lower bound (Section 3.1)."""
 
 from .relaxation import (
     LowerBound,
@@ -18,6 +19,7 @@ from .simplex import (
     SimplexSolver,
     UNBOUNDED,
     solve_lp,
+    solve_node_lp,
 )
 from .standard_form import LPData, build_lp_data
 
@@ -42,4 +44,5 @@ __all__ = [
     "integer_ceil_bound",
     "root_lpr_bound",
     "solve_lp",
+    "solve_node_lp",
 ]

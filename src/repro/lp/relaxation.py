@@ -9,6 +9,10 @@ rounded up.  Besides the bound value, this module extracts
 * the set ``S`` of tight constraints (zero LP slack), whose currently
   false literals form the explanation ``w_pl`` of a bound conflict
   (Section 4.2, eq. 9).
+
+Every node LP is solved cold by :func:`~repro.lp.simplex.solve_node_lp`,
+a dual simplex from the all-surplus basis at ``x = 0``: the LP data is
+rebuilt for the node and no simplex state outlives the call.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Dict, Mapping, Optional, Sequence
 
 from ..pb.constraints import Constraint
 from ..pb.instance import PBInstance
-from .simplex import INFEASIBLE, OPTIMAL, SimplexSolver
+from .simplex import INFEASIBLE, OPTIMAL, solve_node_lp
 from .standard_form import build_lp_data
 from .tolerances import TIGHT_TOL, ceil_guarded
 
@@ -77,7 +81,6 @@ class LPRelaxationBound:
         self._tight_tol = tight_tol
         self.num_calls = 0
         self.total_iterations = 0
-        self.total_batch_pivots = 0
         self.total_seconds = 0.0
 
     def stats_dict(self) -> Dict[str, float]:
@@ -85,7 +88,6 @@ class LPRelaxationBound:
         return {
             "calls": self.num_calls,
             "iterations": self.total_iterations,
-            "batch_pivots": self.total_batch_pivots,
             "seconds": round(self.total_seconds, 6),
         }
 
@@ -117,14 +119,8 @@ class LPRelaxationBound:
         if data.num_rows == 0:
             # Nothing left to satisfy: remaining cost is simply 0.
             return LowerBound(0)
-        solver = SimplexSolver(
-            data.c, data.A, data.b, data.senses,
-            upper=[1.0] * data.num_columns,
-            max_iterations=self._max_iterations,
-        )
-        result = solver.solve()
+        result = solve_node_lp(data.c, data.A, data.b, self._max_iterations)
         self.total_iterations += result.iterations
-        self.total_batch_pivots += solver.batch_pivots
         if result.status == INFEASIBLE:
             return LowerBound(0, infeasible=True, iterations=result.iterations)
         if result.status != OPTIMAL:
@@ -134,9 +130,7 @@ class LPRelaxationBound:
         tight = result.tight_rows(self._tight_tol)
         explanation = [data.rows[i] for i in tight]
         duals_by_row = {
-            data.rows[i]: float(result.duals[i])
-            for i in range(data.num_rows)
-            if i < len(result.duals)
+            row: float(dual) for row, dual in zip(data.rows, result.duals)
         }
         fractional = {
             data.columns[j]: float(result.x[j]) for j in range(data.num_columns)

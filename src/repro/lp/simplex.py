@@ -1,37 +1,56 @@
-"""Bounded-variable two-phase revised simplex (dense, from scratch).
+"""Dense numpy simplex solvers, no LP library: one for node LPs, one general.
 
-Solves::
+``solve_node_lp`` — the LP behind the paper's linear-programming relaxation
+lower bound (Section 3.1), relaxing ``x in {0,1}`` to ``0 <= x <= 1``::
+
+    minimize    c . x
+    subject to  A x >= b,   0 <= x <= 1,   with c >= 0
+
+``SimplexSolver`` / ``solve_lp`` — the general bounded-variable form, used
+by the ``milp`` baseline::
 
     minimize    c . x
     subject to  A x  {>=, <=, =}  b     (row-wise senses)
                 0 <= x_j <= u_j         (u_j may be +inf)
 
-This is the LP substrate behind the paper's linear-programming relaxation
-lower bound (Section 3.1): relaxing ``x in {0,1}`` to ``0 <= x <= 1``.
+Both report primal values, row activities/slacks (used for the paper's
+eq. 9 bound-conflict explanations), duals ``c_B B^-1`` (used by the linear
+bound certificates of proof logging) and their pivot count.
 
-Implementation notes
---------------------
+Node LPs: a cold bounded dual simplex
+-------------------------------------
+With ``c >= 0``, ``x = 0`` with every surplus column basic is already dual
+feasible, so the dual simplex starts there with no phase 1 and keeps no
+state between calls.  The most infeasible basic row leaves; the entering
+column has the smallest ratio ``|d_j| / |alpha_j|``, ties broken by the
+largest ``|alpha_j|``.  An entering column may overshoot its box; the
+next pivot repairs it like any other infeasible basic.  No eligible
+entering column means the dual is unbounded: the LP is infeasible.
+
+General LPs: a two-phase primal simplex
+---------------------------------------
 * Surplus/slack columns turn every row into an equality; phase 1 adds one
   artificial column per row and minimizes their sum.  In phase 2 the
   artificials stay in the tableau *locked to the range [0, 0]* — the
   bounded ratio test then keeps them at zero and kicks them out of the
   basis on contact, which sidesteps the classical drive-out procedure.
-* The basis inverse is maintained explicitly with product-form (eta)
-  updates and refactorized periodically for numerical hygiene.
-* Dantzig pricing with an automatic switch to Bland's rule after a stall,
-  which guarantees termination on degenerate instances.
-* Pivots are *batched array kernels*: the basis lives in an int array,
-  reduced costs and basic values are maintained incrementally by rank-1
-  row updates after each pivot (one ``Binv`` row times the tableau)
-  instead of the full ``c_B B^-1 T`` re-price per iteration, and both
-  are recomputed from scratch at every periodic refactorization so
-  incremental drift cannot outlive a refactor interval.  The bounded
-  ratio test is vectorized too (the ``lp_batch_pivots`` observability
-  counter tracks these cheap pivots).
+* Dantzig pricing; reduced costs and basic values are maintained by
+  rank-1 updates after each pivot and recomputed at every periodic
+  refactorization.  The bounded ratio test is vectorized.
+* ``milp`` keeps this solver so that the benchmark's reference answers
+  share no LP code with the bound they check.  Its LPs on satisfaction
+  instances (Table 1's acc rows) have ``c = 0``; there every dual ratio
+  is zero and only tie-breaking would steer a dual simplex.
 
-The solver reports primal values, row activities/slacks (used for the
-paper's eq. 9 bound-conflict explanations) and duals (used to warm-start
-the Lagrangian multipliers).
+Shared by both
+--------------
+* The basis inverse is kept explicitly with product-form (eta) updates
+  and refactorized every ``_REFACTOR_EVERY`` pivots, falling back to the
+  pseudo-inverse when the basis is numerically singular.
+* After ``_STALL_LIMIT`` pivots without progress, pricing switches to the
+  smallest-index (Bland) rule, which guarantees termination.
+* A numerical breakdown (``LinAlgError``) or the iteration cap ends the
+  solve as ``ITERATION_LIMIT``; callers fall back to the trivial bound.
 """
 
 from __future__ import annotations
@@ -55,7 +74,8 @@ UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
 
 _TOL = 1e-9
-_STALL_LIMIT = 200  # Dantzig iterations without progress before Bland
+_STALL_LIMIT = 200  # pivots without progress before the smallest-index rule
+_REFACTOR_EVERY = 60  # pivots between refactorizations of the basis inverse
 
 _AT_LOWER = 0
 _AT_UPPER = 1
@@ -80,7 +100,8 @@ class LPResult:
         self.activities = activities
         #: Row slacks: ``A_i x - b_i`` for >=, ``b_i - A_i x`` for <=, 0 for =.
         self.slacks = slacks
-        #: Simplex iterations over both phases.
+        #: Simplex iterations: pivots, plus the primal's bound flips, over
+        #: both of its phases.
         self.iterations = iterations
 
     def tight_rows(self, tol: float = TIGHT_TOL) -> List[int]:
@@ -132,10 +153,6 @@ class SimplexSolver:
         self.max_iterations = max_iterations
         self._iterations = 0
         self._basis: Optional[np.ndarray] = None
-        #: Pivots applied through the incremental (rank-1) pricing
-        #: kernels rather than a full re-price — the batched-pivot
-        #: figure surfaced as the ``lp_batch_pivots`` metric.
-        self.batch_pivots = 0
 
     # ------------------------------------------------------------------
     def solve(self) -> LPResult:
@@ -239,14 +256,7 @@ class SimplexSolver:
 
     # ------------------------------------------------------------------
     def _factorize(self) -> None:
-        B = self._T[:, self._basis]
-        try:
-            self._Binv = np.linalg.inv(B)
-        except np.linalg.LinAlgError:
-            # Accumulated eta updates can drive the basis numerically
-            # singular; the pseudo-inverse keeps the iteration moving and
-            # the iteration limit bounds the damage.
-            self._Binv = np.linalg.pinv(B)
+        self._Binv = _inverse(self._T[:, self._basis])
 
     def _nonbasic_values(self) -> np.ndarray:
         values = np.where(self._status == _AT_UPPER, self._upper, self._lower)
@@ -280,7 +290,7 @@ class SimplexSolver:
                 return ITERATION_LIMIT
             self._iterations += 1
             refactor_counter += 1
-            if refactor_counter >= 60:
+            if refactor_counter >= _REFACTOR_EVERY:
                 self._factorize()
                 x_b = self._basic_values()
                 y = cost[self._basis] @ self._Binv
@@ -347,7 +357,6 @@ class SimplexSolver:
                 alpha_row = self._Binv[leaving] @ self._T
                 reduced = reduced - reduced[entering] * alpha_row
                 reduced[entering] = 0.0
-                self.batch_pivots += 1
 
             # Objective change = reduced cost * signed step (Dantzig
             # improvement test for the anti-cycling stall counter).
@@ -372,15 +381,10 @@ class SimplexSolver:
         return j if score[j] > _TOL else None
 
     def _eta_update(self, row: int, w: np.ndarray) -> None:
-        """Product-form update of the explicit inverse after a pivot."""
-        pivot = w[row]
-        if abs(pivot) < 1e-12:  # pragma: no cover - defensive
+        if abs(w[row]) < 1e-12:  # pragma: no cover - defensive
             self._factorize()
             return
-        self._Binv[row, :] /= pivot
-        factors = w.copy()
-        factors[row] = 0.0
-        self._Binv -= np.outer(factors, self._Binv[row, :])
+        _update_inverse(self._Binv, row, w)
 
     # ------------------------------------------------------------------
     def _result(self, status: str, cost: Optional[np.ndarray] = None) -> LPResult:
@@ -419,3 +423,120 @@ def solve_lp(
 ) -> LPResult:
     """One-shot convenience wrapper around :class:`SimplexSolver`."""
     return SimplexSolver(c, A, b, senses, upper, max_iterations).solve()
+
+
+def solve_node_lp(
+    c: Sequence[float],
+    A: Sequence[Sequence[float]],
+    b: Sequence[float],
+    max_iterations: int = 20000,
+) -> LPResult:
+    """Solve a node LP ``min c.x, A x >= b, 0 <= x <= 1`` with ``c >= 0``.
+
+    A cold bounded dual simplex from the all-surplus basis at ``x = 0``
+    (see the module notes).  ``x`` is clamped to the box, ``slacks`` are
+    ``A x - b``, ``duals`` are ``c_B B^-1`` (non-negative) and
+    ``iterations`` counts pivots.  Raises ``ValueError`` on a negative
+    cost or mismatched shapes.
+    """
+    c = np.asarray(c, dtype=float)
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if c.ndim != 1 or b.ndim != 1 or A.shape != (b.shape[0], c.shape[0]):
+        raise ValueError(
+            "need c of length n, b of length m and A of shape (m, n); got %r, %r, %r"
+            % (c.shape, b.shape, A.shape)
+        )
+    if (c < 0).any():
+        raise ValueError("node LP costs must be non-negative")
+    m, n = A.shape
+    Binv = -np.eye(m)
+    # Columns: structural x in [0, 1] | surplus s = A x - b >= 0.
+    T = np.hstack((A, Binv))
+    cost = np.concatenate((c, np.zeros(m)))
+    basis = np.arange(n, n + m)
+    # Per column: +1 nonbasic at 0, -1 nonbasic at 1, 0 basic.
+    side = np.concatenate((np.ones(n), np.zeros(m)))
+    x_b = -b  # every row's surplus at x = 0
+    cap = np.full(m, math.inf)  # upper bound of each basic variable
+    d = cost.copy()  # reduced costs; y = c_B B^-1 = 0 at the surplus basis
+    iterations = 0
+    stall = 0  # consecutive pivots with a zero ratio
+    since_refactor = 0
+    while True:
+        infeasibility = np.maximum(-x_b, x_b - cap)
+        rows = (infeasibility > _TOL).nonzero()[0]
+        if not rows.size:
+            break
+        if iterations >= max_iterations:
+            return LPResult(ITERATION_LIMIT, None, None, None, None, None, iterations)
+        bland = stall > _STALL_LIMIT
+        r = int(rows[basis[rows].argmin()] if bland else infeasibility.argmax())
+        below = x_b[r] < 0.0
+        alpha = Binv[r] @ T
+        # x_b[r] moves by -alpha_j per unit of x_j: only columns whose move
+        # off their bound pushes it back toward its box may enter.
+        push = side * alpha
+        eligible = (push < -_TOL if below else push > _TOL).nonzero()[0]
+        if not eligible.size:
+            # The dual ray along row r is unbounded: no x fits the box.
+            return LPResult(INFEASIBLE, None, None, None, None, None, iterations)
+        ratios = np.abs(d[eligible] / alpha[eligible])
+        best = ratios.min()
+        ties = eligible[ratios <= best + 1e-9]
+        q = int(ties[0] if bland else ties[np.abs(alpha[ties]).argmax()])
+        stall = stall + 1 if best <= _TOL else 0
+
+        iterations += 1
+        pivot = alpha[q]
+        w = Binv @ T[:, q]
+        step = (x_b[r] - (0.0 if below else cap[r])) / pivot
+        entering_value = (0.0 if side[q] > 0 else 1.0) + step
+        x_b -= step * w
+        x_b[r] = entering_value
+        d -= (d[q] / pivot) * alpha
+        d[q] = 0.0
+        side[basis[r]] = 1.0 if below else -1.0
+        side[q] = 0.0
+        basis[r] = q
+        cap[r] = 1.0 if q < n else math.inf
+        _update_inverse(Binv, r, w)
+        since_refactor += 1
+        if since_refactor == _REFACTOR_EVERY:
+            since_refactor = 0
+            try:
+                Binv = _inverse(T[:, basis])
+            except np.linalg.LinAlgError:
+                return LPResult(ITERATION_LIMIT, None, None, None, None, None, iterations)
+            x_b = Binv @ (b - T @ (side < 0))
+            d = cost - (cost[basis] @ Binv) @ T
+
+    values = (side < 0).astype(float)
+    values[basis] = x_b
+    x = np.clip(values[:n], 0.0, 1.0)
+    activities = A @ x
+    return LPResult(
+        OPTIMAL, float(c @ x), x, cost[basis] @ Binv, activities, activities - b, iterations
+    )
+
+
+def _inverse(B: np.ndarray) -> np.ndarray:
+    """``B^-1``, or its pseudo-inverse when ``B`` is numerically singular.
+
+    Accumulated eta updates can drive a basis numerically singular; the
+    pseudo-inverse keeps the iteration moving and the iteration cap
+    bounds the damage.  Raises ``LinAlgError`` only when that fails too.
+    """
+    try:
+        return np.linalg.inv(B)
+    except np.linalg.LinAlgError:
+        return np.linalg.pinv(B)
+
+
+def _update_inverse(Binv: np.ndarray, row: int, w: np.ndarray) -> None:
+    """Product-form (eta) update of ``Binv`` in place after the column
+    with ``Binv``-image ``w`` enters the basis at ``row``."""
+    Binv[row, :] /= w[row]
+    factors = w.copy()
+    factors[row] = 0.0
+    Binv -= factors[:, None] * Binv[row, :]

@@ -83,7 +83,6 @@ def build_lp_data(
         coeffs: Dict[int, float] = {}
         rhs = float(constraint.rhs)
         satisfied = False
-        max_supply = 0.0
         # ``rhs`` is adjusted in-loop both by fixed-true literals and by
         # the ~x -> 1-x substitution, so ``rhs <= 0`` mid-loop means the
         # *remaining* integer-form rhs is non-positive: the row is
@@ -108,7 +107,6 @@ def build_lp_data(
             else:
                 coeffs[var] = coeffs.get(var, 0.0) - coef
                 rhs -= coef
-            max_supply += coef
         if satisfied:
             continue
         if not coeffs:

@@ -1,14 +1,32 @@
-"""Unit tests for LP data building and the LPR lower bound."""
+"""Unit tests for LP data building and the LPR lower bound, and a
+differential test of the node-LP solver against scipy's HiGHS.
 
+scipy is a declared test dependency and the only reference for the
+bound's LP solver, so it is imported unconditionally: without it these
+tests fail rather than skip.
+"""
+
+import random
+
+import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from repro.core.cuts import CutGenerator
+from repro.experiments.table1 import family_instances
 from repro.lp import (
+    INFEASIBLE,
+    OPTIMAL,
     LPRelaxationBound,
     build_lp_data,
+    ceil_guarded,
     integer_ceil_bound,
     root_lpr_bound,
+    solve_node_lp,
 )
+from repro.lp import simplex
 from repro.pb import Constraint, Objective, PBInstance
+from tests.test_lb_incremental import walk_nodes
 
 
 def covering_instance():
@@ -176,3 +194,77 @@ class TestBoundSoundness:
             return
         assert not bound.infeasible
         assert bound.value <= best
+
+
+def assert_matches_highs(c, A, b):
+    """``solve_node_lp`` agrees with HiGHS on ``min c.x, A x >= b, 0 <= x <= 1``
+    and its answer carries what the bound's consumers read: a point in
+    the box, feasible rows, and non-negative duals only on tight rows
+    (eq. 9 explanations and ``log_bound_linear`` rely on that
+    complementary slackness).  Returns the status."""
+    ours = solve_node_lp(c, A, b)
+    ref = linprog(c, A_ub=-A, b_ub=-b, bounds=[(0, 1)] * len(c), method="highs")
+    if ref.status == 2:
+        assert ours.status == INFEASIBLE
+        return INFEASIBLE
+    assert ref.status == 0
+    assert ours.status == OPTIMAL
+    assert ours.objective == pytest.approx(ref.fun, abs=1e-6)
+    assert ceil_guarded(ours.objective) == ceil_guarded(ref.fun)
+    assert np.all((ours.x >= 0.0) & (ours.x <= 1.0))
+    assert np.all(A @ ours.x >= b - 1e-7)
+    assert np.all(ours.duals >= -1e-9)
+    binding = {i for i, dual in enumerate(ours.duals) if dual > 1e-7}
+    assert binding <= set(ours.tight_rows())
+    return OPTIMAL
+
+
+def degenerate_lps():
+    """Node LPs whose ratio tests tie at zero: duplicated rows, equal and
+    zero costs."""
+    triangle = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+    yield np.ones(3), np.vstack([triangle, triangle]), np.ones(6)
+    yield np.array([0.0, 0.0, 1.0]), np.vstack([triangle, triangle]), np.ones(6)
+    rng = np.random.default_rng(7)
+    for _ in range(12):
+        n = int(rng.integers(4, 9))
+        rows = (rng.random((int(rng.integers(2, 6)), n)) < 0.5).astype(float)
+        rows[:, 0] = 1.0  # every row coverable
+        A = np.vstack([rows, rows, rows[:1]])
+        c = np.full(n, float(rng.integers(0, 3)))
+        b = np.minimum(A.sum(axis=1), rng.integers(1, 3, size=A.shape[0]))
+        yield c, A, b
+
+
+class TestNodeLPAgainstHighs:
+    """The bound's LP solver against HiGHS at the nodes of seeded walks."""
+
+    @pytest.mark.parametrize("family", ["grout", "ptl", "mcnc"])
+    def test_table1_family_walks(self, family):
+        instances, _ = family_instances(family, count=2, scale=0.5)
+        statuses = []
+        for seed, instance in enumerate(instances):
+            generator = CutGenerator(instance)
+            rng = random.Random(seed)
+            extras = []
+            for _, fixed in walk_nodes(instance, seed + 500, max_nodes=40):
+                if rng.random() < 0.3:
+                    # a new incumbent brings new eq. 10/13 cut rows
+                    upper = rng.randint(1, instance.objective.max_value + 1)
+                    extras = [cut for _, cut in generator.cuts(upper)[0]]
+                data = build_lp_data(instance, fixed, extras)
+                if data is None or data.num_rows == 0:
+                    continue
+                statuses.append(assert_matches_highs(data.c, data.A, data.b))
+        assert statuses.count(OPTIMAL) >= 40
+
+    @pytest.mark.parametrize("stall_limit", [simplex._STALL_LIMIT, 0])
+    @pytest.mark.parametrize("refactor_every", [simplex._REFACTOR_EVERY, 1])
+    def test_degenerate_ties(self, monkeypatch, stall_limit, refactor_every):
+        """Zero-ratio ties under the default rules, under the
+        smallest-index rule from the first degenerate pivot on, and with
+        a refactorization after every pivot."""
+        monkeypatch.setattr(simplex, "_STALL_LIMIT", stall_limit)
+        monkeypatch.setattr(simplex, "_REFACTOR_EVERY", refactor_every)
+        for c, A, b in degenerate_lps():
+            assert_matches_highs(c, A, b)

@@ -297,7 +297,6 @@ def expected_counters(stats, backend="counter"):
         expected[("mis_cache", "miss")] = mis["cache_misses"]
     if "lpr" in lb_stats:
         expected[("lp_pivots",)] = lb_stats["lpr"]["iterations"]
-        expected[("lp_batch_pivots",)] = lb_stats["lpr"]["batch_pivots"]
     return expected
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.covering import reduce_covering
 from repro.engine import Propagator
-from repro.lp import GE, OPTIMAL, solve_lp
+from repro.lp import GE, OPTIMAL, solve_lp, solve_node_lp
 from repro.pb import Constraint, Objective, PBInstance
 
 SLOW = settings(
@@ -98,22 +98,23 @@ class TestLPDuality:
     @SLOW
     @given(st.integers(0, 10**6))
     def test_weak_duality_on_covering_lps(self, seed):
-        """y >= 0 and y . b <= optimum for >=-row LPs (weak duality)."""
+        """y >= 0 and y . b <= optimum for >=-row LPs (weak duality), on
+        both simplex solvers."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 7))
         m = int(rng.integers(1, 6))
         c = rng.integers(1, 9, size=n).astype(float)
         A = rng.integers(0, 4, size=(m, n)).astype(float)
         b = np.minimum(A.sum(axis=1), rng.integers(1, 4, size=m)).astype(float)
-        result = solve_lp(c, A, b, [GE] * m, upper=np.ones(n))
-        if result.status != OPTIMAL:
-            return
-        duals = np.asarray(result.duals)
-        # duals of >= rows in a min problem are non-negative (tolerance)
-        assert np.all(duals >= -1e-6)
-        # weak duality with upper bounds: y.b - sum(max(0, y.A - c)) <= z*
-        reduced_violation = np.maximum(duals @ A - c, 0.0).sum()
-        assert duals @ b - reduced_violation <= result.objective + 1e-6
+        for result in (solve_lp(c, A, b, [GE] * m, upper=np.ones(n)), solve_node_lp(c, A, b)):
+            if result.status != OPTIMAL:
+                continue
+            duals = np.asarray(result.duals)
+            # duals of >= rows in a min problem are non-negative (tolerance)
+            assert np.all(duals >= -1e-6)
+            # weak duality with upper bounds: y.b - sum(max(0, y.A - c)) <= z*
+            reduced_violation = np.maximum(duals @ A - c, 0.0).sum()
+            assert duals @ b - reduced_violation <= result.objective + 1e-6
 
 
 class TestCoveringReducerProperties:

@@ -1,20 +1,28 @@
-"""Unit tests for the bounded-variable two-phase simplex."""
+"""Unit tests for the two simplex solvers: the bounded-variable two-phase
+primal (``solve_lp``) and the node-LP dual simplex (``solve_node_lp``).
 
-import math
+scipy is a declared test dependency and the reference both are checked
+against, so it is imported unconditionally: without it these tests fail
+rather than skip.
+"""
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from repro.lp import (
     EQ,
     GE,
     INFEASIBLE,
+    ITERATION_LIMIT,
     LE,
     OPTIMAL,
     UNBOUNDED,
     SimplexSolver,
     solve_lp,
+    solve_node_lp,
 )
+from repro.lp import simplex
 
 
 class TestBasicSolves:
@@ -148,7 +156,6 @@ class TestAgainstScipy:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_box_lps(self, seed):
-        scipy_opt = pytest.importorskip("scipy.optimize")
         rng = np.random.default_rng(seed)
         n = rng.integers(2, 7)
         m = rng.integers(1, 6)
@@ -168,7 +175,7 @@ class TestAgainstScipy:
             else:
                 A_ub.append(A[i])
                 b_ub.append(b[i])
-        ref = scipy_opt.linprog(
+        ref = linprog(
             c, A_ub=np.array(A_ub), b_ub=np.array(b_ub), bounds=[(0, 1)] * n,
             method="highs",
         )
@@ -181,8 +188,8 @@ class TestAgainstScipy:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_covering_lps(self, seed):
-        """Non-negative covering LPs (always feasible at x = 1)."""
-        scipy_opt = pytest.importorskip("scipy.optimize")
+        """Non-negative covering LPs (always feasible at x = 1), on both
+        solvers."""
         rng = np.random.default_rng(100 + seed)
         n = int(rng.integers(3, 10))
         m = int(rng.integers(2, 8))
@@ -190,9 +197,88 @@ class TestAgainstScipy:
         A = rng.integers(0, 4, size=(m, n)).astype(float)
         # ensure each row can be satisfied
         b = np.minimum(A.sum(axis=1), rng.integers(1, 5, size=m)).astype(float)
-        ours = solve_lp(c, A, b, [GE] * m, upper=np.ones(n))
-        ref = scipy_opt.linprog(
-            c, A_ub=-A, b_ub=-b, bounds=[(0, 1)] * n, method="highs"
-        )
-        assert ref.status == 0 and ours.status == OPTIMAL
-        assert ours.objective == pytest.approx(ref.fun, abs=1e-6)
+        ref = linprog(c, A_ub=-A, b_ub=-b, bounds=[(0, 1)] * n, method="highs")
+        assert ref.status == 0
+        for ours in (solve_lp(c, A, b, [GE] * m, upper=np.ones(n)), solve_node_lp(c, A, b)):
+            assert ours.status == OPTIMAL
+            assert ours.objective == pytest.approx(ref.fun, abs=1e-6)
+
+
+class TestNodeLP:
+    """The cold dual simplex for ``min c.x, A x >= b, 0 <= x <= 1``, c >= 0."""
+
+    def test_two_var_covering(self):
+        result = solve_node_lp([3.0, 2.0], [[1.0, 1.0]], [1.0])
+        assert result.status == OPTIMAL
+        assert result.objective == pytest.approx(2.0)
+        assert result.x.tolist() == pytest.approx([0.0, 1.0])
+        assert result.iterations == 1
+
+    def test_half_integral_vertex(self):
+        # the triangle of clauses: x = 1/2 everywhere, every row binding
+        A = [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]
+        result = solve_node_lp([1.0, 1.0, 1.0], A, [1.0, 1.0, 1.0])
+        assert result.status == OPTIMAL
+        assert result.objective == pytest.approx(1.5)
+        assert result.x.tolist() == pytest.approx([0.5, 0.5, 0.5])
+        assert result.tight_rows() == [0, 1, 2]
+        assert result.duals.tolist() == pytest.approx([0.5, 0.5, 0.5])
+
+    def test_entering_column_may_overshoot_its_box(self):
+        # x1 enters at 2 > 1; the next pivot repairs it at its upper bound
+        result = solve_node_lp([1.0, 10.0], [[0.5, 1.0]], [1.0])
+        assert result.status == OPTIMAL
+        assert result.objective == pytest.approx(6.0)
+        assert result.x.tolist() == pytest.approx([1.0, 0.5])
+        assert result.iterations == 2
+
+    def test_slack_basis_already_feasible(self):
+        result = solve_node_lp([1.0, 1.0], [[1.0, -1.0]], [-1.0])
+        assert result.status == OPTIMAL
+        assert result.objective == 0.0
+        assert result.iterations == 0
+        assert result.slacks.tolist() == [1.0]
+
+    def test_no_rows(self):
+        result = solve_node_lp([1.0, 2.0], np.zeros((0, 2)), [])
+        assert result.status == OPTIMAL
+        assert result.objective == 0.0
+        assert result.x.tolist() == [0.0, 0.0]
+
+    def test_infeasible(self):
+        assert solve_node_lp([1.0], [[1.0]], [2.0]).status == INFEASIBLE
+
+    def test_infeasible_conflicting_rows(self):
+        result = solve_node_lp([0.0], [[1.0], [-1.0]], [0.8, -0.2])
+        assert result.status == INFEASIBLE
+
+    def test_iteration_limit(self):
+        result = solve_node_lp([1.0, 1.0], [[1.0, 1.0]], [1.0], max_iterations=0)
+        assert result.status == ITERATION_LIMIT
+        assert result.x is None
+
+    def test_numerical_breakdown_is_iteration_limit(self, monkeypatch):
+        def singular(B):
+            raise np.linalg.LinAlgError("singular")
+
+        monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 1)
+        monkeypatch.setattr(simplex, "_inverse", singular)
+        result = solve_node_lp([1.0, 1.0], [[1.0, 1.0]], [1.0])
+        assert result.status == ITERATION_LIMIT
+        assert result.iterations == 1
+
+    def test_rejects_negative_cost(self):
+        with pytest.raises(ValueError):
+            solve_node_lp([-1.0], [[1.0]], [1.0])
+
+    @pytest.mark.parametrize(
+        "c, A, b",
+        [
+            ([1.0], [[1.0, 2.0]], [1.0]),
+            ([1.0, 1.0], [[1.0, 2.0]], [1.0, 1.0]),
+            ([1.0, 1.0], [1.0, 2.0], [1.0]),
+        ],
+    )
+    def test_rejects_mismatched_shapes(self, c, A, b):
+        with pytest.raises(ValueError):
+            solve_node_lp(c, A, b)
