@@ -29,7 +29,6 @@ from .baselines.cutting_planes import CuttingPlanesSolver
 from .baselines.linear_search import LinearSearchSolver
 from .baselines.milp import MILPSolver
 from .core.options import (
-    HYBRID,
     LGR,
     LPR,
     MIS,
@@ -223,10 +222,6 @@ register_solver(
 register_solver(
     "bsolo-lpr", _bsolo_factory(LPR),
     "bsolo with the LP-relaxation bound (Section 3.3)",
-)
-register_solver(
-    "bsolo-hybrid", _bsolo_factory(HYBRID),
-    "bsolo with the MIS prefilter + LP bound (extension)",
 )
 register_solver(
     "linear-search", LinearSearchSolver,

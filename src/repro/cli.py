@@ -22,6 +22,7 @@ import sys
 from typing import Any, Dict, List, Optional
 
 from .api import available_solvers, solver_descriptions
+from .core.options import SolverOptions
 from .engine import available_engines, engine_descriptions
 from .experiments.runner import run_one
 from .obs.report import format_profile
@@ -104,17 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="wall-clock budget (default: unlimited)",
-    )
-    parser.add_argument(
-        "--lb-schedule",
-        default="static",
-        choices=["static", "adaptive"],
-        metavar="POLICY",
-        help=(
-            "bound-call scheduling policy (bsolo-* solvers): 'static' "
-            "bounds every lb-frequency-th node, 'adaptive' tunes the "
-            "interval from the recent prune rate (default: static)"
-        ),
     )
     parser.add_argument(
         "--stats",
@@ -296,21 +286,18 @@ def main(argv: Optional[List[str]] = None) -> int:
 
             hotspot = HotspotProfiler()
         try:
-            record = run_one(
-                args.solver,
-                instance,
-                args.instance,
-                args.time_limit,
+            options = SolverOptions(
+                time_limit=args.time_limit,
                 tracer=tracer,
                 profile=args.profile or bool(args.hotspot),
                 on_progress=_print_progress if args.progress else None,
                 progress_interval=args.progress_interval,
                 propagation=args.propagation,
-                lb_schedule=args.lb_schedule,
                 proof=proof_logger,
                 metrics=registry,
                 hotspot=hotspot,
             )
+            record = run_one(args.solver, instance, args.instance, options)
         finally:
             if tracer is not None:
                 tracer.close()
@@ -397,7 +384,6 @@ def _wbo_main(parser: argparse.ArgumentParser, args) -> int:
     """
     import time as _time
 
-    from .core.options import SolverOptions
     from .pb.opb import parse_wbo_file
     from .wbo import WBOSolver
 
@@ -415,9 +401,7 @@ def _wbo_main(parser: argparse.ArgumentParser, args) -> int:
     except OSError as exc:
         parser.error("cannot read instance: %s" % exc)
     options = SolverOptions(
-        time_limit=args.time_limit,
-        propagation=args.propagation,
-        lb_schedule=args.lb_schedule,
+        time_limit=args.time_limit, propagation=args.propagation
     )
     solver = WBOSolver(wbo, options, mode=args.wbo_mode)
     started = _time.monotonic()

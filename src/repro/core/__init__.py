@@ -9,7 +9,7 @@ from .bound_conflicts import (
 from .branching import Brancher
 from .cuts import CutGenerator
 from .enumeration import count_optimal, enumerate_optimal
-from .options import HYBRID, LGR, LPR, MIS, PLAIN, SolverOptions
+from .options import LGR, LPR, MIS, PLAIN, SolverOptions
 from .preprocess import PreprocessResult, probe_necessary_assignments
 from .result import OPTIMAL, SATISFIABLE, SolveResult, UNKNOWN, UNSATISFIABLE
 from .solver import BsoloSolver, solve
@@ -20,7 +20,6 @@ __all__ = [
     "Brancher",
     "BsoloSolver",
     "CutGenerator",
-    "HYBRID",
     "LGR",
     "LPR",
     "MIS",

@@ -45,6 +45,9 @@ def enumerate_optimal(
         if not cost_cap.is_tautology:
             extra.append(cost_cap)
 
+    # covering reductions keep only *some* optimum: disable while
+    # enumerating; the proof logger holds the first solve's log only
+    next_options = options.replace(covering_reductions=False, proof=None)
     count = 0
     assignment = first.best_assignment
     while True:
@@ -65,9 +68,6 @@ def enumerate_optimal(
             )
         except ValueError:
             return  # blocking clause unsatisfiable: single total assignment
-        # covering reductions keep only *some* optimum: disable while
-        # enumerating
-        next_options = _without_reductions(options)
         result = BsoloSolver(narrowed, next_options).solve()
         if result.status not in (OPTIMAL, SATISFIABLE):
             return
@@ -83,19 +83,3 @@ def count_optimal(
 ) -> int:
     """The number of optimal assignments (capped at ``limit``)."""
     return sum(1 for _ in enumerate_optimal(instance, options, limit=limit))
-
-
-def _without_reductions(options: SolverOptions) -> SolverOptions:
-    clone = SolverOptions(
-        lower_bound=options.lower_bound,
-        lb_frequency=options.lb_frequency,
-        bound_conflict_learning=options.bound_conflict_learning,
-        upper_bound_cuts=options.upper_bound_cuts,
-        cardinality_cuts=options.cardinality_cuts,
-        lp_guided_branching=options.lp_guided_branching,
-        time_limit=options.time_limit,
-        max_conflicts=options.max_conflicts,
-        max_decisions=options.max_decisions,
-    )
-    clone.covering_reductions = False
-    return clone

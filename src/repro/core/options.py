@@ -15,16 +15,8 @@ PLAIN = "plain"
 MIS = "mis"
 LGR = "lgr"
 LPR = "lpr"
-#: Extension: cheap MIS pre-filter, LP relaxation only when it fails.
-HYBRID = "hybrid"
 
-_METHODS = (PLAIN, MIS, LGR, LPR, HYBRID)
-
-#: Bound scheduling policies (see :mod:`repro.core.lb_schedule`).
-STATIC = "static"
-ADAPTIVE = "adaptive"
-
-_SCHEDULES = (STATIC, ADAPTIVE)
+_METHODS = (PLAIN, MIS, LGR, LPR)
 
 
 class UnsupportedOptionError(ValueError):
@@ -43,8 +35,6 @@ class SolverOptions:
     def __init__(
         self,
         lower_bound: str = LPR,
-        lb_frequency: int = 1,
-        lb_schedule: str = STATIC,
         bound_conflict_learning: bool = True,
         upper_bound_cuts: bool = True,
         cardinality_cuts: bool = True,
@@ -81,12 +71,6 @@ class SolverOptions:
             raise ValueError(
                 "lower_bound must be one of %s, got %r" % (_METHODS, lower_bound)
             )
-        if lb_frequency < 1:
-            raise ValueError("lb_frequency must be >= 1")
-        if lb_schedule not in _SCHEDULES:
-            raise ValueError(
-                "lb_schedule must be one of %s, got %r" % (_SCHEDULES, lb_schedule)
-            )
         if progress_interval < 1:
             raise ValueError("progress_interval must be >= 1")
         if poll_interval < 1:
@@ -96,16 +80,9 @@ class SolverOptions:
                 "proof logging is incompatible with external_bound: an "
                 "imported bound has no derivation the checker could replay"
             )
-        #: Which lower bound estimation procedure to run (Section 3).
+        #: Which lower bound estimation procedure to run (Section 3), at
+        #: the nodes :mod:`repro.core.bound_schedule` picks.
         self.lower_bound = lower_bound
-        #: Estimate the bound every k-th decision node (1 = every node).
-        self.lb_frequency = lb_frequency
-        #: Bound scheduling policy: ``"static"`` reproduces the classic
-        #: modulo-``lb_frequency`` check; ``"adaptive"`` adjusts the
-        #: bounding interval from the recent prune rate and skips or
-        #: escalates the hybrid MIS pre-filter from its recent payoff
-        #: (see :mod:`repro.core.lb_schedule`).
-        self.lb_schedule = lb_schedule
         #: Learn w_bc and backtrack non-chronologically on bound conflicts
         #: (Section 4).  When False, bound conflicts backtrack
         #: chronologically over the full decision path (the
@@ -213,8 +190,6 @@ class SolverOptions:
         """JSON-safe scalar knobs, for trace run headers."""
         return {
             "lower_bound": self.lower_bound,
-            "lb_frequency": self.lb_frequency,
-            "lb_schedule": self.lb_schedule,
             "bound_conflict_learning": self.bound_conflict_learning,
             "upper_bound_cuts": self.upper_bound_cuts,
             "cardinality_cuts": self.cardinality_cuts,

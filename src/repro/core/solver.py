@@ -6,8 +6,9 @@ backtracking) extended with branch-and-bound pruning:
 
 * every complete assignment updates the incumbent ``P.upper`` and
   triggers the Section 5 cuts (knapsack eq. 10, cardinality eq. 11-13);
-* at each node a lower bound ``P.lower`` is estimated (MIS / Lagrangian
-  relaxation / LP relaxation, Section 3) and the node is pruned when
+* at the nodes the bound schedule picks (:mod:`repro.core.bound_schedule`)
+  a lower bound ``P.lower`` is estimated (MIS / Lagrangian relaxation /
+  LP relaxation, Section 3) and the node is pruned when
   ``P.path + P.lower >= P.upper`` (eq. 7);
 * pruning learns the bound-conflict clause ``w_bc`` (Section 4) and
   backtracks non-chronologically through the ordinary conflict-analysis
@@ -57,8 +58,8 @@ from .bound_conflicts import (
 )
 from .branching import Brancher
 from .cuts import CutGenerator
-from .lb_schedule import make_schedule
-from .options import HYBRID, LGR, LPR, MIS, PLAIN, SolverOptions
+from .bound_schedule import AdaptiveSchedule
+from .options import LGR, LPR, MIS, PLAIN, SolverOptions
 from .preprocess import probe_necessary_assignments
 from .result import (
     OPTIMAL,
@@ -72,32 +73,25 @@ from .stats import SolverStats, record_metrics
 logger = logging.getLogger("repro.bsolo")
 
 
-def make_bounders(
-    instance: PBInstance,
-    options: SolverOptions,
-) -> Tuple[Optional[MISBound], Optional[object]]:
-    """Build the ``(prefilter, bounder)`` pair for ``options.lower_bound``.
+def make_bounder(instance: PBInstance, options: SolverOptions):
+    """Build the bounder for ``options.lower_bound``.
 
     Shared between one-shot solves and incremental sessions (which
-    rebuild their bounders whenever the constraint set or objective
-    changes structurally).  The prefilter is non-None only for the
-    ``hybrid`` method; both slots are None for ``plain`` or a constant
-    objective (nothing to bound).
+    rebuild their bounder whenever the constraint set or objective
+    changes structurally).  None for ``plain`` or a constant objective
+    (nothing to bound).
     """
     method = options.lower_bound
     if method == PLAIN or instance.objective.is_constant:
-        return None, None
+        return None
     if method == MIS:
-        return None, MISBound(instance)
+        return MISBound(instance)
     if method == LGR:
-        return None, LagrangianBound(
+        return LagrangianBound(
             instance,
             SubgradientOptions(max_iterations=options.lgr_iterations),
         )
-    prefilter = MISBound(instance) if method == HYBRID else None
-    return prefilter, LPRelaxationBound(
-        instance, max_iterations=options.lp_max_iterations
-    )
+    return LPRelaxationBound(instance, max_iterations=options.lp_max_iterations)
 
 
 class BsoloSolver:
@@ -106,7 +100,7 @@ class BsoloSolver:
     With ``session=`` (internal; see :class:`repro.incremental.SolverSession`)
     the solver runs one *call* of a persistent session instead: the
     propagation engine, VSIDS activity, restart/schedule state and the
-    bounders are borrowed from the session rather than built, constraints
+    bounder are borrowed from the session rather than built, constraints
     are assumed to be loaded already, and the search runs entirely above
     a *guard decision level* so that no assignment ever becomes a
     permanent level-0 fact (level 0 must stay empty between calls for
@@ -168,12 +162,11 @@ class BsoloSolver:
         if session is not None:
             # Borrow the session's persistent state: engine (constraints
             # pre-loaded), activity, restart/bound-schedule state and the
-            # (already trail-attached) bounders survive across calls.
+            # (already trail-attached) bounder survive across calls.
             self._propagator = session.propagator
             self._activity = session.activity
             self._restart_scheduler = session.restart_scheduler
             self._schedule = session.schedule
-            self._prefilter = session.prefilter
             self._bounder = session.bounder
         else:
             self._propagator = make_engine(
@@ -189,9 +182,8 @@ class BsoloSolver:
                 if self._options.restarts
                 else None
             )
-            self._prefilter = None  # set by _make_bounder for "hybrid"
-            self._bounder = self._make_bounder()
-            self._schedule = make_schedule(self._options)
+            self._bounder = make_bounder(instance, self._options)
+            self._schedule = AdaptiveSchedule()
         # One analyzer per solver: its flat seen-buffer is reused across
         # every conflict (sized to the trail, which sessions extend by a
         # guard variable).
@@ -206,12 +198,10 @@ class BsoloSolver:
         self._cut_generator = CutGenerator(
             instance, cardinality_cuts=self._options.cardinality_cuts
         )
-        if session is None:
-            # Feed trail deltas to the bounders that can exploit them
-            # (the incremental MIS cache).
-            for bounder in (self._prefilter, self._bounder):
-                if bounder is not None and hasattr(bounder, "attach_trail"):
-                    bounder.attach_trail(self._propagator.trail)
+        if session is None and hasattr(self._bounder, "attach_trail"):
+            # Feed trail deltas to a bounder that can exploit them (the
+            # incremental MIS cache).
+            self._bounder.attach_trail(self._propagator.trail)
         #: This round's cuts, the relaxations' extra rows.
         self._cut_constraints: List[Constraint] = []
         #: id(cut source) -> the one engine row holding its cut; the
@@ -249,14 +239,7 @@ class BsoloSolver:
         self._assumption_core: Optional[Tuple[int, ...]] = None
         #: Most recent lower-bound estimate (path + bound), for progress.
         self._last_lower: Optional[int] = None
-        #: Which bounder produced the last bound (trace attribution).
-        self._last_bound_method = self._options.lower_bound
         self._next_progress = self._options.progress_interval
-
-    # ------------------------------------------------------------------
-    def _make_bounder(self):
-        self._prefilter, bounder = make_bounders(self._instance, self._options)
-        return bounder
 
     # ------------------------------------------------------------------
     # Public API
@@ -351,7 +334,7 @@ class BsoloSolver:
         return True
 
     def _running_totals(self) -> Dict[str, int]:
-        """What the engine and the bounders have counted so far.
+        """What the engine and the bounder have counted so far.
 
         A session call shares both with earlier calls, so :meth:`solve`
         reads these totals at both ends and reports the difference.
@@ -361,23 +344,22 @@ class BsoloSolver:
             "propagations": engine.num_propagations,
             "propagate_calls": engine.num_propagate_calls,
         }
-        for bounder in (self._prefilter, self._bounder):
-            if isinstance(bounder, MISBound):
-                totals["mis_hits"] = bounder.cache_hits
-                totals["mis_misses"] = bounder.cache_misses
-            elif isinstance(bounder, LPRelaxationBound):
-                totals["lp_pivots"] = bounder.total_iterations
+        bounder = self._bounder
+        if isinstance(bounder, MISBound):
+            totals["mis_hits"] = bounder.cache_hits
+            totals["mis_misses"] = bounder.cache_misses
+        elif isinstance(bounder, LPRelaxationBound):
+            totals["lp_pivots"] = bounder.total_iterations
         return totals
 
     def _collect_lb_stats(self) -> None:
-        detail: Dict[str, Dict[str, float]] = {}
-        if self._prefilter is not None:
-            detail["mis_prefilter"] = self._prefilter.stats_dict()
-        if self._bounder is not None:
-            detail[self._bounder.name] = self._bounder.stats_dict()
-        if self._bounder is not None or self._prefilter is not None:
-            detail["scheduler"] = self._schedule.stats_dict()
-        self.stats.lb_stats = detail
+        if self._bounder is None:
+            self.stats.lb_stats = {}
+            return
+        self.stats.lb_stats = {
+            self._bounder.name: self._bounder.stats_dict(),
+            "scheduler": self._schedule.stats_dict(),
+        }
 
     # ------------------------------------------------------------------
     # Main loop
@@ -569,17 +551,16 @@ class BsoloSolver:
                     return outcome
                 continue
 
-            if self._bounder is not None and self._should_bound():
-                bound_start = time.monotonic()
-                pruned, exhausted = self._apply_lower_bound()
-                bound_seconds = time.monotonic() - bound_start
-                self._schedule.record(
-                    pruned, bound_seconds, self._last_bound_method
-                )
-                if self._m_lb_seconds is not None:
-                    self._m_lb_seconds.labels(
-                        method=self._last_bound_method
-                    ).observe(bound_seconds)
+            if self._bounder is not None and self._schedule.should_bound():
+                if self._m_lb_seconds is None:
+                    pruned, exhausted = self._apply_lower_bound()
+                else:
+                    bound_start = time.monotonic()
+                    pruned, exhausted = self._apply_lower_bound()
+                    self._m_lb_seconds.labels(method=self._bounder.name).observe(
+                        time.monotonic() - bound_start
+                    )
+                self._schedule.record(pruned)
                 if pruned:
                     self._maybe_progress()
                 if exhausted:
@@ -677,9 +658,6 @@ class BsoloSolver:
     # ------------------------------------------------------------------
     # Lower bounding (Sections 3-4)
     # ------------------------------------------------------------------
-    def _should_bound(self) -> bool:
-        return self._schedule.should_bound()
-
     def _apply_lower_bound(self) -> Tuple[bool, bool]:
         """Estimate ``P.lower``; prune on a bound conflict.
 
@@ -702,7 +680,7 @@ class BsoloSolver:
             if tracer.enabled:
                 tracer.emit(
                     LowerBoundEvent(
-                        method=self._last_bound_method,
+                        method=self._bounder.name,
                         value=0,
                         path=path,
                         level=trail.decision_level,
@@ -726,7 +704,7 @@ class BsoloSolver:
         if tracer.enabled:
             tracer.emit(
                 LowerBoundEvent(
-                    method=self._last_bound_method,
+                    method=self._bounder.name,
                     value=bound.value,
                     path=path,
                     level=trail.decision_level,
@@ -815,7 +793,7 @@ class BsoloSolver:
         if proof is None:
             return True
         with self._timer.phase("proof"):
-            if self._last_bound_method == "mis":
+            if self._bounder.name == MIS:
                 trail = self._propagator.trail
                 path_vars = [
                     var
@@ -840,26 +818,13 @@ class BsoloSolver:
 
         The bound's inputs, the partial assignment ``fixed`` and its
         ``path`` cost, exist only for the bound, so they are built
-        inside the first ``lower_bound.<method>`` phase.
+        inside the ``lower_bound.<method>`` phase.
         """
         timer = self._timer
-        prefilter = self._prefilter is not None and self._schedule.use_prefilter()
-        timer.push("lower_bound." + ("mis" if prefilter else self._bounder.name))
+        timer.push("lower_bound." + self._bounder.name)
         try:
             fixed = self._propagator.trail.assignment()
             path = self._objective.path_cost(fixed)
-            if prefilter:
-                # hybrid mode: if the cheap MIS bound already prunes (or
-                # detects infeasibility), skip the LP entirely.  The
-                # adaptive schedule benches the pre-filter while its
-                # payoff is negligible, escalating straight to the LP.
-                cheap = self._prefilter.compute(fixed, self._cut_constraints)
-                if cheap.infeasible or path + cheap.value >= self._upper:
-                    self._last_bound_method = "mis"
-                    return cheap, fixed, path
-                timer.pop()
-                timer.push("lower_bound." + self._bounder.name)
-            self._last_bound_method = self._bounder.name
             if isinstance(self._bounder, LagrangianBound):
                 target = max(float(self._upper - path), 1.0)
                 bound = self._bounder.compute(

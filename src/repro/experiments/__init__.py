@@ -8,7 +8,6 @@ from .runner import (
     BSOLO_NAMES,
     SOLVER_NAMES,
     RunRecord,
-    make_solver,
     run_matrix,
     run_one,
     solved_counts,
@@ -35,7 +34,6 @@ __all__ = [
     "format_sweep",
     "format_table1",
     "generate_table1",
-    "make_solver",
     "run_ablations",
     "run_matrix",
     "run_one",

@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     scaling.add_argument("--sizes", type=int, nargs="+", default=[8, 12, 16, 18])
     scaling.add_argument(
         "--solvers", nargs="+", default=["bsolo-plain", "bsolo-lpr"],
-        choices=list(SOLVER_NAMES) + ["bsolo-hybrid", "scherzo"],
+        choices=list(SOLVER_NAMES) + ["scherzo"],
     )
     scaling.add_argument("--time-limit", type=float, default=6.0)
 

@@ -1,6 +1,6 @@
 """Certify-after-solve smoke sweep: proof logging end to end.
 
-For each quick-family instance and each solver configuration, solve with
+For each quick-family instance and each propagation backend, solve with
 a :class:`repro.certify.ProofLogger` attached, then replay the produced
 log with the independent :class:`repro.certify.ProofChecker` and
 cross-check the checker's verdict against the solver's answer.  This is
@@ -14,16 +14,12 @@ from io import StringIO
 from typing import Any, Dict, List, Sequence, Tuple
 
 from ..certify import ProofChecker, ProofError, ProofLogger
+from ..core.options import SolverOptions
 from .runner import run_one
 from .table1 import family_instances
 
-#: (propagation backend, lb schedule) grid — both engines and both
-#: schedulers emit proofs.
-CONFIGS: Tuple[Tuple[str, str], ...] = (
-    ("counter", "static"),
-    ("watched", "static"),
-    ("counter", "adaptive"),
-)
+#: Propagation backends: both engines emit proofs.
+CONFIGS: Tuple[str, ...] = ("counter", "watched")
 
 #: The quick Table 1 stand-in families.
 FAMILIES = ("mcnc", "ptl", "grout")
@@ -35,7 +31,7 @@ def run_certsmoke(
     scale: float = 0.5,
     time_limit: float = 30.0,
     solver: str = "bsolo-lpr",
-    configs: Sequence[Tuple[str, str]] = CONFIGS,
+    configs: Sequence[str] = CONFIGS,
 ) -> List[Dict[str, Any]]:
     """Solve, log, and independently re-check every (instance, config).
 
@@ -48,22 +44,17 @@ def run_certsmoke(
     for family in families:
         instances, labels = family_instances(family, count=count, scale=scale)
         for instance, label in zip(instances, labels):
-            for propagation, lb_schedule in configs:
+            for propagation in configs:
                 sink = StringIO()
                 logger = ProofLogger(sink)
-                record = run_one(
-                    solver,
-                    instance,
-                    label,
-                    time_limit,
-                    propagation=propagation,
-                    lb_schedule=lb_schedule,
-                    proof=logger,
+                options = SolverOptions(
+                    time_limit=time_limit, propagation=propagation, proof=logger
                 )
+                record = run_one(solver, instance, label, options)
                 logger.close()
                 row: Dict[str, Any] = {
                     "instance": label,
-                    "config": "%s/%s" % (propagation, lb_schedule),
+                    "config": propagation,
                     "status": record.result.status,
                     "cost": record.result.best_cost,
                     "steps": logger.steps_logged,

@@ -12,7 +12,7 @@ import json
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..api import make_solver as _registry_make_solver
+from ..api import make_solver
 from ..core.options import SolverOptions
 from ..core.result import SolveResult
 from ..pb.instance import PBInstance
@@ -30,46 +30,6 @@ SOLVER_NAMES = (
 
 #: The bsolo variants (the paper's four right-most columns).
 BSOLO_NAMES = ("bsolo-plain", "bsolo-mis", "bsolo-lgr", "bsolo-lpr")
-
-
-def make_solver(
-    name: str,
-    instance: PBInstance,
-    time_limit: Optional[float],
-    tracer=None,
-    profile: bool = False,
-    on_progress=None,
-    progress_interval: int = 1000,
-    propagation: str = "counter",
-    lb_schedule: str = "static",
-    proof=None,
-    metrics=None,
-    hotspot=None,
-):
-    """Instantiate a registered solver for one instance.
-
-    Thin wrapper over the :mod:`repro.api` registry, keeping the paper's
-    Table 1 column names (``pbs``/``galena``/``cplex``/``scherzo`` are
-    registry aliases).  Beyond the Table 1 columns, every registered
-    solver — ``bsolo-hybrid``, ``covering-bnb``, ``portfolio``, … — is
-    available.  The observability hooks (``tracer``, ``profile``,
-    ``on_progress``, ``metrics``, ``hotspot``) and the ``propagation``
-    backend name are honoured by the solvers that support them and
-    ignored by the rest.
-    """
-    options = SolverOptions(
-        time_limit=time_limit,
-        tracer=tracer,
-        profile=profile,
-        on_progress=on_progress,
-        progress_interval=progress_interval,
-        propagation=propagation,
-        lb_schedule=lb_schedule,
-        proof=proof,
-        metrics=metrics,
-        hotspot=hotspot,
-    )
-    return _registry_make_solver(instance, name, options)
 
 
 class RunRecord:
@@ -118,40 +78,17 @@ def run_one(
     solver_name: str,
     instance: PBInstance,
     instance_label: str,
-    time_limit: Optional[float] = None,
-    tracer=None,
-    profile: bool = False,
-    on_progress=None,
-    progress_interval: int = 1000,
-    propagation: str = "counter",
-    lb_schedule: str = "static",
-    proof=None,
-    metrics=None,
-    hotspot=None,
+    options: Optional[SolverOptions] = None,
 ) -> RunRecord:
-    """Run one solver on one instance with a wall-clock budget.
+    """Run one registered solver on one instance and time it.
 
-    ``proof`` is an optional :class:`repro.certify.ProofLogger`; only
-    the bsolo solvers honour it (they record a checkable derivation of
-    the answer — see ``docs/PROOFS.md``).  ``metrics`` is an optional
-    :class:`repro.obs.metrics.MetricsRegistry`, ``hotspot`` an optional
-    :class:`repro.obs.prof.HotspotProfiler`; both are live-updated by
-    the solvers that support them.
+    ``solver_name`` is any :mod:`repro.api` registry name; the Table 1
+    column names ``pbs``/``galena``/``cplex`` are registry aliases.
+    ``options`` carries the budget and the instruments (``tracer``,
+    ``profile``, ``metrics``, ``proof``, ...); each solver honours the
+    fields it supports and ignores the rest.
     """
-    solver = make_solver(
-        solver_name,
-        instance,
-        time_limit,
-        tracer=tracer,
-        profile=profile,
-        on_progress=on_progress,
-        progress_interval=progress_interval,
-        propagation=propagation,
-        lb_schedule=lb_schedule,
-        proof=proof,
-        metrics=metrics,
-        hotspot=hotspot,
-    )
+    solver = make_solver(instance, solver_name, options)
     start = time.monotonic()
     result = solver.solve()
     seconds = time.monotonic() - start
@@ -168,10 +105,11 @@ def run_matrix(
 
     Returns ``{solver_name: [RunRecord per instance]}``.
     """
+    options = SolverOptions(time_limit=time_limit)
     records: Dict[str, List[RunRecord]] = {name: [] for name in solver_names}
     for instance, label in zip(instances, labels):
         for name in solver_names:
-            records[name].append(run_one(name, instance, label, time_limit))
+            records[name].append(run_one(name, instance, label, options))
     return records
 
 

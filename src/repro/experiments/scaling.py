@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence
 from ..benchgen.grout import generate_routing
 from ..benchgen.ptl import generate_ptl_mapping
 from ..benchgen.synthesis import generate_covering
+from ..core.options import SolverOptions
 from .runner import RunRecord, run_one
 
 
@@ -55,11 +56,12 @@ def scaling_sweep(
     seed: int = 12,
 ) -> List[ScalingPoint]:
     """Run each solver at each size of one family (seeded instances)."""
+    options = SolverOptions(time_limit=time_limit)
     points: List[ScalingPoint] = []
     for size in sizes:
         instance = _instance_for(family, size, seed)
         records = {
-            name: run_one(name, instance, "%s-%d" % (family, size), time_limit)
+            name: run_one(name, instance, "%s-%d" % (family, size), options)
             for name in solver_names
         }
         points.append(ScalingPoint(size, records))

@@ -44,8 +44,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from ..core.options import SolverOptions, UnsupportedOptionError
 from ..core.result import SolveResult
-from ..core.solver import BsoloSolver, make_bounders
-from ..core.lb_schedule import make_schedule
+from ..core.bound_schedule import AdaptiveSchedule
+from ..core.solver import BsoloSolver, make_bounder
 from ..engine.activity import VSIDSActivity
 from ..engine.interface import make_engine
 from ..engine.restarts import RestartScheduler
@@ -155,8 +155,8 @@ class SolverSession:
             if self._options.restarts
             else None
         )
-        #: Persistent adaptive lower-bound schedule.
-        self.schedule = make_schedule(self._options)
+        #: Persistent lower-bound schedule.
+        self.schedule = AdaptiveSchedule()
 
         #: Engine ids of frame constraints: learned-flagged in the
         #: database (so ``pop`` can delete them) yet immune to clause
@@ -179,9 +179,8 @@ class SolverSession:
             # PBInstance already rejected unsatisfiable ones.
             self.propagator.add_constraint(constraint)
         self._instance = self._current_instance()
-        self.prefilter = None
         self.bounder = None
-        self._rebuild_bounders()
+        self._rebuild_bounder()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -228,7 +227,7 @@ class SolverSession:
             self.propagator.reduce_learned(lambda s: id(s) not in doomed)
         self.stats.learned_retained = len(self._learned_tags)
         self._instance = self._current_instance()
-        self._rebuild_bounders()
+        self._rebuild_bounder()
         self.stats.pops += 1
 
     def add_constraint(self, constraint: Constraint) -> None:
@@ -259,7 +258,7 @@ class SolverSession:
         self.protected_ids.add(id(stored))
         self._protected_refs[id(stored)] = stored
         self._instance = self._current_instance()
-        self._rebuild_bounders()
+        self._rebuild_bounder()
 
     def set_objective(
         self, objective: Union[Objective, Mapping[int, int]]
@@ -268,8 +267,8 @@ class SolverSession:
 
         Retained learned clauses survive: under the temporal taint rule
         they are logical consequences of the constraints alone, never of
-        any objective.  The bounders are rebuilt (their relaxations bake
-        the cost vector in).
+        any objective.  The bounder is rebuilt (its relaxation bakes the
+        cost vector in).
         """
         self._ensure_idle()
         if not isinstance(objective, Objective):
@@ -282,7 +281,7 @@ class SolverSession:
                 )
         self._objective = objective
         self._instance = self._current_instance()
-        self._rebuild_bounders()
+        self._rebuild_bounder()
 
     # ------------------------------------------------------------------
     # Solving
@@ -365,22 +364,20 @@ class SolverSession:
             variable_names=self._variable_names,
         )
 
-    def _rebuild_bounders(self) -> None:
-        """(Re)build prefilter/bounder against the current instance.
+    def _rebuild_bounder(self) -> None:
+        """(Re)build the bounder against the current instance.
 
         Structural changes (frame add, pop, new objective) invalidate
         the cached MIS partition wholesale; a rebuild is the honest
-        invalidation.  Old trail feeds are detached first so the trail
+        invalidation.  The old trail feed is detached first so the trail
         stops updating dead deltas.
         """
         trail = self.propagator.trail
-        for bounder in (self.prefilter, self.bounder):
-            if bounder is not None and hasattr(bounder, "detach_trail"):
-                bounder.detach_trail(trail)
-        self.prefilter, self.bounder = make_bounders(self._instance, self._options)
-        for bounder in (self.prefilter, self.bounder):
-            if bounder is not None and hasattr(bounder, "attach_trail"):
-                bounder.attach_trail(trail)
+        if hasattr(self.bounder, "detach_trail"):
+            self.bounder.detach_trail(trail)
+        self.bounder = make_bounder(self._instance, self._options)
+        if hasattr(self.bounder, "attach_trail"):
+            self.bounder.attach_trail(trail)
 
     def _end_call(self) -> None:
         """Restore the between-calls invariant after a solve.

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -87,17 +87,15 @@ class LagrangianBound:
         fixed: Mapping[int, int],
         extra_constraints: Sequence[Constraint] = (),
         upper_target: Optional[float] = None,
-        warm_start: Optional[Mapping[Constraint, float]] = None,
     ) -> LowerBound:
         """``P.lower`` via subgradient ascent of ``L(mu)``.
 
         ``upper_target`` feeds the Polyak step size (defaults to the sum
-        of remaining costs); ``warm_start`` may carry LP duals keyed by
-        constraint.
+        of remaining costs).
         """
         started = time.perf_counter()
         try:
-            return self._compute(fixed, extra_constraints, upper_target, warm_start)
+            return self._compute(fixed, extra_constraints, upper_target)
         finally:
             self.total_seconds += time.perf_counter() - started
 
@@ -114,7 +112,6 @@ class LagrangianBound:
         fixed: Mapping[int, int],
         extra_constraints: Sequence[Constraint] = (),
         upper_target: Optional[float] = None,
-        warm_start: Optional[Mapping[Constraint, float]] = None,
     ) -> LowerBound:
         self.num_calls += 1
         data = build_lp_data(self._instance, fixed, extra_constraints)
@@ -131,12 +128,9 @@ class LagrangianBound:
             upper_target = float(c.sum()) + 1.0
 
         mu = np.zeros(m)
-        source = warm_start if warm_start else (
-            self._mu_memory if self._reuse_multipliers else None
-        )
-        if source:
+        if self._mu_memory:
             for i, row in enumerate(data.rows):
-                mu[i] = max(0.0, float(source.get(row, 0.0)))
+                mu[i] = self._mu_memory.get(row, 0.0)
 
         options = self._options
         lam = options.initial_lambda
@@ -174,37 +168,18 @@ class LagrangianBound:
             best_value = 0.0
         bound = max(ceil_guarded(best_value), 0)
 
+        # The paper's set S: the constraints with non-zero multipliers.
+        active = [i for i in range(m) if best_mu[i] > self._multiplier_tol]
+        duals = {data.rows[i]: float(best_mu[i]) for i in active}
         if self._reuse_multipliers:
-            self._mu_memory = {
-                data.rows[i]: float(best_mu[i])
-                for i in range(m)
-                if best_mu[i] > self._multiplier_tol
-            }
-
-        explanation, alpha_by_var = self._explanation(data, best_mu)
+            self._mu_memory = duals
         return LowerBound(
             bound,
-            explanation=explanation,
+            explanation=[data.rows[i] for i in active],
             fractional={},
-            duals_by_row={
-                data.rows[i]: float(best_mu[i]) for i in range(m) if best_mu[i] > self._multiplier_tol
-            },
+            duals_by_row=duals,
             iterations=len(self.last_trace),
         )
-
-    # ------------------------------------------------------------------
-    def _explanation(
-        self, data, mu: np.ndarray
-    ) -> Tuple[List[Constraint], Dict[int, float]]:
-        """The paper's set ``S``: constraints with non-zero multipliers."""
-        explanation = [
-            data.rows[i] for i in range(data.num_rows) if mu[i] > self._multiplier_tol
-        ]
-        alpha = data.c - mu @ data.A
-        alpha_by_var = {
-            data.columns[j]: float(alpha[j]) for j in range(data.num_columns)
-        }
-        return explanation, alpha_by_var
 
     # ------------------------------------------------------------------
     def alpha_of_assigned(

@@ -49,7 +49,9 @@ class LowerBound:
         self.explanation = list(explanation)
         #: LP value per free variable (only meaningful for LPR).
         self.fractional: Dict[int, float] = dict(fractional or {})
-        #: Dual value per binding constraint (warm start for Lagrangian).
+        #: Dual value (LPR) or multiplier (LGR) per binding constraint;
+        #: read by proof certificates (``ProofLogger.log_bound_linear``)
+        #: and the LGR alpha refinement (``alpha_of_assigned``).
         self.duals_by_row: Dict[Constraint, float] = dict(duals_by_row or {})
         #: Work spent (simplex or subgradient iterations).
         self.iterations = iterations

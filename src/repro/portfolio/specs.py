@@ -3,10 +3,10 @@
 A worker is just ``(solver_name, options)`` — a name resolved through
 :mod:`repro.api` plus a picklable :class:`SolverOptions`.  The default
 portfolio diversifies along the axes the paper shows to be
-complementary: the lower-bound method (MIS / LGR / LPR / none), the
-bound-call schedule (static vs adaptive), restart and phase-saving
-policy, PB-resolvent learning, and entirely different search paradigms
-(SAT linear search, cutting planes, MILP branch & bound).
+complementary: the lower-bound method (MIS / LGR / LPR / none), restart
+and phase-saving policy, PB-resolvent learning, the propagation backend,
+and entirely different search paradigms (SAT linear search, cutting
+planes, MILP branch & bound).
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ _DEFAULT_LADDER = (
     ("bsolo-mis", {"restarts": True, "phase_saving": True,
                    "propagation": "watched"}),
     ("linear-search", {"propagation": "watched"}),
-    ("bsolo-lgr", {"lb_schedule": "adaptive"}),
-    ("bsolo-hybrid", {"pb_learning": True, "lb_schedule": "adaptive"}),
+    ("bsolo-lgr", {}),
+    ("bsolo-lpr", {"pb_learning": True}),
     ("cutting-planes", {}),
     ("bsolo-plain", {"restarts": True, "propagation": "watched"}),
     ("bsolo-lpr", {"restarts": True}),

@@ -25,7 +25,6 @@ from repro.pb import Constraint, Objective, PBInstance
 CANONICAL = [
     "brute-force",
     "bsolo",
-    "bsolo-hybrid",
     "bsolo-lgr",
     "bsolo-lpr",
     "bsolo-mis",

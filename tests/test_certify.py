@@ -200,8 +200,6 @@ class TestEndToEnd:
         "options",
         [
             {"propagation": "watched"},
-            {"lb_schedule": "adaptive"},
-            {"propagation": "watched", "lb_schedule": "adaptive"},
             {"lower_bound": "mis"},
             {"lower_bound": "lgr"},
             {"pb_learning": True},
@@ -219,7 +217,7 @@ class TestEndToEnd:
         assert outcome.cost == result.best_cost
 
     def test_quick_families_all_configs(self):
-        """Certify-after-solve across families x engine/schedule configs."""
+        """Certify-after-solve across families x propagation backends."""
         from repro.experiments.certsmoke import run_certsmoke
 
         records = run_certsmoke(count=1, scale=0.25, time_limit=30.0)

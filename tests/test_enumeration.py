@@ -1,18 +1,16 @@
-"""Tests for optimal-solution enumeration and the hybrid bound."""
+"""Tests for optimal-solution enumeration."""
 
 import itertools
 
 import pytest
 
-from repro.baselines import BruteForceSolver
 from repro.core import (
     BsoloSolver,
     SolverOptions,
-    OPTIMAL,
     count_optimal,
     enumerate_optimal,
-    solve,
 )
+from repro.core import enumeration
 from repro.pb import Constraint, Objective, PBInstance
 
 
@@ -106,44 +104,19 @@ class TestEnumeration:
         )
         assert count_optimal(instance) == 2
 
+    def test_every_solve_keeps_the_callers_options(self, monkeypatch):
+        seen = []
 
-class TestHybridBound:
-    def test_hybrid_solves_covering(self):
+        class RecordingSolver(BsoloSolver):
+            def __init__(self, instance, options=None, **kwargs):
+                seen.append((options.propagation, options.preprocess))
+                super().__init__(instance, options, **kwargs)
+
+        monkeypatch.setattr(enumeration, "BsoloSolver", RecordingSolver)
         instance = PBInstance(
-            [
-                Constraint.clause([1, 2]),
-                Constraint.clause([2, 3]),
-                Constraint.clause([1, 3]),
-            ],
-            Objective({1: 3, 2: 2, 3: 2}),
+            [Constraint.clause([1, 2])], Objective({1: 2, 2: 2})
         )
-        result = solve(instance, SolverOptions(lower_bound="hybrid"))
-        assert result.status == OPTIMAL and result.best_cost == 4
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_hybrid_against_brute_force(self, seed):
-        from repro.benchgen import generate_random
-
-        instance = generate_random(
-            num_variables=6, num_constraints=8, seed=1200 + seed
-        )
-        expected = BruteForceSolver(instance).solve()
-        result = solve(instance, SolverOptions(lower_bound="hybrid"))
-        assert result.status == expected.status
-        if expected.best_cost is not None:
-            assert result.best_cost == expected.best_cost
-
-    def test_hybrid_skips_lp_when_mis_prunes(self):
-        # two disjoint expensive clauses: MIS bound = optimum, so after the
-        # first solution every node prunes on MIS alone
-        instance = PBInstance(
-            [Constraint.clause([1, 2]), Constraint.clause([3, 4])],
-            Objective({1: 5, 2: 5, 3: 5, 4: 5}),
-        )
-        options = SolverOptions(
-            lower_bound="hybrid", covering_reductions=False, preprocess=False
-        )
-        solver = BsoloSolver(instance, options)
-        result = solver.solve()
-        assert result.status == OPTIMAL and result.best_cost == 10
-        assert solver._prefilter.num_calls > 0
+        options = SolverOptions(propagation="watched", preprocess=False)
+        assert len(list(enumerate_optimal(instance, options))) == 2
+        assert len(seen) >= 2
+        assert set(seen) == {("watched", False)}

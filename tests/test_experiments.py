@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.core import OPTIMAL, UNKNOWN, SolveResult
+from repro import make_solver
+from repro.core import OPTIMAL, UNKNOWN, SolverOptions, SolveResult
 from repro.experiments import (
     BSOLO_NAMES,
     FAMILIES,
@@ -15,7 +16,6 @@ from repro.experiments import (
     format_matrix,
     format_table1,
     generate_table1,
-    make_solver,
     run_matrix,
     run_one,
     solved_counts,
@@ -34,23 +34,25 @@ def tiny_instance():
 class TestRegistry:
     @pytest.mark.parametrize("name", SOLVER_NAMES)
     def test_all_solvers_constructible(self, name):
-        solver = make_solver(name, tiny_instance(), time_limit=5.0)
+        solver = make_solver(tiny_instance(), name, SolverOptions(time_limit=5.0))
         assert hasattr(solver, "solve")
 
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValueError):
-            make_solver("minisat", tiny_instance(), None)
+            make_solver(tiny_instance(), "minisat")
 
     @pytest.mark.parametrize("name", SOLVER_NAMES)
     def test_all_solvers_agree_on_tiny(self, name):
-        record = run_one(name, tiny_instance(), "tiny", 5.0)
+        record = run_one(name, tiny_instance(), "tiny", SolverOptions(time_limit=5.0))
         assert record.solved
         assert record.result.best_cost == 1  # x2 alone
 
 
 class TestRunRecords:
     def test_cell_formats(self):
-        record = run_one("bsolo-lpr", tiny_instance(), "tiny", 5.0)
+        record = run_one(
+            "bsolo-lpr", tiny_instance(), "tiny", SolverOptions(time_limit=5.0)
+        )
         cell = record.cell()
         assert cell.replace(".", "").isdigit()
 

@@ -39,15 +39,6 @@ class TestMultiplierReuse:
         lgr.compute({})
         assert lgr._mu_memory == {}
 
-    def test_explicit_warm_start_wins_over_memory(self):
-        instance = covering_instance()
-        lgr = LagrangianBound(instance)
-        bound = lgr.compute({})
-        explicit = {row: 99.0 for row in bound.duals_by_row}
-        # must not crash and must remain a valid (sound) bound
-        again = lgr.compute({}, warm_start=explicit)
-        assert again.value <= 4  # true optimum
-
 
 class TestProbingImplications:
     def propagator(self):

@@ -180,19 +180,14 @@ class TestFrames:
         assert session.stats.learned_retained == 0
 
     def test_pop_invalidates_bounder_caches(self):
-        session = make_session(
-            covering_instance(), options(lower_bound="hybrid")
-        )
-        before = (session.prefilter, session.bounder)
+        session = make_session(covering_instance(), options(lower_bound="mis"))
+        before = session.bounder
         session.push()
         session.add_constraint(Constraint.clause([-2]))
-        after_add = (session.prefilter, session.bounder)
-        assert before[0] is not after_add[0]
-        assert before[1] is not after_add[1]
+        after_add = session.bounder
+        assert before is not after_add
         session.pop()
-        after_pop = (session.prefilter, session.bounder)
-        assert after_add[0] is not after_pop[0]
-        assert after_add[1] is not after_pop[1]
+        assert session.bounder is not after_add
 
     def test_set_objective_changes_optimum(self):
         session = make_session(covering_instance(), options())
@@ -242,25 +237,28 @@ class TestLockstepStreams:
         stream = builder(
             num_variables=12, num_constraints=18, steps=6, seed=seed
         )
-        opts = options(lower_bound="hybrid")
-        session = make_session(stream.instance, opts)
-        for index, step in enumerate(stream.steps):
-            if step.pop:
-                session.pop()
-            if step.push is not None:
-                session.push()
-                session.add_constraint(step.push)
-            if step.objective is not None:
-                session.set_objective(step.objective)
-            warm = session.solve_under(step.assumptions)
-            effective, assumptions = stream.materialize(index)
-            cold = BsoloSolver(effective, opts)
-            cold.set_assumptions(list(assumptions))
-            reference = cold.solve()
-            assert (warm.status, warm.best_cost) == (
-                reference.status,
-                reference.best_cost,
-            ), "lockstep diverged at step %d of %s stream" % (index, family)
+        for method in ("mis", "lpr"):
+            opts = options(lower_bound=method)
+            session = make_session(stream.instance, opts)
+            for index, step in enumerate(stream.steps):
+                if step.pop:
+                    session.pop()
+                if step.push is not None:
+                    session.push()
+                    session.add_constraint(step.push)
+                if step.objective is not None:
+                    session.set_objective(step.objective)
+                warm = session.solve_under(step.assumptions)
+                effective, assumptions = stream.materialize(index)
+                cold = BsoloSolver(effective, opts)
+                cold.set_assumptions(list(assumptions))
+                reference = cold.solve()
+                assert (warm.status, warm.best_cost) == (
+                    reference.status,
+                    reference.best_cost,
+                ), "%s lockstep diverged at step %d of %s stream" % (
+                    method, index, family
+                )
 
     @pytest.mark.parametrize("engine", ["counter", "watched"])
     def test_lockstep_across_engines(self, engine):

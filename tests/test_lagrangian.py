@@ -122,12 +122,6 @@ class TestExplanations:
         bound = LagrangianBound(covering_instance()).compute({})
         assert all(mu > 0 for mu in bound.duals_by_row.values())
 
-    def test_warm_start_accepted(self):
-        instance = covering_instance()
-        lpr = LPRelaxationBound(instance).compute({})
-        lgr = LagrangianBound(instance).compute({}, warm_start=lpr.duals_by_row)
-        assert lgr.value >= 0
-
     def test_alpha_of_assigned(self):
         instance = covering_instance()
         lgr = LagrangianBound(instance)

@@ -181,7 +181,7 @@ class TestMISLockstep:
 
 
 class TestSolverEquivalence:
-    @pytest.mark.parametrize("method", ["mis", "lpr", "hybrid"])
+    @pytest.mark.parametrize("method", ["mis", "lpr"])
     @pytest.mark.parametrize("seed", range(4))
     def test_incremental_matches_cold_optimum(self, method, seed):
         instance = random_instance(seed * 31 + 2)
@@ -190,9 +190,8 @@ class TestSolverEquivalence:
         )
         incremental = BsoloSolver(instance, options).solve()
         cold_solver = BsoloSolver(instance, options)
-        for bounder in (cold_solver._prefilter, cold_solver._bounder):
-            if bounder is not None and hasattr(bounder, "detach_trail"):
-                bounder.detach_trail(cold_solver._propagator.trail)
+        if hasattr(cold_solver._bounder, "detach_trail"):
+            cold_solver._bounder.detach_trail(cold_solver._propagator.trail)
         cold = cold_solver.solve()
         assert incremental.status == cold.status
         if incremental.status == "optimal":

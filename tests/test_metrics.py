@@ -291,7 +291,7 @@ def expected_counters(stats, backend="counter"):
         ("engine_propagations", backend): stats["propagations"],
     }
     lb_stats = stats["lb_stats"]
-    mis = lb_stats.get("mis") or lb_stats.get("mis_prefilter")
+    mis = lb_stats.get("mis")
     if mis is not None:
         expected[("mis_cache", "hit")] = mis["cache_hits"]
         expected[("mis_cache", "miss")] = mis["cache_misses"]
@@ -325,7 +325,7 @@ class TestSolverIntegration:
 
     def test_solve_records_consistent_counters(self):
         ptl = generate_ptl_mapping(seed=3)
-        cases = [(ptl, dict(lower_bound=method)) for method in ("mis", "lpr", "hybrid")]
+        cases = [(ptl, dict(lower_bound=method)) for method in ("mis", "lpr")]
         # without the eq. 10 cut bsolo also reaches non-improving
         # solutions, which solver_incumbents must not count
         cases.append(

@@ -82,6 +82,10 @@ class TestProtocolUnit:
             ({"instance": EASY, "options": {"profile": True}}, "bad_request"),
             ({"instance": EASY, "options": {"propagation": "bogus"}}, "bad_request"),
             ({"instance": EASY, "options": {"propagation": "array"}}, "bad_request"),
+            ({"instance": EASY, "options": {"lb_schedule": "adaptive"}}, "bad_request"),
+            ({"instance": EASY, "options": {"lb_frequency": 2}}, "bad_request"),
+            ({"instance": EASY, "options": {"lower_bound": "hybrid"}}, "bad_request"),
+            ({"instance": EASY, "solver": "bsolo-hybrid"}, "unknown_solver"),
             ({"instance": EASY, "timeout": -1}, "bad_request"),
             ({"instance": EASY, "proof": "yes"}, "bad_request"),
             (

@@ -197,18 +197,9 @@ class TestOptionVariants:
             decisions[enabled] = solver.stats.decisions
         assert decisions[True] <= factor * decisions[False]
 
-    def test_lb_frequency(self):
-        options = SolverOptions(lower_bound="lpr", lb_frequency=3)
-        result = solve(covering_instance(), options)
-        assert result.status == OPTIMAL and result.best_cost == 4
-
     def test_invalid_method_rejected(self):
         with pytest.raises(ValueError):
             SolverOptions(lower_bound="simplex")
-
-    def test_invalid_frequency_rejected(self):
-        with pytest.raises(ValueError):
-            SolverOptions(lb_frequency=0)
 
 
 class TestBudgets:

@@ -26,7 +26,7 @@ OPTION_MIXES = [
     {"lower_bound": "lgr", "restarts": True, "restart_interval": 3},
     {"lower_bound": "mis", "probing_implications": 20, "max_learned": 3},
     {"lower_bound": "plain", "upper_bound_cuts": False, "cardinality_cuts": False},
-    {"lower_bound": "lpr", "lb_frequency": 3, "bound_conflict_learning": False},
+    {"lower_bound": "lpr", "bound_conflict_learning": False},
 ]
 
 
@@ -49,7 +49,9 @@ class TestAllSolversDifferential:
         instance = random_instance(2000 + seed)
         oracle = BruteForceSolver(instance).solve()
         for name in SOLVER_NAMES:
-            record = run_one(name, instance, "stress", time_limit=20.0)
+            record = run_one(
+                name, instance, "stress", SolverOptions(time_limit=20.0)
+            )
             assert record.solved, (name, seed)
             if oracle.status == UNSATISFIABLE:
                 assert record.result.status == UNSATISFIABLE, (name, seed)

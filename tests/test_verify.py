@@ -174,7 +174,9 @@ class TestDifferential:
             num_variables=6, num_constraints=7, seed=900 + seed
         )
         for name in SOLVER_NAMES:
-            record = run_one(name, instance, "fuzz", time_limit=10.0)
+            record = run_one(
+                name, instance, "fuzz", SolverOptions(time_limit=10.0)
+            )
             assert record.solved, name
             outcome = verify_result(instance, record.result)
             # distinguish "checked and certified" from "prover gave up"
