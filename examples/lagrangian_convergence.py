@@ -10,7 +10,7 @@ Run:  python examples/lagrangian_convergence.py
 """
 
 from repro.benchgen import generate_covering
-from repro.lagrangian import LagrangianBound, SubgradientOptions
+from repro.lagrangian import LagrangianBound
 from repro.lp import LPRelaxationBound
 
 
@@ -45,11 +45,7 @@ def main() -> None:
     print("LP relaxation bound: %d (one simplex solve, %d iterations)"
           % (lpr.value, lpr.iterations))
 
-    lgr = LagrangianBound(
-        instance,
-        SubgradientOptions(max_iterations=400),
-        reuse_multipliers=False,
-    )
+    lgr = LagrangianBound(instance, max_iterations=400, reuse_multipliers=False)
     bound = lgr.compute({})
     print(
         "Lagrangian bound after %d subgradient iterations: %d"

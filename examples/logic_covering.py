@@ -11,7 +11,7 @@ Run:  python examples/logic_covering.py
 
 from repro.benchgen import generate_covering
 from repro.core import BsoloSolver, SolverOptions
-from repro.lagrangian import LagrangianBound, SubgradientOptions
+from repro.lagrangian import LagrangianBound
 from repro.lp import LPRelaxationBound
 from repro.mis import MISBound
 
@@ -24,9 +24,7 @@ def main() -> None:
 
     # Root lower bounds (Section 3): MIS vs Lagrangian vs LP relaxation.
     mis = MISBound(instance).compute({})
-    lgr = LagrangianBound(
-        instance, SubgradientOptions(max_iterations=200)
-    ).compute({})
+    lgr = LagrangianBound(instance, max_iterations=200).compute({})
     lpr = LPRelaxationBound(instance).compute({})
     print(
         "root lower bounds: MIS=%d  LGR=%d  LPR=%d"

@@ -88,9 +88,7 @@ def bound_conflict_clause(
     return tuple(literals)
 
 
-def infeasibility_clause(
-    instance: PBInstance, trail: Trail, extra_constraints: Sequence[Constraint] = ()
-) -> Tuple[int, ...]:
+def infeasibility_clause(instance: PBInstance, trail: Trail) -> Tuple[int, ...]:
     """Explanation when the relaxation is infeasible under the trail.
 
     Sound conservative choice: the false literals of every constraint not
@@ -100,7 +98,7 @@ def infeasibility_clause(
     assignment = trail.assignment()
     seen: Set[int] = set()
     literals: List[int] = []
-    for constraint in list(instance.constraints) + list(extra_constraints):
+    for constraint in instance.constraints:
         satisfied = 0
         false_lits: List[int] = []
         for coef, lit in constraint.terms:

@@ -32,7 +32,7 @@ from ..engine.constraint_db import StoredConstraint
 from ..engine.interface import make_engine
 from ..engine.pb_resolution import ResolutionScratch
 from ..engine.restarts import RestartScheduler
-from ..lagrangian.subgradient import LagrangianBound, SubgradientOptions
+from ..lagrangian.subgradient import LagrangianBound
 from ..lp.relaxation import LowerBound, LPRelaxationBound
 from ..mis.independent_set import MISBound
 from ..obs.events import (
@@ -87,10 +87,7 @@ def make_bounder(instance: PBInstance, options: SolverOptions):
     if method == MIS:
         return MISBound(instance)
     if method == LGR:
-        return LagrangianBound(
-            instance,
-            SubgradientOptions(max_iterations=options.lgr_iterations),
-        )
+        return LagrangianBound(instance, max_iterations=options.lgr_iterations)
     return LPRelaxationBound(instance, max_iterations=options.lp_max_iterations)
 
 
@@ -202,8 +199,6 @@ class BsoloSolver:
             # Feed trail deltas to a bounder that can exploit them (the
             # incremental MIS cache).
             self._bounder.attach_trail(self._propagator.trail)
-        #: This round's cuts, the relaxations' extra rows.
-        self._cut_constraints: List[Constraint] = []
         #: id(cut source) -> the one engine row holding its cut; the
         #: eq. 10 knapsack cut's source is None.  Keyed by identity:
         #: ``Constraint`` hashes structurally.
@@ -670,9 +665,7 @@ class BsoloSolver:
         self.stats.lower_bound_calls += 1
 
         if bound.infeasible:
-            clause = infeasibility_clause(
-                self._instance, trail, self._cut_constraints
-            )
+            clause = infeasibility_clause(self._instance, trail)
             if not self._certify_infeasibility(clause):
                 self.stats.uncertified_prunes += 1
                 return False, False
@@ -756,8 +749,8 @@ class BsoloSolver:
         """Log a single-constraint witness for an infeasible relaxation.
 
         Some constraint must be unsatisfiable under the current partial
-        assignment for the clause to be implied with multiplier 1; LP
-        phase-1 infeasibility without such a witness cannot be certified
+        assignment for the clause to be implied with multiplier 1; an
+        infeasible node LP without such a witness cannot be certified
         and the prune is declined.  Always True outside proof mode.
         """
         proof = self._proof
@@ -765,9 +758,7 @@ class BsoloSolver:
             return True
         trail = self._propagator.trail
         with self._timer.phase("proof"):
-            for constraint in (
-                list(self._instance.constraints) + self._cut_constraints
-            ):
+            for constraint in self._instance.constraints:
                 supply = sum(
                     coef
                     for coef, lit in constraint.terms
@@ -827,11 +818,9 @@ class BsoloSolver:
             path = self._objective.path_cost(fixed)
             if isinstance(self._bounder, LagrangianBound):
                 target = max(float(self._upper - path), 1.0)
-                bound = self._bounder.compute(
-                    fixed, self._cut_constraints, upper_target=target
-                )
+                bound = self._bounder.compute(fixed, upper_target=target)
             else:
-                bound = self._bounder.compute(fixed, self._cut_constraints)
+                bound = self._bounder.compute(fixed)
             return bound, fixed, path
         finally:
             timer.pop()
@@ -968,7 +957,8 @@ class BsoloSolver:
         only tightens, so the new cut dominates the old one: the engine
         tightens the row in place instead of stacking a row per
         incumbent.  The rows are queued, so the next propagate finds
-        each implication and any violation.
+        each implication and any violation.  The relaxations never read
+        the cuts: the prune test compares their bound with ``P.upper``.
         """
         propagator = self._propagator
         live = self._live_cuts
@@ -986,9 +976,6 @@ class BsoloSolver:
             if tracer.enabled:
                 tracer.emit(CutEvent(size=len(cut)))
         self._timer.pop()
-        # The relaxations read this round's cuts only, for the same
-        # reason: they dominate the previous round's.
-        self._cut_constraints = [cut for _, cut in keyed]
 
     # ------------------------------------------------------------------
     # Conflict resolution (logic conflicts and bound conflicts alike)

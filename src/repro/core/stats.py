@@ -21,7 +21,9 @@ class SolverStats:
         self.propagations = 0
         #: Lower bound estimations performed.
         self.lower_bound_calls = 0
-        #: Nodes pruned by the lower bound.
+        #: Nodes pruned by the bound's value (``path + lower >= upper``).
+        #: The rest of ``bound_conflicts`` are prunes on an infeasible
+        #: relaxation.
         self.prunings = 0
         #: Learned clauses (logic + bound).
         self.learned_constraints = 0
@@ -174,7 +176,7 @@ def record_metrics(
         counter("solver_cuts", "Cutting constraints added (Section 5)").inc(
             stats.cuts_added
         )
-        counter("solver_prunings", "Nodes pruned by the lower bound").inc(
+        counter("solver_prunings", "Nodes pruned by the lower bound's value").inc(
             stats.prunings
         )
         counter(

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 
 from ..core.options import SolverOptions
 from ..core.solver import BsoloSolver
-from ..lagrangian.subgradient import LagrangianBound, SubgradientOptions
+from ..lagrangian.subgradient import LagrangianBound
 from ..lp.relaxation import root_lpr_bound
 from ..mis.independent_set import MISBound
 from ..pb.instance import PBInstance
@@ -74,9 +74,7 @@ def bound_quality(
 
         start = time.monotonic()
         lgr = LagrangianBound(
-            instance,
-            SubgradientOptions(max_iterations=lgr_iterations),
-            reuse_multipliers=False,
+            instance, max_iterations=lgr_iterations, reuse_multipliers=False
         ).compute({}).value
         lgr_time = time.monotonic() - start
 

@@ -58,6 +58,7 @@ def run_certsmoke(
                     "status": record.result.status,
                     "cost": record.result.best_cost,
                     "steps": logger.steps_logged,
+                    "uncertified_prunes": record.result.stats.uncertified_prunes,
                 }
                 try:
                     outcome = ProofChecker(instance).check_text(sink.getvalue())
@@ -78,10 +79,12 @@ def run_certsmoke(
 
 
 def format_certsmoke(records: Sequence[Dict[str, Any]]) -> str:
-    """Fixed-width report, one line per run, summary last."""
+    """Fixed-width report, one line per run, summary last.  ``declined``
+    counts the run's prunes left uncertified, which a verified proof
+    does not show."""
     lines = [
-        "%-12s %-22s %-14s %6s  %s"
-        % ("instance", "config", "answer", "steps", "verdict")
+        "%-12s %-22s %-14s %6s %8s  %s"
+        % ("instance", "config", "answer", "steps", "declined", "verdict")
     ]
     for row in records:
         answer = row["status"]
@@ -96,9 +99,19 @@ def format_certsmoke(records: Sequence[Dict[str, Any]]) -> str:
         else:
             verdict = "REJECTED: %s" % row.get("error")
         lines.append(
-            "%-12s %-22s %-14s %6d  %s"
-            % (row["instance"], row["config"], answer, row["steps"], verdict)
+            "%-12s %-22s %-14s %6d %8d  %s"
+            % (
+                row["instance"],
+                row["config"],
+                answer,
+                row["steps"],
+                row["uncertified_prunes"],
+                verdict,
+            )
         )
     good = sum(1 for row in records if row["ok"])
-    lines.append("certified %d/%d runs" % (good, len(records)))
+    declined = sum(row["uncertified_prunes"] for row in records)
+    lines.append(
+        "certified %d/%d runs, %d prunes declined" % (good, len(records), declined)
+    )
     return "\n".join(lines)

@@ -1,5 +1,5 @@
 """Lagrangian relaxation lower bounding (paper Sections 3.2 and 4.3)."""
 
-from .subgradient import LagrangianBound, SubgradientOptions
+from .subgradient import LagrangianBound
 
-__all__ = ["LagrangianBound", "SubgradientOptions"]
+__all__ = ["LagrangianBound"]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -37,20 +37,14 @@ from ..lp.standard_form import build_lp_data
 from ..lp.tolerances import ceil_guarded
 
 
-class SubgradientOptions:
-    """Tuning knobs for the subgradient ascent."""
-
-    def __init__(
-        self,
-        max_iterations: int = 100,
-        initial_lambda: float = 2.0,
-        stall_limit: int = 5,
-        min_lambda: float = 1e-4,
-    ):
-        self.max_iterations = max_iterations
-        self.initial_lambda = initial_lambda
-        self.stall_limit = stall_limit
-        self.min_lambda = min_lambda
+#: Step scale ``lambda_0`` of the first iteration.
+_INITIAL_LAMBDA = 2.0
+#: Iterations without a better ``L(mu)`` before ``lambda`` halves.
+_STALL_LIMIT = 5
+#: The ascent stops once ``lambda`` falls below this.
+_MIN_LAMBDA = 1e-4
+#: Multipliers at or below this are zero: their rows leave ``S``.
+_MULTIPLIER_TOL = 1e-9
 
 
 class LagrangianBound:
@@ -61,13 +55,11 @@ class LagrangianBound:
     def __init__(
         self,
         instance: PBInstance,
-        options: Optional[SubgradientOptions] = None,
-        multiplier_tol: float = 1e-9,
+        max_iterations: int = 100,
         reuse_multipliers: bool = True,
     ):
         self._instance = instance
-        self._options = options or SubgradientOptions()
-        self._multiplier_tol = multiplier_tol
+        self._max_iterations = max_iterations
         #: Warm-start each call from the previous call's best multipliers
         #: (consecutive search nodes have similar sub-problems, so the
         #: ascent resumes near the optimum — standard subgradient
@@ -83,10 +75,7 @@ class LagrangianBound:
 
     # ------------------------------------------------------------------
     def compute(
-        self,
-        fixed: Mapping[int, int],
-        extra_constraints: Sequence[Constraint] = (),
-        upper_target: Optional[float] = None,
+        self, fixed: Mapping[int, int], upper_target: Optional[float] = None
     ) -> LowerBound:
         """``P.lower`` via subgradient ascent of ``L(mu)``.
 
@@ -95,7 +84,7 @@ class LagrangianBound:
         """
         started = time.perf_counter()
         try:
-            return self._compute(fixed, extra_constraints, upper_target)
+            return self._compute(fixed, upper_target)
         finally:
             self.total_seconds += time.perf_counter() - started
 
@@ -108,13 +97,10 @@ class LagrangianBound:
         }
 
     def _compute(
-        self,
-        fixed: Mapping[int, int],
-        extra_constraints: Sequence[Constraint] = (),
-        upper_target: Optional[float] = None,
+        self, fixed: Mapping[int, int], upper_target: Optional[float]
     ) -> LowerBound:
         self.num_calls += 1
-        data = build_lp_data(self._instance, fixed, extra_constraints)
+        data = build_lp_data(self._instance, fixed)
         if data is None:
             return LowerBound(0, infeasible=True)
         m, n = data.num_rows, data.num_columns
@@ -132,14 +118,13 @@ class LagrangianBound:
             for i, row in enumerate(data.rows):
                 mu[i] = self._mu_memory.get(row, 0.0)
 
-        options = self._options
-        lam = options.initial_lambda
+        lam = _INITIAL_LAMBDA
         best_value = -math.inf
         best_mu = mu.copy()
         stall = 0
         self.last_trace = []
 
-        for iteration in range(options.max_iterations):
+        for iteration in range(self._max_iterations):
             alpha = c - mu @ A
             x = (alpha < 0.0).astype(float)
             value = float(alpha[alpha < 0.0].sum() + mu @ b)
@@ -151,10 +136,10 @@ class LagrangianBound:
                 stall = 0
             else:
                 stall += 1
-                if stall >= options.stall_limit:
+                if stall >= _STALL_LIMIT:
                     lam /= 2.0
                     stall = 0
-                    if lam < options.min_lambda:
+                    if lam < _MIN_LAMBDA:
                         break
             g = b - A @ x
             norm = float(g @ g)
@@ -169,7 +154,7 @@ class LagrangianBound:
         bound = max(ceil_guarded(best_value), 0)
 
         # The paper's set S: the constraints with non-zero multipliers.
-        active = [i for i in range(m) if best_mu[i] > self._multiplier_tol]
+        active = [i for i in range(m) if best_mu[i] > _MULTIPLIER_TOL]
         duals = {data.rows[i]: float(best_mu[i]) for i in active}
         if self._reuse_multipliers:
             self._mu_memory = duals
@@ -199,7 +184,7 @@ class LagrangianBound:
         for var in fixed:
             alpha[var] = float(costs.get(var, 0))
         for constraint, mu_i in duals_by_row.items():
-            if mu_i <= self._multiplier_tol:
+            if mu_i <= _MULTIPLIER_TOL:
                 continue
             weights, _ = constraint.integer_form()
             for var, weight in weights.items():

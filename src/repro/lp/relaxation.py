@@ -13,6 +13,13 @@ rounded up.  Besides the bound value, this module extracts
 Every node LP is solved cold by :func:`~repro.lp.simplex.solve_node_lp`,
 a dual simplex from the all-surplus basis at ``x = 0``: the LP data is
 rebuilt for the node and no simplex state outlives the call.
+
+The LP holds the instance's rows only, not the Section 5 cuts.  With
+the eq. 10 row ``c.x <= U - 1 - path`` the LP is infeasible exactly
+when the cut-free optimum meets the prune test ``path + ceil(z) >= U``
+(an eq. 13 row likewise, since every LP point pays at least ``V`` on
+``K``), so the cut rows would decide no prune: they would only turn
+value prunes into infeasible ones, whose explanation is the weakest.
 """
 
 from __future__ import annotations
@@ -72,15 +79,9 @@ class LPRelaxationBound:
 
     name = "lpr"
 
-    def __init__(
-        self,
-        instance: PBInstance,
-        max_iterations: int = 20000,
-        tight_tol: float = TIGHT_TOL,
-    ):
+    def __init__(self, instance: PBInstance, max_iterations: int = 20000):
         self._instance = instance
         self._max_iterations = max_iterations
-        self._tight_tol = tight_tol
         self.num_calls = 0
         self.total_iterations = 0
         self.total_seconds = 0.0
@@ -93,29 +94,17 @@ class LPRelaxationBound:
             "seconds": round(self.total_seconds, 6),
         }
 
-    def compute(
-        self,
-        fixed: Mapping[int, int],
-        extra_constraints: Sequence[Constraint] = (),
-    ) -> LowerBound:
-        """``P.lower`` for the sub-problem under the partial assignment.
-
-        ``extra_constraints`` lets the solver include learned knapsack
-        cuts in the relaxation (Section 5) without mutating the instance.
-        """
+    def compute(self, fixed: Mapping[int, int]) -> LowerBound:
+        """``P.lower`` for the sub-problem under the partial assignment."""
         started = time.perf_counter()
         try:
-            return self._compute(fixed, extra_constraints)
+            return self._compute(fixed)
         finally:
             self.total_seconds += time.perf_counter() - started
 
-    def _compute(
-        self,
-        fixed: Mapping[int, int],
-        extra_constraints: Sequence[Constraint] = (),
-    ) -> LowerBound:
+    def _compute(self, fixed: Mapping[int, int]) -> LowerBound:
         self.num_calls += 1
-        data = build_lp_data(self._instance, fixed, extra_constraints)
+        data = build_lp_data(self._instance, fixed)
         if data is None:
             return LowerBound(0, infeasible=True)
         if data.num_rows == 0:
@@ -129,7 +118,7 @@ class LPRelaxationBound:
             # Iteration limit: fall back to the trivial bound 0 (sound).
             return LowerBound(0, iterations=result.iterations)
         value = integer_ceil_bound(result.objective)
-        tight = result.tight_rows(self._tight_tol)
+        tight = result.tight_rows(TIGHT_TOL)
         explanation = [data.rows[i] for i in tight]
         duals_by_row = {
             row: float(dual) for row, dual in zip(data.rows, result.duals)

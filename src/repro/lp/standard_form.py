@@ -10,7 +10,7 @@ map from LP rows/columns back to the original constraints/variables.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -48,9 +48,7 @@ class LPData:
 
 
 def build_lp_data(
-    instance: PBInstance,
-    fixed: Optional[Mapping[int, int]] = None,
-    extra_constraints: Sequence[Constraint] = (),
+    instance: PBInstance, fixed: Optional[Mapping[int, int]] = None
 ) -> Optional[LPData]:
     """LP relaxation data for the sub-problem under ``fixed``.
 
@@ -78,8 +76,7 @@ def build_lp_data(
     rows: List[Constraint] = []
     row_coeffs: List[Dict[int, float]] = []
     row_rhs: List[float] = []
-    all_constraints = list(instance.constraints) + list(extra_constraints)
-    for constraint in all_constraints:
+    for constraint in instance.constraints:
         coeffs: Dict[int, float] = {}
         rhs = float(constraint.rhs)
         satisfied = False

@@ -31,19 +31,24 @@ re-evaluates everything, which is exactly the cold behaviour (the
 greedy selection itself is always re-run — it is global and cheap
 relative to the per-constraint knapsacks).
 
-A *costless* row — every literal negative or of cost 0, as in every
-eq. 10/13 cut and many at-most rows — has knapsack value 0 whenever it
-is open, so it can never contribute to the bound: only whether it is
-satisfied, open or violated matters.  Such a row is evaluated in one
-pass over its supply and residual rhs, with no term ordering, free-set
-or false-literal bookkeeping.
+A *costless* row — every literal negative or of cost 0, as in many
+at-most rows — has knapsack value 0 whenever it is open, so it can never
+contribute to the bound: only whether it is satisfied, open or violated
+matters.  Such a row is evaluated in one pass over its supply and
+residual rhs, with no term ordering, free-set or false-literal
+bookkeeping.
+
+The bound reads the instance's rows only.  Every eq. 10/13 cut is
+costless too, and it lives as an engine row, which a conflict-free
+propagate leaves unviolated: reading the cuts here could change neither
+the value nor the infeasible verdict.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from ..pb.constraints import Constraint
 from ..pb.instance import PBInstance
@@ -210,11 +215,6 @@ class MISBound:
         for state in self._states:
             for var in state.variables:
                 self._touching.setdefault(var, []).append(state)
-        #: States for the extra (cut) constraints of the current call,
-        #: keyed by constraint; rebuilt whenever the cut list changes.
-        self._extra_states: Dict[Constraint, _ConstraintState] = {}
-        self._extras_key: Optional[Tuple[Constraint, ...]] = None
-        self._extras_list: List[_ConstraintState] = []
         self._delta = None  # TrailDelta once attach_trail() is called
         self.num_calls = 0
         self.total_seconds = 0.0
@@ -228,8 +228,6 @@ class MISBound:
         ``trail`` since the previous call."""
         self._delta = trail.register_delta()
         for state in self._states:
-            state.valid = False
-        for state in self._extra_states.values():
             state.valid = False
 
     def detach_trail(self, trail) -> None:
@@ -250,44 +248,18 @@ class MISBound:
             "cache_misses": self.cache_misses,
         }
 
-    def compute(
-        self,
-        fixed: Mapping[int, int],
-        extra_constraints: Sequence[Constraint] = (),
-    ) -> LowerBound:
+    def compute(self, fixed: Mapping[int, int]) -> LowerBound:
         """``P.lower`` from a variable-disjoint set of constraints."""
         started = time.perf_counter()
         try:
-            return self._compute(fixed, extra_constraints)
+            return self._compute(fixed)
         finally:
             self.total_seconds += time.perf_counter() - started
 
     # ------------------------------------------------------------------
-    def _sync_extras(
-        self, extras: Tuple[Constraint, ...]
-    ) -> List[_ConstraintState]:
-        """(Re)build the cut-constraint states when the cut list changes,
-        keeping still-present constraints' cached evaluations."""
-        if extras != self._extras_key:
-            old = self._extra_states
-            self._extra_states = {}
-            for constraint in extras:
-                state = old.get(constraint)
-                if state is None:
-                    state = _ConstraintState(constraint, self._costs)
-                self._extra_states[constraint] = state
-            self._extras_key = extras
-            self._extras_list = [self._extra_states[c] for c in extras]
-        return self._extras_list
-
-    def _compute(
-        self,
-        fixed: Mapping[int, int],
-        extra_constraints: Sequence[Constraint] = (),
-    ) -> LowerBound:
+    def _compute(self, fixed: Mapping[int, int]) -> LowerBound:
         self.num_calls += 1
         costs = self._costs
-        extra_states = self._sync_extras(tuple(extra_constraints))
 
         if self._delta is None:
             changed: Optional[Set[int]] = None  # no feed: re-evaluate all
@@ -296,19 +268,14 @@ class MISBound:
         if changed is None:
             for state in self._states:
                 state.valid = False
-            for state in extra_states:
-                state.valid = False
         elif changed:
             touching = self._touching
             for var in changed:
                 for state in touching.get(var, ()):
                     state.valid = False
-            for state in extra_states:
-                if not changed.isdisjoint(state.variables):
-                    state.valid = False
 
         candidates: List[Tuple[float, Constraint, List[int], Set[int]]] = []
-        for state in self._states + extra_states:
+        for state in self._states:
             if state.valid:
                 self.cache_hits += 1
             else:

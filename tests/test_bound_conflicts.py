@@ -103,13 +103,6 @@ class TestInfeasibilityClause:
         # clause (1|2): x1 false -> contributes literal 1; (3|4) satisfied
         assert set(clause) == {1}
 
-    def test_extra_constraints_included(self):
-        instance = PBInstance([Constraint.clause([1, 2])])
-        trail = make_trail(3, [(3, True)])
-        extra = [Constraint.clause([-3, 2])]
-        clause = infeasibility_clause(instance, trail, extra)
-        assert -3 in clause
-
     def test_all_false(self):
         instance = PBInstance(
             [Constraint.greater_equal([(2, 1), (1, 2), (1, 3)], 3)]

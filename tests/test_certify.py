@@ -216,14 +216,28 @@ class TestEndToEnd:
         assert outcome.status == "optimal"
         assert outcome.cost == result.best_cost
 
-    def test_quick_families_all_configs(self):
-        """Certify-after-solve across families x propagation backends."""
-        from repro.experiments.certsmoke import run_certsmoke
+    def test_quick_families_all_configs(self, monkeypatch):
+        """Certify-after-solve across families x propagation backends;
+        each record carries its solve's declined prunes."""
+        from repro.experiments import certsmoke
 
-        records = run_certsmoke(count=1, scale=0.25, time_limit=30.0)
+        run_one = certsmoke.run_one
+        results = []
+
+        def recording_run_one(*args):
+            record = run_one(*args)
+            results.append(record.result)
+            return record
+
+        monkeypatch.setattr(certsmoke, "run_one", recording_run_one)
+        records = certsmoke.run_certsmoke(count=1, scale=0.25, time_limit=30.0)
         assert records, "no runs executed"
         bad = [row for row in records if not row["ok"]]
         assert not bad, bad
+        declined = [row["uncertified_prunes"] for row in records]
+        assert declined == [r.stats.uncertified_prunes for r in results]
+        summary = certsmoke.format_certsmoke(records).splitlines()[-1]
+        assert summary.endswith(", %d prunes declined" % sum(declined))
 
     def test_proof_mode_matches_reference_run(self):
         instance = covering_instance()

@@ -8,6 +8,8 @@ pin that, and what the solver gains from it beyond speed:
   ends with one row per live cut source;
 * a cut the w_pp backjump leaves violated is reported by propagation as
   a logic conflict, so no relaxation is ever found infeasible for it;
+* the relaxations need not read the cut rows: with them, LPR prunes at
+  the same nodes and MIS returns the same bound;
 * in a session, clause garbage collection never deletes a live cut row,
   and the end-of-call cleanup still removes every cut row;
 * the w_pp resolve is timed under ``analyze``, the swap under ``cuts``
@@ -21,10 +23,15 @@ import pytest
 from repro.api import make_solver
 from repro.benchgen import generate_ptl_mapping, generate_routing
 from repro.core import OPTIMAL, BsoloSolver, SolverOptions
+from repro.core.cuts import CutGenerator
+from repro.experiments.table1 import family_instances
 from repro.incremental import SolverSession
 from repro.incremental import session as session_module
+from repro.lp import LPRelaxationBound, root_lpr_bound
+from repro.mis import MISBound
 from repro.obs.timers import PhaseTimer
 from repro.pb.objective import Objective
+from tests.test_lb_incremental import walk_nodes, with_cut_rows
 
 BACKENDS = ("counter", "watched")
 
@@ -47,6 +54,38 @@ def test_violated_cut_reaches_propagation(backend, seed, optimum):
     ).solve()
     assert result.status == OPTIMAL and result.best_cost == optimum
     assert result.stats.bound_conflicts == result.stats.prunings
+
+
+@pytest.mark.parametrize("family", ["mcnc", "ptl", "grout"])
+def test_cut_rows_decide_no_relaxation_prune(family):
+    """At every node of seeded walks, with the eq. 10/13 cuts of a fixed
+    incumbent ``U`` propagated as engine rows, LPR over the instance
+    prunes exactly when LPR over the instance plus the cut rows does,
+    and MIS returns the same bound on both.  The rows only turn value
+    prunes into infeasible relaxations."""
+    instances, _ = family_instances(family, count=2, scale=0.5)
+    prunes = infeasible_only_with_rows = 0
+    for seed, instance in enumerate(instances):
+        generator = CutGenerator(instance)
+        root = root_lpr_bound(instance)
+        for upper in (root + 1, root + 2, root + 5):
+            keyed, proven_source = generator.cuts(upper)
+            if proven_source is not None:
+                continue
+            with_rows = with_cut_rows(instance, [cut for _, cut in keyed])
+            lpr, lpr_rows = LPRelaxationBound(instance), LPRelaxationBound(with_rows)
+            mis, mis_rows = MISBound(instance), MISBound(with_rows)
+            for _, fixed in walk_nodes(with_rows, seed + 500, max_nodes=50):
+                path = instance.objective.path_cost(fixed)
+                plain, rows = lpr.compute(fixed), lpr_rows.compute(fixed)
+                pruned = plain.infeasible or path + plain.value >= upper
+                assert pruned == (rows.infeasible or path + rows.value >= upper)
+                prunes += pruned
+                infeasible_only_with_rows += rows.infeasible and not plain.infeasible
+                a, b = mis.compute(fixed), mis_rows.compute(fixed)
+                assert (a.value, a.infeasible) == (b.value, b.infeasible)
+                assert a.explanation == b.explanation
+    assert prunes and infeasible_only_with_rows
 
 
 def _recording_solvers(monkeypatch):
@@ -99,7 +138,7 @@ def test_session_gc_keeps_live_cut_rows(monkeypatch, backend, instance, optimum)
         assert result.status == OPTIMAL and result.best_cost == optimum
         solver = solvers[-1]
         assert solver._live_cuts
-        cuts = set(map(id, solver._cut_constraints))
+        cuts = {id(row.constraint) for row in solver._live_cuts.values()}
         for stored in session.propagator.database.constraints:
             assert stored not in solver._live_cuts.values()
             assert id(stored.constraint) not in cuts

@@ -3,7 +3,7 @@ implications."""
 
 from repro.core import BsoloSolver, SolverOptions, OPTIMAL, probe_necessary_assignments
 from repro.engine import Propagator
-from repro.lagrangian import LagrangianBound, SubgradientOptions
+from repro.lagrangian import LagrangianBound
 from repro.pb import Constraint, Objective, PBInstance
 
 
@@ -26,11 +26,11 @@ class TestMultiplierReuse:
 
     def test_second_call_at_least_as_good_quickly(self):
         instance = covering_instance()
-        warm = LagrangianBound(instance, SubgradientOptions(max_iterations=100))
+        warm = LagrangianBound(instance, max_iterations=100)
         first = warm.compute({}).value
         # very short follow-up budget still reaches the same bound thanks
         # to the warm start
-        warm._options.max_iterations = 5
+        warm._max_iterations = 5
         second = warm.compute({}).value
         assert second >= first - 1
 

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from repro.benchgen import generate_covering
-from repro.lagrangian import LagrangianBound, SubgradientOptions
+from repro.lagrangian import LagrangianBound
 from repro.lp import LPRelaxationBound
 from repro.mis import MISBound
 from repro.pb import Constraint, Objective, PBInstance
@@ -50,9 +50,7 @@ class TestBoundValue:
         # of the 0/1 box); subgradient approaches from below.
         instance = covering_instance()
         lpr = LPRelaxationBound(instance).compute({}).value
-        lgr = LagrangianBound(
-            instance, SubgradientOptions(max_iterations=500)
-        ).compute({})
+        lgr = LagrangianBound(instance, max_iterations=500).compute({})
         assert lgr.value <= lpr
 
     def test_enough_iterations_reach_the_weaker_of_mis_and_lpr(self):
@@ -63,9 +61,7 @@ class TestBoundValue:
         )
         mis = MISBound(instance).compute({}).value
         lpr = LPRelaxationBound(instance).compute({}).value
-        lgr = LagrangianBound(
-            instance, SubgradientOptions(max_iterations=800)
-        ).compute({})
+        lgr = LagrangianBound(instance, max_iterations=800).compute({})
         assert min(mis, lpr) <= lgr.value <= lpr
 
     def test_nothing_left(self):
@@ -79,8 +75,8 @@ class TestBoundValue:
 
     def test_more_iterations_never_worse(self):
         instance = covering_instance()
-        short = LagrangianBound(instance, SubgradientOptions(max_iterations=3))
-        long = LagrangianBound(instance, SubgradientOptions(max_iterations=200))
+        short = LagrangianBound(instance, max_iterations=3)
+        long = LagrangianBound(instance, max_iterations=200)
         assert long.compute({}).value >= short.compute({}).value
 
     @pytest.mark.parametrize("seed", range(6))
@@ -134,14 +130,14 @@ class TestExplanations:
 
 class TestConvergenceTrace:
     def test_trace_recorded(self):
-        lgr = LagrangianBound(covering_instance(), SubgradientOptions(max_iterations=50))
+        lgr = LagrangianBound(covering_instance(), max_iterations=50)
         lgr.compute({})
         assert len(lgr.last_trace) > 1
 
     def test_trace_monotone_best(self):
         import math
 
-        lgr = LagrangianBound(covering_instance(), SubgradientOptions(max_iterations=50))
+        lgr = LagrangianBound(covering_instance(), max_iterations=50)
         bound = lgr.compute({})
         running_best = max(lgr.last_trace)
         # the reported bound is ceil(best L(mu)) and never more

@@ -9,8 +9,8 @@ a cold-bounded run and the exhaustive optimum.
 
 Two :class:`MISBound` objects share every evaluation path, so the walks
 also compare against :func:`reference_mis`, which rebuilds the bound
-from :func:`constraint_min_cost` at every node, with the instance's
-eq. 10/13 cuts as extra rows.
+from :func:`constraint_min_cost` at every node.  Each walk runs on the
+instance with the eq. 10/13 cuts of one incumbent appended as rows.
 """
 
 import math
@@ -89,12 +89,21 @@ def walk_nodes(instance, seed, max_nodes):
         engine.backtrack(0)
 
 
-def reference_mis(instance, fixed, extras):
+def with_cut_rows(instance, cuts):
+    """``instance`` with ``cuts`` appended as rows."""
+    return PBInstance(
+        list(instance.constraints) + list(cuts),
+        instance.objective,
+        instance.num_variables,
+    )
+
+
+def reference_mis(instance, fixed):
     """The MIS bound recomputed from :func:`constraint_min_cost` alone:
     ``(value, infeasible, explanation)``."""
     costs = instance.objective.costs
     candidates = []
-    for constraint in list(instance.constraints) + list(extras):
+    for constraint in instance.constraints:
         value, _, free_vars = constraint_min_cost(constraint, fixed, costs)
         if value is None:
             continue
@@ -129,27 +138,23 @@ def with_cardinality_rows(instance: PBInstance, seed: int) -> PBInstance:
 
 
 def assert_lockstep(instance, seed, max_nodes):
-    """Walk ``max_nodes`` nodes; at each, the trail-fed and the cold
-    :class:`MISBound` and :func:`reference_mis` agree, with the eq. 10/13
-    cuts of a random incumbent as extra rows."""
-    generator = CutGenerator(instance)
+    """Walk ``max_nodes`` nodes of ``instance`` plus the eq. 10/13 cuts of
+    a random incumbent as rows; at each, the trail-fed and the cold
+    :class:`MISBound` and :func:`reference_mis` agree."""
+    rng = random.Random(seed)
+    upper = rng.randint(1, instance.objective.max_value + 1)
+    keyed, _ = CutGenerator(instance).cuts(upper)
+    instance = with_cut_rows(instance, [cut for _, cut in keyed])
     incremental = MISBound(instance)
     cold = MISBound(instance)
-    rng = random.Random(seed)
-    extras = []
     attached = False
     for trail, fixed in walk_nodes(instance, seed + 500, max_nodes):
         if not attached:
             incremental.attach_trail(trail)
             attached = True
-        if rng.random() < 0.3:
-            # a new incumbent: the cut list changes, as in the solver
-            upper = rng.randint(1, instance.objective.max_value + 1)
-            keyed, _ = generator.cuts(upper)
-            extras = [cut for _, cut in keyed]
-        a = incremental.compute(fixed, extras)
-        b = cold.compute(fixed, extras)
-        value, infeasible, explanation = reference_mis(instance, fixed, extras)
+        a = incremental.compute(fixed)
+        b = cold.compute(fixed)
+        value, infeasible, explanation = reference_mis(instance, fixed)
         assert (a.value, a.infeasible) == (b.value, b.infeasible)
         assert (a.value, a.infeasible) == (value, infeasible)
         assert a.explanation == b.explanation == explanation
@@ -167,17 +172,6 @@ class TestMISLockstep:
         instances, _ = family_instances(family, count=2, scale=0.5)
         for seed, instance in enumerate(instances):
             assert_lockstep(instance, seed, max_nodes=40)
-
-    def test_extras_churn(self):
-        instance = random_instance(99)
-        incremental = MISBound(instance)
-        cold = MISBound(instance)
-        cut_a = Constraint.clause([1, 2, 3])
-        cut_b = Constraint.clause([2, 4])
-        for extras in ([], [cut_a], [cut_a, cut_b], [cut_b], []):
-            a = incremental.compute({}, extras)
-            b = cold.compute({}, extras)
-            assert (a.value, a.infeasible) == (b.value, b.infeasible)
 
 
 class TestSolverEquivalence:

@@ -26,7 +26,7 @@ from repro.lp import (
 )
 from repro.lp import simplex
 from repro.pb import Constraint, Objective, PBInstance
-from tests.test_lb_incremental import walk_nodes
+from tests.test_lb_incremental import walk_nodes, with_cut_rows
 
 
 def covering_instance():
@@ -73,11 +73,6 @@ class TestBuildLPData:
     def test_unreachable_rhs_returns_none(self):
         instance = PBInstance([Constraint.at_least([1, 2, 3], 2)])
         assert build_lp_data(instance, fixed={1: 0, 2: 0}) is None
-
-    def test_extra_constraints_included(self):
-        extra = Constraint.clause([2])
-        data = build_lp_data(covering_instance(), extra_constraints=[extra])
-        assert data.num_rows == 4
 
     def test_all_satisfied_empty_lp(self):
         data = build_lp_data(covering_instance(), fixed={1: 1, 2: 1, 3: 1})
@@ -246,17 +241,21 @@ class TestNodeLPAgainstHighs:
         for seed, instance in enumerate(instances):
             generator = CutGenerator(instance)
             rng = random.Random(seed)
-            extras = []
+            lp_instance = instance
             for _, fixed in walk_nodes(instance, seed + 500, max_nodes=40):
                 if rng.random() < 0.3:
                     # a new incumbent brings new eq. 10/13 cut rows
                     upper = rng.randint(1, instance.objective.max_value + 1)
-                    extras = [cut for _, cut in generator.cuts(upper)[0]]
-                data = build_lp_data(instance, fixed, extras)
+                    cuts = [cut for _, cut in generator.cuts(upper)[0]]
+                    lp_instance = with_cut_rows(instance, cuts)
+                data = build_lp_data(lp_instance, fixed)
                 if data is None or data.num_rows == 0:
                     continue
                 statuses.append(assert_matches_highs(data.c, data.A, data.b))
         assert statuses.count(OPTIMAL) >= 40
+        # the cut rows make some node LPs infeasible: the solver's cold
+        # dual simplex must report that exit too
+        assert INFEASIBLE in statuses
 
     @pytest.mark.parametrize("stall_limit", [simplex._STALL_LIMIT, 0])
     @pytest.mark.parametrize("refactor_every", [simplex._REFACTOR_EVERY, 1])

@@ -105,11 +105,18 @@ class TestMISBound:
         bound = MISBound(instance).compute({1: 1})
         assert bound.value == 2  # only the x3 clause contributes
 
-    def test_extra_constraints_considered(self):
-        instance = PBInstance([Constraint.clause([1, 2])], Objective({1: 1, 2: 1, 3: 4}))
-        extra = Constraint.clause([3])
-        bound = MISBound(instance).compute({}, extra_constraints=[extra])
-        assert bound.value == 5  # 1 + 4
+    def test_violated_costless_row_is_infeasible(self):
+        # ~1 + ~2 + ~3 >= 2 has only negative literals, so it is costless:
+        # it never adds to the bound, but with two of them true it is
+        # violated, and a violated row makes the relaxation infeasible
+        at_most_one = Constraint.at_most([1, 2, 3], 1)
+        assert all(lit < 0 for lit in at_most_one.literals)
+        instance = PBInstance(
+            [Constraint.clause([1, 4]), at_most_one], Objective({1: 2, 4: 3})
+        )
+        mis = MISBound(instance)
+        assert not mis.compute({1: 1}).infeasible
+        assert mis.compute({1: 1, 2: 1}).infeasible
 
     def test_call_counter(self):
         mis = MISBound(PBInstance([Constraint.clause([1])], Objective({1: 1})))
