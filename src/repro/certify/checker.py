@@ -81,94 +81,156 @@ class CheckOutcome:
 class _Database:
     """Slack-counting constraint database with persistent root state.
 
-    Keeps, for every constraint, its slack under the root-implied
-    assignment (units, and their propagation closure, discovered as
-    constraints are added).  A RUP query copies that state, asserts the
-    clause's negation and propagates to a fixed point with the textbook
-    rule: a literal whose coefficient exceeds its constraint's slack is
-    implied true; negative slack is a conflict.
+    Keeps, for every row, its slack under the root-implied assignment
+    (units, and their propagation closure, discovered as rows are
+    added) and propagates with the textbook rule: a literal whose
+    coefficient exceeds its row's slack is implied true; negative slack
+    is a conflict.  Each row stores its terms once, largest coefficient
+    first, so a scan for implications stops at the first coefficient
+    the slack covers.  A RUP query asserts the clause's negation on the
+    root state itself and undoes its own assignments from their trail.
+
+    A keyed row (one per Section 5 cut source) is tightened in place
+    when the key's next constraint has the same terms: its rhs is at
+    least as high, so it implies the old row, and dropping the old row
+    loses no propagation.
     """
 
     def __init__(self):
-        self._constraints: List[Constraint] = []
-        #: literal -> [(constraint index, coefficient)] occurrences.
+        #: Per row: its terms by descending coefficient, and its slack.
+        self._terms: List[Tuple[Tuple[int, int], ...]] = []
+        self._slack: List[int] = []
+        #: literal -> [(row index, coefficient)] occurrences.
         self._occ: Dict[int, List[Tuple[int, int]]] = {}
-        self._root_slack: List[int] = []
-        self._root_value: Dict[int, int] = {}
+        #: literal -> truth value, for both literals of every assigned
+        #: variable (an unassigned literal is absent).
+        self._value: Dict[int, bool] = {}
+        #: key -> (row index, the constraint the row holds).
+        self._live: Dict[object, Tuple[int, Constraint]] = {}
         #: The root state itself derives a violated constraint.
         self.root_conflict = False
 
-    def add(self, constraint: Constraint) -> None:
-        """Append a constraint and fold its units into the root state."""
-        index = len(self._constraints)
-        self._constraints.append(constraint)
-        slack = -constraint.rhs
-        for coef, lit in constraint.terms:
-            self._occ.setdefault(lit, []).append((index, coef))
-            value = self._root_value.get(lit if lit > 0 else -lit)
-            if value is None or (value == 1) == (lit > 0):
-                slack += coef
-        self._root_slack.append(slack)
+    def add(self, constraint: Constraint, key: object = None) -> None:
+        """Add a row (or tighten ``key``'s live row) and fold its
+        implications into the root state."""
         if self.root_conflict:
-            return
+            return  # every clause is RUP from here on
+        if key is not None:
+            live = self._live.get(key)
+            if live is not None:
+                index, held = live
+                # A key's bound only falls, so its rhs only rises.
+                if held.terms == constraint.terms:
+                    self._live[key] = (index, constraint)
+                    self._slack[index] -= constraint.rhs - held.rhs
+                    self._root_implications(index)
+                    return
+        if constraint.rhs <= 0:
+            return  # a tautology implies nothing
+        index = len(self._terms)
+        terms = tuple(sorted(constraint.terms, reverse=True))
+        value = self._value
+        slack = -constraint.rhs
+        for coef, lit in terms:
+            self._occ.setdefault(lit, []).append((index, coef))
+            if value.get(lit, True):
+                slack += coef
+        self._terms.append(terms)
+        self._slack.append(slack)
+        if key is not None:
+            self._live[key] = (index, constraint)
+        self._root_implications(index)
+
+    def _root_implications(self, index: int) -> None:
+        """Propagate row ``index``'s root implications permanently."""
+        slack = self._slack[index]
         if slack < 0:
             self.root_conflict = True
             return
-        implied = [
-            lit
-            for coef, lit in constraint.terms
-            if coef > slack
-            and self._root_value.get(lit if lit > 0 else -lit) is None
-        ]
-        if implied and self._propagate(
-            self._root_value, self._root_slack, implied
-        ):
+        value = self._value
+        trail: List[int] = []
+        for coef, lit in self._terms[index]:
+            if coef <= slack:
+                break
+            if lit not in value:
+                value[lit] = True
+                value[-lit] = False
+                trail.append(lit)
+        if trail and self._propagate(trail)[1]:
             self.root_conflict = True
 
     def rup(self, literals: Sequence[int]) -> bool:
         """Whether the clause over ``literals`` is RUP for the database."""
         if self.root_conflict:
             return True
-        values = dict(self._root_value)
-        slack = list(self._root_slack)
-        return self._propagate(values, slack, [-lit for lit in literals])
+        value = self._value
+        trail: List[int] = []
+        processed, conflict = 0, False
+        for lit in literals:
+            known = value.get(lit)
+            if known is None:
+                value[-lit] = True
+                value[lit] = False
+                trail.append(-lit)
+            elif known:
+                conflict = True  # ~lit contradicts the root (or ~clause)
+                break
+        if not conflict:
+            processed, conflict = self._propagate(trail)
+        slack = self._slack
+        occ = self._occ
+        for lit in trail[:processed]:
+            for index, coef in occ.get(-lit, ()):
+                slack[index] += coef
+        for lit in trail:
+            del value[lit]
+            del value[-lit]
+        return conflict
 
-    def _propagate(
-        self,
-        values: Dict[int, int],
-        slack: List[int],
-        queue: List[int],
-    ) -> bool:
-        """Drive ``queue`` of to-be-true literals to a fixed point.
+    def _propagate(self, trail: List[int]) -> Tuple[int, bool]:
+        """Drive the assigned literals of ``trail`` to a fixed point.
 
-        Mutates ``values``/``slack`` in place; returns True on conflict
-        (an opposite assignment or a constraint driven below slack 0).
+        Appends each implied literal to ``trail`` as it assigns it.
+        Returns ``(processed, conflict)``: the first ``processed`` trail
+        literals have had every occurrence of their complement charged
+        to its row's slack (what an undo must give back), and whether a
+        row went below slack 0.
         """
+        value = self._value
+        slack = self._slack
+        occ = self._occ
+        terms_of = self._terms
         head = 0
-        while head < len(queue):
-            lit = queue[head]
+        while head < len(trail):
+            lit = trail[head]
             head += 1
-            var = lit if lit > 0 else -lit
-            value = 1 if lit > 0 else 0
-            previous = values.get(var)
-            if previous is not None:
-                if previous != value:
-                    return True
+            # The complement just became false: its occurrences lose
+            # supply, which may violate or tighten them.
+            rows = occ.get(-lit)
+            if rows is None:
                 continue
-            values[var] = value
-            # The complement literal just became false: its occurrences
-            # lose supply, which may violate or tighten them.
-            for index, coef in self._occ.get(-lit, ()):
+            conflict = False
+            for index, coef in rows:
                 remaining = slack[index] - coef
                 slack[index] = remaining
                 if remaining < 0:
-                    return True
-                for coef2, lit2 in self._constraints[index].terms:
-                    if coef2 > remaining:
-                        var2 = lit2 if lit2 > 0 else -lit2
-                        if values.get(var2) is None:
-                            queue.append(lit2)
-        return False
+                    conflict = True  # keep charging: the undo is exact
+                elif not conflict:
+                    for coef2, lit2 in terms_of[index]:
+                        if coef2 <= remaining:
+                            break
+                        if lit2 not in value:
+                            value[lit2] = True
+                            value[-lit2] = False
+                            trail.append(lit2)
+            if conflict:
+                return head, True
+        return head, False
+
+
+#: The database key of the ``o`` steps' row (``t`` rows are keyed by
+#: their source's id, and ids start at 1).
+_OBJECTIVE = 0
 
 
 class ProofChecker:
@@ -178,6 +240,7 @@ class ProofChecker:
         self._instance = instance
         self._costs = instance.objective.costs
         self._offset = instance.objective.offset
+        self._cuts = rules.CutReplayer(self._costs)
 
     # ------------------------------------------------------------------
     def check_file(self, path: str) -> CheckOutcome:
@@ -219,6 +282,7 @@ class ProofChecker:
                     number, step.line, "step after the final 'e' claim"
                 )
             derived: Optional[Constraint] = None
+            key: object = None
             if step.kind == fmt.ASSUMPTION:
                 conditional = True
                 derived = Constraint.clause(step.literals)
@@ -236,9 +300,11 @@ class ProofChecker:
                 if upper is None or cost < upper:
                     upper = cost
                     best_model = model
-                derived = rules.improvement_axiom(self._costs, upper)
+                derived = self._cuts.improvement_axiom(upper)
+                key = _OBJECTIVE
             elif step.kind == fmt.CARD_CUT:
                 derived = self._check_card_cut(number, step, by_id, upper)
+                key = step.ids[0]
             elif step.kind == fmt.RESOLVE:
                 derived = self._check_resolve(number, step, by_id)
             elif step.kind == fmt.BOUND_MIS:
@@ -263,7 +329,7 @@ class ProofChecker:
             if derived is not None:
                 by_id[next_id] = derived
                 next_id += 1
-                database.add(derived)
+                database.add(derived, key)
 
         if ended is None:
             raise ProofError(
@@ -327,7 +393,7 @@ class ProofChecker:
             raise ProofError(
                 number, step.line, "unknown constraint id %d" % step.ids[0]
             )
-        cut = rules.cardinality_cut(source, self._costs, upper)
+        cut = self._cuts.cardinality_cut(source, upper)
         if cut is None:
             raise ProofError(
                 number,

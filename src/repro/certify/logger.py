@@ -49,7 +49,11 @@ class ProofLogger:
         self._ids: Dict[Constraint, int] = {}
         self._next_id = 1
         self._costs: Dict[int, int] = {}
+        self._cuts: Optional[rules.CutReplayer] = None
         self._upper: Optional[int] = None  # path-cost scale
+        #: The improvement axiom at ``_upper`` and the id it is bound to.
+        self._axiom: Optional[Constraint] = None
+        self._axiom_id: Optional[int] = None
         #: Derivation steps written so far (for stats/tests).
         self.steps_logged = 0
 
@@ -60,6 +64,7 @@ class ProofLogger:
             raise RuntimeError("ProofLogger cannot be reused across runs")
         self._started = True
         self._costs = dict(instance.objective.costs)
+        self._cuts = rules.CutReplayer(self._costs)
         constraints = instance.constraints
         self._write(fmt.HEADER)
         self._write("f %d" % len(constraints))
@@ -96,7 +101,8 @@ class ProofLogger:
         if self._upper is None or cost < self._upper:
             self._upper = cost
         step = fmt.Step(fmt.SOLUTION, literals=tuple(literals))
-        self._emit(step, rules.improvement_axiom(self._costs, self._upper))
+        self._axiom = self._cuts.improvement_axiom(self._upper)
+        self._axiom_id = self._emit(step, self._axiom)
 
     # ------------------------------------------------------------------
     # Self-checked derivations.
@@ -110,7 +116,7 @@ class ProofLogger:
         source_id = self._ids.get(source)
         if source_id is None or self._upper is None:
             return False
-        replayed = rules.cardinality_cut(source, self._costs, self._upper)
+        replayed = self._cuts.cardinality_cut(source, self._upper)
         if replayed is None or replayed != cut:
             return False
         self._emit(fmt.Step(fmt.CARD_CUT, ids=(source_id,)), cut)
@@ -125,7 +131,7 @@ class ProofLogger:
         source_id = self._ids.get(source)
         if source_id is None or self._upper is None:
             return False
-        replayed = rules.cardinality_cut(source, self._costs, self._upper)
+        replayed = self._cuts.cardinality_cut(source, self._upper)
         if replayed is None or not replayed.is_unsatisfiable:
             return False
         self._emit(fmt.Step(fmt.CARD_CUT, ids=(source_id,)), replayed)
@@ -220,10 +226,8 @@ class ProofLogger:
             if cid is None:
                 return False
             weighted.append((constraint, cid, weight))
-        axiom = rules.improvement_axiom(self._costs, self._upper)
-        axiom_id = self._ids.get(axiom)
-        if axiom_id is None:
-            return False
+        axiom = self._axiom
+        axiom_id = self._axiom_id
         for limit in _DENOMINATOR_LADDER:
             fractions = [
                 Fraction(weight).limit_denominator(limit)
@@ -308,12 +312,15 @@ class ProofLogger:
                 pass
 
     # ------------------------------------------------------------------
-    def _emit(self, step: fmt.Step, derived: Constraint) -> None:
-        """Write a derivation step and bind its constraint to the next id."""
+    def _emit(self, step: fmt.Step, derived: Constraint) -> int:
+        """Write a derivation step and bind its constraint to the next id;
+        returns the id later steps use for ``derived`` (the first step
+        that derived an equal constraint keeps it)."""
         self._write(fmt.format_step(step))
-        self._ids.setdefault(derived, self._next_id)
+        cid = self._ids.setdefault(derived, self._next_id)
         self._next_id += 1
         self.steps_logged += 1
+        return cid
 
     def _write(self, line: str) -> None:
         if not self._started and not line.startswith("*"):

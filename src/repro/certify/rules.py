@@ -13,19 +13,21 @@ arithmetic is exact by construction.
 
 The module deliberately re-implements cutting-plane resolution and
 cardinality reduction instead of importing
-:mod:`repro.engine.pb_resolution`: the checker's trust base must exclude
-the engine.  The logger replays each resolvent through *these* replicas
-and refuses to log (and the solver refuses to learn) on any divergence,
-so the two implementations can never silently disagree inside a proof.
+:mod:`repro.engine.pb_resolution`, and the Section 5 rows
+(:class:`CutReplayer`) instead of importing :mod:`repro.core.cuts`: the
+checker's trust base must exclude the solver.  The logger replays each
+resolvent and cut through *these* replicas and refuses to log (and the
+solver refuses to learn) on any divergence, so the two implementations
+can never silently disagree inside a proof.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..pb.constraints import Constraint
+from ..pb.constraints import Constraint, normalize_terms
 
 
 # ----------------------------------------------------------------------
@@ -273,52 +275,123 @@ def replay_resolution(
 # ----------------------------------------------------------------------
 # Section 5 cuts recomputed from the certified incumbent
 # ----------------------------------------------------------------------
-def improvement_axiom(costs: Mapping[int, int], upper: int) -> Constraint:
-    """The ``o`` step's derived axiom: ``sum c_j x_j <= upper - 1``.
+class _CutTemplate:
+    """``sum c_j x_j <= budget`` in normalized ``>=`` form, for any budget.
 
-    ``upper`` is on the path-cost scale (offset excluded).  For a
-    constant objective this is the tautology ``0 >= 0`` — satisfaction
-    runs derive nothing from a solution beyond its feasibility.
+    ``terms`` are the unsaturated normalized terms ``c_j ~x_j``.  Costs
+    are positive, so negation moves exactly their ``total`` to the rhs:
+    the row for ``budget`` is ``terms >= total - budget`` with the
+    coefficients saturated at that rhs, which equals
+    ``Constraint.less_equal(costs, budget)`` built from scratch.
     """
-    if not costs:
+
+    __slots__ = ("terms", "total", "max_coef")
+
+    def __init__(self, terms: Tuple[Tuple[int, int], ...]):
+        self.terms = terms
+        self.total = sum(coef for coef, _ in terms)
+        self.max_coef = max((coef for coef, _ in terms), default=0)
+
+    @classmethod
+    def of_costs(cls, costs: Mapping[int, int]) -> "_CutTemplate":
+        """The template of the whole objective."""
+        # Normalized at rhs offset 1 so the rhs stays positive and the
+        # terms survive (a tautology would normalize to no terms).
+        terms, _ = normalize_terms(
+            [(-cost, var) for var, cost in costs.items()], 1, saturate=False
+        )
+        return cls(terms)
+
+    def without(self, variables: Set[int]) -> "_CutTemplate":
+        """The template over the costs outside ``variables``: dropping
+        terms keeps a normalized row normalized."""
+        return _CutTemplate(
+            tuple(term for term in self.terms if -term[1] not in variables)
+        )
+
+    def row(self, budget: int) -> Optional[Constraint]:
+        """The row ``sum c_j x_j <= budget``, or None for a tautology."""
+        rhs = self.total - budget
+        if rhs <= 0:
+            return None
+        terms = self.terms
+        if self.max_coef > rhs:
+            terms = tuple(
+                (coef if coef <= rhs else rhs, lit) for coef, lit in terms
+            )
+        return Constraint(terms, rhs)
+
+
+class CutReplayer:
+    """The Section 5 rows of one proof, re-derived from the objective.
+
+    Only a row's rhs depends on the incumbent, so each row's terms are
+    normalized once per proof (the eq. 10 row on construction, an
+    eq. 13 row on its source's first use) and saturated for each
+    ``upper``.  A checker-side replica of the solver's cut generator:
+    the logger self-checks the solver's cuts against it and the checker
+    derives the ``o``/``t`` rows with it.  ``upper`` is on the path-cost
+    scale (offset excluded).
+    """
+
+    def __init__(self, costs: Mapping[int, int]):
+        self._costs = costs
+        self._objective = _CutTemplate.of_costs(costs) if costs else None
+        #: source -> ``(V, template over N-K)``, or None when the source
+        #: yields no eq. 13 row at any bound.
+        self._eq13: Dict[Constraint, Optional[Tuple[int, _CutTemplate]]] = {}
+
+    def improvement_axiom(self, upper: int) -> Constraint:
+        """The ``o`` step's axiom ``sum c_j x_j <= upper - 1``.
+
+        The tautology ``0 >= 0`` when no solution can cost more than
+        that (always, for a constant objective: satisfaction runs derive
+        nothing from a solution beyond its feasibility).
+        """
+        if self._objective is not None:
+            row = self._objective.row(upper - 1)
+            if row is not None:
+                return row
         return Constraint((), 0)
-    terms = [(cost, var) for var, cost in costs.items()]
-    return Constraint.less_equal(terms, upper - 1)
 
+    def cardinality_cut(
+        self, source: Constraint, upper: int
+    ) -> Optional[Constraint]:
+        """The ``t`` step: the eq. 13 row of ``source`` at ``upper``.
 
-def cardinality_cut(
-    source: Constraint, costs: Mapping[int, int], upper: int
-) -> Optional[Constraint]:
-    """The ``t`` step: recompute the eq. 13 cut from its source.
+        ``source`` must be a cardinality constraint over positive
+        literals; satisfying it costs at least ``V`` (the sum of its
+        ``threshold`` smallest member costs), so under
+        ``cost <= upper - 1`` the variables outside it can spend at most
+        ``upper - 1 - V``.  A negative budget yields an unsatisfiable row
+        (the incumbent is optimal).  Returns None when the row is vacuous
+        (V = 0, or no cost outside the members can exceed the budget).
+        """
+        try:
+            entry = self._eq13[source]
+        except KeyError:
+            entry = self._eq13[source] = self._eq13_template(source)
+        if entry is None:
+            return None
+        value_v, template = entry
+        # budget < 0: rhs > total, an unsatisfiable row (normalizing to
+        # "0 >= positive" when nothing lies outside the members).
+        return template.row(upper - 1 - value_v)
 
-    ``source`` must be a cardinality constraint over positive literals;
-    satisfying it costs at least ``V`` (the sum of its ``threshold``
-    smallest member costs), so under ``cost <= upper - 1`` the variables
-    outside it can spend at most ``upper - 1 - V``.  A negative budget
-    yields an unsatisfiable constraint — the incumbent is optimal.
-    Returns None when the cut is vacuous (V = 0 or nothing outside).
-    """
-    if not costs or not source.is_cardinality:
-        return None
-    members = source.literals
-    if any(lit < 0 for lit in members):
-        return None
-    threshold = source.cardinality_threshold
-    if threshold < 1:
-        return None
-    member_costs = sorted(costs.get(var, 0) for var in members)
-    value_v = sum(member_costs[:threshold])
-    if value_v <= 0:
-        return None
-    budget = upper - 1 - value_v
-    member_set = set(members)
-    outside = [
-        (cost, var) for var, cost in costs.items() if var not in member_set
-    ]
-    if budget < 0:
-        # Even the members alone exceed the budget: unsatisfiable cut
-        # (normalizes to "0 >= positive" when ``outside`` is empty).
-        return Constraint.less_equal(outside, budget)
-    if not outside or sum(cost for cost, _ in outside) <= budget:
-        return None  # tautology under saturation
-    return Constraint.less_equal(outside, budget)
+    def _eq13_template(
+        self, source: Constraint
+    ) -> Optional[Tuple[int, _CutTemplate]]:
+        costs = self._costs
+        if self._objective is None or not source.is_cardinality:
+            return None
+        members = source.literals
+        if any(lit < 0 for lit in members):
+            return None
+        threshold = source.cardinality_threshold
+        if threshold < 1:
+            return None
+        member_costs = sorted(costs.get(var, 0) for var in members)
+        value_v = sum(member_costs[:threshold])
+        if value_v <= 0:
+            return None
+        return value_v, self._objective.without(set(members))

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..pb.constraints import Constraint
 from ..pb.instance import PBInstance
-from ..lp.relaxation import LowerBound
+from ..lp.relaxation import LowerBound, sum_by_row
 from ..lp.standard_form import build_lp_data
 from ..lp.tolerances import ceil_guarded
 
@@ -155,14 +155,18 @@ class LagrangianBound:
 
         # The paper's set S: the constraints with non-zero multipliers.
         active = [i for i in range(m) if best_mu[i] > _MULTIPLIER_TOL]
-        duals = {data.rows[i]: float(best_mu[i]) for i in active}
+        explanation = [data.rows[i] for i in active]
         if self._reuse_multipliers:
-            self._mu_memory = duals
+            # One value per row: every copy of a duplicated row restarts
+            # from it.
+            self._mu_memory = {
+                row: float(best_mu[i]) for row, i in zip(explanation, active)
+            }
         return LowerBound(
             bound,
-            explanation=[data.rows[i] for i in active],
+            explanation=explanation,
             fractional={},
-            duals_by_row=duals,
+            duals_by_row=sum_by_row(explanation, best_mu[active]),
             iterations=len(self.last_trace),
         )
 

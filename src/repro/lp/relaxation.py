@@ -25,7 +25,7 @@ value prunes into infeasible ones, whose explanation is the weakest.
 from __future__ import annotations
 
 import time
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 from ..pb.constraints import Constraint
 from ..pb.instance import PBInstance
@@ -56,9 +56,10 @@ class LowerBound:
         self.explanation = list(explanation)
         #: LP value per free variable (only meaningful for LPR).
         self.fractional: Dict[int, float] = dict(fractional or {})
-        #: Dual value (LPR) or multiplier (LGR) per binding constraint;
-        #: read by proof certificates (``ProofLogger.log_bound_linear``)
-        #: and the LGR alpha refinement (``alpha_of_assigned``).
+        #: Dual value (LPR) or multiplier (LGR) per binding constraint,
+        #: summed over equal rows (:func:`sum_by_row`); read by proof
+        #: certificates (``ProofLogger.log_bound_linear``) and the LGR
+        #: alpha refinement (``alpha_of_assigned``).
         self.duals_by_row: Dict[Constraint, float] = dict(duals_by_row or {})
         #: Work spent (simplex or subgradient iterations).
         self.iterations = iterations
@@ -67,6 +68,20 @@ class LowerBound:
         if self.infeasible:
             return "LowerBound(infeasible)"
         return "LowerBound(%d)" % self.value
+
+
+def sum_by_row(
+    rows: Sequence[Constraint], values: Iterable[float]
+) -> Dict[Constraint, float]:
+    """Map each row to its multiplier, summing over equal rows.
+
+    An instance may hold a row twice; the relaxation weighs each copy,
+    so the certificate ``sum mu_i C_i`` must weigh the row by the sum.
+    """
+    summed: Dict[Constraint, float] = {}
+    for row, value in zip(rows, values):
+        summed[row] = summed.get(row, 0.0) + float(value)
+    return summed
 
 
 def integer_ceil_bound(lp_objective: float) -> int:
@@ -120,9 +135,7 @@ class LPRelaxationBound:
         value = integer_ceil_bound(result.objective)
         tight = result.tight_rows(TIGHT_TOL)
         explanation = [data.rows[i] for i in tight]
-        duals_by_row = {
-            row: float(dual) for row, dual in zip(data.rows, result.duals)
-        }
+        duals_by_row = sum_by_row(data.rows, result.duals)
         fractional = {
             data.columns[j]: float(result.x[j]) for j in range(data.num_columns)
         }

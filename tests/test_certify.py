@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from collections import Counter
 from io import StringIO
 
 import pytest
@@ -13,9 +14,15 @@ from repro.certify import (
     ProofLogger,
     ProofSyntaxError,
 )
+from repro.certify import checker as checker_module
 from repro.certify import format as fmt
 from repro.certify import rules
 from repro.core import BsoloSolver, SolverOptions
+from repro.experiments.table1 import family_instances
+from repro.lagrangian.subgradient import LagrangianBound
+from repro.lp.relaxation import LPRelaxationBound
+from repro.lp.simplex import solve_node_lp
+from repro.lp.standard_form import build_lp_data
 from repro.pb import Constraint, Objective, PBInstance
 
 
@@ -106,17 +113,19 @@ class TestRules:
             rules.combine([(c1, 0)])
 
     def test_improvement_axiom(self):
-        axiom = rules.improvement_axiom({1: 3, 2: 2}, 4)
+        replayer = rules.CutReplayer({1: 3, 2: 2})
+        axiom = replayer.improvement_axiom(4)
         assert not axiom.is_satisfied_by({1: 1, 2: 1})  # cost 5 > 3
         assert axiom.is_satisfied_by({1: 1, 2: 0})  # cost 3 <= 3
-        # constant objective: tautology
-        assert rules.improvement_axiom({}, 0).is_tautology
+        assert replayer.improvement_axiom(6).is_tautology  # every cost <= 5
+        # constant objective: nothing to derive
+        assert rules.CutReplayer({}).improvement_axiom(0).is_tautology
 
     def test_cardinality_cut_matches_paper_eq13(self):
         # x1+x2+x3 >= 2 with member costs 1,2,3: V = 1+2 = 3
         source = Constraint.at_least([1, 2, 3], 2)
         costs = {1: 1, 2: 2, 3: 3, 4: 5}
-        cut = rules.cardinality_cut(source, costs, upper=6)
+        cut = rules.CutReplayer(costs).cardinality_cut(source, upper=6)
         # outside budget: 6 - 1 - 3 = 2, so 5*x4 <= 2 forces x4 = 0
         assert cut is not None
         assert not cut.is_satisfied_by({4: 1})
@@ -124,7 +133,8 @@ class TestRules:
 
     def test_cardinality_cut_negative_budget_is_unsat(self):
         source = Constraint.at_least([1, 2], 2)
-        cut = rules.cardinality_cut(source, {1: 5, 2: 5}, upper=4)
+        replayer = rules.CutReplayer({1: 5, 2: 5})
+        cut = replayer.cardinality_cut(source, upper=4)
         assert cut is not None and cut.is_unsatisfiable
 
     def test_check_mis_bound_accepts_sound_accounting(self):
@@ -150,6 +160,43 @@ class TestRules:
         assert result.coefficient(1) == 0 and result.coefficient(-1) == 0
         # unknown antecedent id refuses the replay
         assert rules.replay_resolution(c1, [("r", 1, 9)], {1: c1, 2: c2}) is None
+
+
+def scratch_cardinality_cut(source, costs, upper):
+    """Eq. 13 built from scratch for one source (None: no row)."""
+    if not source.is_cardinality or any(lit < 0 for lit in source.literals):
+        return None
+    members = set(source.literals)
+    member_costs = sorted(costs.get(var, 0) for var in members)
+    value_v = sum(member_costs[: source.cardinality_threshold])
+    if value_v <= 0:
+        return None
+    outside = [(cost, var) for var, cost in costs.items() if var not in members]
+    row = Constraint.less_equal(outside, upper - 1 - value_v)
+    return None if row.is_tautology else row
+
+
+class TestCutReplayer:
+    @pytest.mark.parametrize("family", ["ptl", "mcnc", "grout"])
+    def test_rows_equal_scratch_builds(self, family):
+        """Every ``o`` row and every input's ``t`` row, at every bound
+        from below the cheapest to above the dearest solution (the ``o``
+        row is built whole, tautology included: every ``o`` step derives
+        a row, while a vacuous ``t`` step is refused)."""
+        (instance,), _ = family_instances(family, count=1, scale=0.3)
+        costs = instance.objective.costs
+        objective = [(cost, var) for var, cost in costs.items()]
+        replayer = rules.CutReplayer(costs)
+        rows = Counter()
+        for upper in range(-1, sum(costs.values()) + 2):
+            axiom = replayer.improvement_axiom(upper)
+            assert axiom == Constraint.less_equal(objective, upper - 1), upper
+            for source in instance.constraints:
+                cut = replayer.cardinality_cut(source, upper)
+                assert cut == scratch_cardinality_cut(source, costs, upper)
+                if cut is not None:
+                    rows["unsat" if cut.is_unsatisfiable else "cut"] += 1
+        assert rows["unsat"] and rows["cut"]
 
 
 class TestEndToEnd:
@@ -409,6 +456,243 @@ class TestAdversarial:
         weak = "\n".join(header + [solution, lin((1,), (5,)), "e unknown", ""])
         error = self._assert_rejected(instance, weak)
         assert error.step == 2
+
+
+class OracleDatabase:
+    """From-scratch RUP reference: keeps every derived row, answers each
+    query on copies of the root state, and rescans a whole row whenever
+    its slack drops."""
+
+    def __init__(self):
+        self.rows = []
+        self.occ = {}
+        self.root_slack = []
+        self.root_value = {}
+        self.root_conflict = False
+
+    def add(self, constraint):
+        index = len(self.rows)
+        self.rows.append(constraint)
+        slack = -constraint.rhs
+        for coef, lit in constraint.terms:
+            self.occ.setdefault(lit, []).append((index, coef))
+            value = self.root_value.get(abs(lit))
+            if value is None or value == (lit > 0):
+                slack += coef
+        self.root_slack.append(slack)
+        if self.root_conflict:
+            return
+        if slack < 0:
+            self.root_conflict = True
+            return
+        implied = [
+            lit
+            for coef, lit in constraint.terms
+            if coef > slack and abs(lit) not in self.root_value
+        ]
+        if implied and self.propagate(self.root_value, self.root_slack, implied):
+            self.root_conflict = True
+
+    def rup(self, literals):
+        if self.root_conflict:
+            return True
+        return self.propagate(
+            dict(self.root_value),
+            list(self.root_slack),
+            [-lit for lit in literals],
+        )
+
+    def propagate(self, values, slack, queue):
+        for lit in queue:  # grows while it is read
+            previous = values.get(abs(lit))
+            if previous is not None:
+                if previous != (lit > 0):
+                    return True
+                continue
+            values[abs(lit)] = lit > 0
+            for index, coef in self.occ.get(-lit, ()):
+                slack[index] -= coef
+                if slack[index] < 0:
+                    return True
+                queue.extend(
+                    lit2
+                    for coef2, lit2 in self.rows[index].terms
+                    if coef2 > slack[index] and abs(lit2) not in values
+                )
+        return False
+
+
+class LockstepDatabase(checker_module._Database):
+    """The shipped database, checked against the oracle on every row it
+    takes and every RUP query (and each one-literal-shorter query)."""
+
+    def __init__(self):
+        super().__init__()
+        self.oracle = OracleDatabase()
+        self.verdicts = Counter()
+
+    def add(self, constraint, key=None):
+        super().add(constraint, key)
+        self.oracle.add(constraint)
+        assert self.root_conflict == self.oracle.root_conflict
+
+    def rup(self, literals):
+        queries = [tuple(literals)] + [
+            tuple(literals[:i]) + tuple(literals[i + 1 :])
+            for i in range(len(literals))
+        ]
+        for query in reversed(queries):  # the clause itself goes last
+            verdict = super().rup(query)
+            assert verdict == self.oracle.rup(query), query
+            self.verdicts[verdict] += 1
+        return verdict
+
+
+@pytest.fixture
+def lockstep(monkeypatch):
+    """Every database a checker builds, each in lockstep with the oracle."""
+    databases = []
+
+    class Recorded(LockstepDatabase):
+        def __init__(self):
+            super().__init__()
+            databases.append(self)
+
+    monkeypatch.setattr(checker_module, "_Database", Recorded)
+    return databases
+
+
+def rejected(instance, text):
+    with pytest.raises(ProofError) as info:
+        ProofChecker(instance).check_text(text)
+    return info.value
+
+
+class TestCheckerLockstep:
+    @pytest.mark.parametrize(
+        "family, scale", [("grout", 0.5), ("ptl", 0.3), ("mcnc", 0.5)]
+    )
+    def test_rup_verdicts_match_the_oracle(self, family, scale, lockstep):
+        instances, _ = family_instances(family, count=2, scale=scale)
+        for instance in instances:
+            for options in ({}, {"lower_bound": "mis"}):
+                result, text = solve_with_proof(instance, **options)
+                outcome = ProofChecker(instance).check_text(text)
+                assert outcome.status == result.status
+        verdicts = sum((database.verdicts for database in lockstep), Counter())
+        assert verdicts[True] and verdicts[False], verdicts
+        # Some source's row was tightened in place instead of added.
+        assert any(len(db._slack) < len(db.oracle.rows) for db in lockstep)
+
+    def test_objective_row_tightened_in_place(self, lockstep):
+        instance = PBInstance(
+            [Constraint.clause([1, 2, 3, 4])],
+            Objective({1: 1, 2: 1, 3: 1, 4: 1}),
+        )
+        steps = [
+            "o 1 2 3 4 0",  # cost 4: at most 3 of x1..x4
+            "o 1 2 3 -4 0",  # cost 3: at most 2, tightened in place
+            "o 1 2 -3 -4 0",  # cost 2: at most 1, tightened again
+            "u -1 -2 0",  # not both x1 and x2: needs "at most 1"
+            "o 1 -2 -3 -4 0",  # cost 1: none, which violates the input
+            "c",
+            "e optimal 1",
+        ]
+        text = "\n".join([fmt.HEADER, "f 1"] + steps) + "\n"
+        outcome = ProofChecker(instance).check_text(text)
+        assert (outcome.status, outcome.cost) == ("optimal", 1)
+        # The input, one objective row and the u clause.
+        assert len(lockstep[0]._slack) == 3
+        for tampered in (
+            text.replace("o 1 2 -3 -4 0\n", ""),
+            text.replace("o 1 2 -3 -4 0\n", "o 1 2 3 -4 0\n"),  # cost 3
+        ):
+            error = rejected(instance, tampered)
+            assert "not RUP" in str(error)
+
+    def test_cardinality_row_whose_saturation_changes(self, lockstep):
+        # x1+x2+x3 >= 2 pays V = 2, so x4 (cost 4) and x5 (cost 1) get
+        # at most upper - 3 between them.
+        instance = PBInstance(
+            [Constraint.at_least([1, 2, 3], 2)],
+            Objective({1: 1, 2: 1, 3: 1, 4: 4, 5: 1}),
+        )
+        steps = [
+            "o 1 2 3 4 5 0",  # cost 8
+            "o 1 2 -3 4 5 0",  # cost 7
+            "t 1",  # 1 ~x4 + 1 ~x5 >= 1
+            "o 1 2 -3 4 -5 0",  # cost 6
+            "t 1",  # 2 ~x4 + 1 ~x5 >= 2: new terms, a new row
+            "u -4 0",  # needs the second t row
+            "e unknown",
+        ]
+        text = "\n".join([fmt.HEADER, "f 1"] + steps) + "\n"
+        ProofChecker(instance).check_text(text)
+        replayer = rules.CutReplayer(instance.objective.costs)
+        first, second = (
+            replayer.cardinality_cut(instance.constraints[0], upper)
+            for upper in (7, 6)
+        )
+        assert first.terms != second.terms
+        error = rejected(instance, text.replace("t 1\nu -4 0", "u -4 0"))
+        assert error.step == 5 and "not RUP" in str(error)
+        # A source that yields no row at the bound is refused.
+        error = rejected(
+            instance, text.replace("o 1 2 -3 4 5 0\nt 1", "t 1")
+        )
+        assert "no cardinality cut" in str(error)
+
+
+class TestDuplicateRows:
+    """An instance holding a row twice gives each copy a multiplier; the
+    certificate weighs the row by their sum."""
+
+    ROW = Constraint.clause([1, 2])
+    INSTANCE = PBInstance(
+        [ROW, Constraint.clause([2, 3]), ROW], Objective({1: 2, 2: 3, 3: 2})
+    )
+
+    def certified(self, bound):
+        logger = ProofLogger(StringIO())
+        logger.start(self.INSTANCE)
+        logger.log_solution([-1, 2, -3])  # the optimum, cost 3
+        assert bound.value == logger.upper
+        return logger.log_bound_linear([], list(bound.duals_by_row.items()))
+
+    def test_lpr_duals_sum_over_copies(self):
+        bound = LPRelaxationBound(self.INSTANCE).compute({})
+        data = build_lp_data(self.INSTANCE, {})
+        duals = solve_node_lp(data.c, data.A, data.b).duals
+        copies = [dual for row, dual in zip(data.rows, duals) if row == self.ROW]
+        assert len(copies) == 2
+        assert bound.duals_by_row[self.ROW] == pytest.approx(sum(copies))
+        assert self.certified(bound)
+
+    def test_lgr_multipliers_sum_over_copies(self):
+        lgr = LagrangianBound(self.INSTANCE)
+        bound = lgr.compute({})
+        # The copies ascend in step; warm starts keep one value per copy.
+        assert bound.explanation.count(self.ROW) == 2
+        assert bound.duals_by_row[self.ROW] == pytest.approx(
+            2 * lgr._mu_memory[self.ROW]
+        )
+        assert self.certified(bound)
+
+    def test_lgr_certifies_every_mcnc_prune(self):
+        from repro.api import make_solver
+
+        instances, labels = family_instances("mcnc", count=3, scale=0.5)
+        instance = instances[labels.index("mcnc-3")]
+        assert len(set(instance.constraints)) < len(instance.constraints)
+        sink = StringIO()
+        logger = ProofLogger(sink)
+        result = make_solver(
+            instance, "bsolo-lgr", SolverOptions(proof=logger)
+        ).solve()
+        logger.close()
+        assert result.stats.uncertified_prunes == 0
+        outcome = ProofChecker(instance).check_text(sink.getvalue())
+        assert (outcome.status, outcome.cost) == ("optimal", result.best_cost)
 
 
 class TestCheckerIsolation:
