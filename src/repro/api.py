@@ -140,7 +140,6 @@ def solve(
     *,
     assumptions: Optional[Sequence[int]] = None,
     timeout: Optional[float] = None,
-    propagation: Optional[str] = None,
     tracer=None,
     profile: Optional[bool] = None,
     metrics=None,
@@ -151,9 +150,7 @@ def solve(
     ``assumptions`` are literals the reported result must respect
     (solvers without assumption support raise
     :class:`UnsupportedOptionError`).  ``timeout`` (seconds) overrides
-    ``options.time_limit`` when given; ``propagation`` overrides
-    ``options.propagation`` (a backend name from
-    :func:`repro.engine.available_engines`).  The observability
+    ``options.time_limit`` when given.  The observability
     instruments — ``tracer`` (a :class:`repro.obs.Tracer`), ``profile``
     (phase timing on/off), ``metrics`` (a
     :class:`repro.obs.MetricsRegistry`) and ``hotspot`` (a
@@ -173,8 +170,6 @@ def solve(
     overrides = {}
     if timeout is not None:
         overrides["time_limit"] = timeout
-    if propagation is not None:
-        overrides["propagation"] = propagation
     if tracer is not None:
         overrides["tracer"] = tracer
     if profile is not None:

@@ -11,7 +11,7 @@ import time
 from typing import Dict, Optional
 
 from ..pb.instance import PBInstance
-from ..core.options import SolverOptions, merge_solver_options
+from ..core.options import SolverOptions
 from ..core.result import (
     OPTIMAL,
     SATISFIABLE,
@@ -39,8 +39,7 @@ class BruteForceSolver:
                 % (max_variables, instance.num_variables)
             )
         self._instance = instance
-        self._options = merge_solver_options(options)
-        opts = self._options
+        self._options = opts = options or SolverOptions()
         self._tracer = opts.tracer if opts.tracer is not None else NULL_TRACER
         self._timer = PhaseTimer() if opts.profile else NULL_TIMER
         self.stats = SolverStats()

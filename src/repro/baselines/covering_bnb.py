@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Set
 
-from ..core.options import SolverOptions, merge_solver_options
+from ..core.options import SolverOptions
 from ..core.result import (
     OPTIMAL,
     SATISFIABLE,
@@ -57,19 +57,13 @@ class CoveringBnBSolver:
         self,
         instance: PBInstance,
         options: Optional[SolverOptions] = None,
-        *,
-        time_limit: Optional[float] = None,
-        max_nodes: Optional[int] = None,
     ):
         if not instance.is_covering:
             raise ValueError("CoveringBnBSolver requires a clause-only instance")
         self._instance = instance
-        self._options = merge_solver_options(options, time_limit=time_limit)
-        opts = self._options
+        self._options = opts = options or SolverOptions()
         self._time_limit = opts.time_limit
-        self._max_nodes = (
-            max_nodes if max_nodes is not None else opts.max_decisions
-        )
+        self._max_nodes = opts.max_decisions
         self._tracer = opts.tracer if opts.tracer is not None else NULL_TRACER
         self._timer = PhaseTimer() if opts.profile else NULL_TIMER
         self.stats = SolverStats()

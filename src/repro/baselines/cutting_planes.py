@@ -22,7 +22,7 @@ import time
 from typing import Dict, Optional
 
 from ..core.cuts import CutGenerator
-from ..core.options import SolverOptions, merge_solver_options
+from ..core.options import SolverOptions
 from ..core.result import (
     OPTIMAL,
     SATISFIABLE,
@@ -53,16 +53,9 @@ class CuttingPlanesSolver:
     name = "galena-like"
 
     def __init__(self, instance: PBInstance,
-                 options: Optional[SolverOptions] = None, *,
-                 time_limit: Optional[float] = None,
-                 max_conflicts: Optional[int] = None, tracer=None,
-                 profile: bool = False):
+                 options: Optional[SolverOptions] = None):
         self._instance = instance
-        self._options = merge_solver_options(
-            options, time_limit=time_limit, max_conflicts=max_conflicts,
-            tracer=tracer, profile=profile,
-        )
-        opts = self._options
+        self._options = opts = options or SolverOptions()
         self._time_limit = opts.time_limit
         self._max_conflicts = opts.max_conflicts
         self._tracer = opts.tracer if opts.tracer is not None else NULL_TRACER
@@ -103,7 +96,6 @@ class CuttingPlanesSolver:
         search = DecisionSearch(
             instance.num_variables, pb_learning=True,
             tracer=tracer, timer=self._timer,
-            propagation=options.propagation,
         )
         search.add_constraints(instance.constraints)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Tuple
 
-from ..core.options import SolverOptions, merge_solver_options
+from ..core.options import SolverOptions
 from ..core.result import (
     OPTIMAL,
     SATISFIABLE,
@@ -47,17 +47,11 @@ class MILPSolver:
         self,
         instance: PBInstance,
         options: Optional[SolverOptions] = None,
-        *,
-        time_limit: Optional[float] = None,
-        max_nodes: Optional[int] = None,
     ):
         self._instance = instance
-        self._options = merge_solver_options(options, time_limit=time_limit)
-        opts = self._options
+        self._options = opts = options or SolverOptions()
         self._time_limit = opts.time_limit
-        self._max_nodes = (
-            max_nodes if max_nodes is not None else opts.max_decisions
-        )
+        self._max_nodes = opts.max_decisions
         self._tracer = opts.tracer if opts.tracer is not None else NULL_TRACER
         self._timer = PhaseTimer() if opts.profile else NULL_TIMER
         self.stats = SolverStats()

@@ -13,8 +13,8 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from ..engine.activity import VSIDSActivity
 from ..engine.conflict import ConflictAnalyzer, RootConflictError, highest_level
-from ..engine.interface import make_engine
 from ..engine.pb_resolution import ResolutionScratch
+from ..engine.propagation import Propagator
 from ..obs.events import ConflictEvent, DecisionEvent
 from ..obs.timers import NULL_TIMER
 from ..pb.constraints import Constraint
@@ -36,13 +36,10 @@ class DecisionSearch:
     """
 
     def __init__(self, num_variables: int, decay: float = 0.95,
-                 pb_learning: bool = False, tracer=None, timer=None,
-                 propagation: str = "counter"):
+                 pb_learning: bool = False, tracer=None, timer=None):
         self._tracer = tracer if (tracer is not None and tracer.enabled) else None
         self._timer = timer if timer is not None else NULL_TIMER
-        self._propagator = make_engine(
-            propagation, num_variables, tracer=self._tracer
-        )
+        self._propagator = Propagator(num_variables, tracer=self._tracer)
         self._activity = VSIDSActivity(num_variables, decay=decay)
         self._analyzer = ConflictAnalyzer(num_variables)
         self._resolution = ResolutionScratch(num_variables)

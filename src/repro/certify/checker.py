@@ -10,7 +10,7 @@ verified incumbent and contradiction.  Any mismatch raises
 :class:`ProofError` carrying the 1-based step number and source line.
 
 Deliberately imports **nothing** from ``repro.core`` or ``repro.engine``:
-a bug in the solver or its propagation backends cannot leak into the
+a bug in the solver or its propagation engine cannot leak into the
 judgement of its own proofs.
 """
 

@@ -23,7 +23,6 @@ from typing import Any, Dict, List, Optional
 
 from .api import available_solvers, solver_descriptions
 from .core.options import SolverOptions
-from .engine import available_engines, engine_descriptions
 from .experiments.runner import run_one
 from .obs.report import format_profile
 from .obs.trace import JsonlTracer
@@ -36,10 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
         "  %-16s %s" % (name, description)
         for name, description in solver_descriptions().items()
     )
-    engine_lines = "\n".join(
-        "  %-16s %s" % (name, description)
-        for name, description in engine_descriptions().items()
-    )
     parser = argparse.ArgumentParser(
         prog="bsolo",
         description=(
@@ -47,9 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
             "(reproduction of Manquinho & Marques-Silva, DATE 2005)"
         ),
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="registered solvers:\n%s\n\npropagation backends:\n%s\n\n"
-               "Table 1 aliases: pbs, galena, cplex, scherzo"
-               % (solver_lines, engine_lines),
+        epilog="registered solvers:\n%s\n\n"
+               "Table 1 aliases: pbs, galena, cplex, scherzo" % solver_lines,
     )
     parser.add_argument(
         "instance", help="path to an .opb (or, with --wbo, .wbo) file"
@@ -88,15 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "run an N-worker parallel portfolio (diversified solver "
             "configurations with incumbent exchange) instead of --solver"
-        ),
-    )
-    parser.add_argument(
-        "--propagation",
-        default="counter",
-        choices=available_engines(),
-        metavar="ENGINE",
-        help=(
-            "propagation backend (default: counter); see the list below"
         ),
     )
     parser.add_argument(
@@ -217,6 +202,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.progress_interval < 1:
         parser.error("--progress-interval must be >= 1")
+    if args.time_limit is not None and args.time_limit < 0:
+        parser.error("--time-limit must be >= 0")
     if args.portfolio is not None and args.portfolio < 1:
         parser.error("--portfolio must be >= 1")
     if args.portfolio is not None and args.hotspot:
@@ -292,7 +279,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 profile=args.profile or bool(args.hotspot),
                 on_progress=_print_progress if args.progress else None,
                 progress_interval=args.progress_interval,
-                propagation=args.propagation,
                 proof=proof_logger,
                 metrics=registry,
                 hotspot=hotspot,
@@ -377,10 +363,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _wbo_main(parser: argparse.ArgumentParser, args) -> int:
     """The ``--wbo`` path of :func:`main`: soft-constraint solving.
 
-    Supports the core flags (``--time-limit``, ``--propagation``,
-    ``--wbo-mode``, ``--stats``, ``--stats-json``, ``--model``); the
-    single-solver instruments and the portfolio do not apply to the
-    two-level WBO search and are rejected rather than ignored.
+    Supports the core flags (``--time-limit``, ``--wbo-mode``,
+    ``--stats``, ``--stats-json``, ``--model``); the single-solver
+    instruments and the portfolio do not apply to the two-level WBO
+    search and are rejected rather than ignored.
     """
     import time as _time
 
@@ -400,9 +386,7 @@ def _wbo_main(parser: argparse.ArgumentParser, args) -> int:
         wbo = parse_wbo_file(args.instance)
     except OSError as exc:
         parser.error("cannot read instance: %s" % exc)
-    options = SolverOptions(
-        time_limit=args.time_limit, propagation=args.propagation
-    )
+    options = SolverOptions(time_limit=args.time_limit)
     solver = WBOSolver(wbo, options, mode=args.wbo_mode)
     started = _time.monotonic()
     result = solver.solve()

@@ -29,6 +29,28 @@ class UnsupportedOptionError(ValueError):
     """
 
 
+#: The fields that may be None: no budget, no learned-row cap.
+_OPTIONAL_NUMBERS = frozenset(
+    ("time_limit", "max_conflicts", "max_decisions", "max_learned")
+)
+
+
+def _check_number(name: str, value: Any, kind: type, low: Optional[int]) -> None:
+    """Raise unless ``value`` is an ``int`` (or, for ``kind`` float, an
+    int or a float) of at least ``low``; a bool is no number here.  The
+    budgets and the learned-row cap may also be None."""
+    if value is None and name in _OPTIONAL_NUMBERS:
+        return
+    types = (int, float) if kind is float else (int,)
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise TypeError(
+            "%s must be %s, got %r"
+            % (name, "a number" if kind is float else "an integer", value)
+        )
+    if low is not None and value < low:
+        raise ValueError("%s must be >= %d, got %r" % (name, low, value))
+
+
 class SolverOptions:
     """All tunables of :class:`~repro.core.solver.BsoloSolver`."""
 
@@ -47,7 +69,6 @@ class SolverOptions:
         restart_interval: int = 100,
         phase_saving: bool = False,
         pb_learning: bool = False,
-        propagation: str = "counter",
         time_limit: Optional[float] = None,
         max_conflicts: Optional[int] = None,
         max_decisions: Optional[int] = None,
@@ -71,10 +92,22 @@ class SolverOptions:
             raise ValueError(
                 "lower_bound must be one of %s, got %r" % (_METHODS, lower_bound)
             )
-        if progress_interval < 1:
-            raise ValueError("progress_interval must be >= 1")
-        if poll_interval < 1:
-            raise ValueError("poll_interval must be >= 1")
+        for name, value, kind, low in (
+            ("probing_implications", probing_implications, int, 0),
+            ("restart_interval", restart_interval, int, 1),
+            ("time_limit", time_limit, float, 0),
+            ("max_conflicts", max_conflicts, int, 0),
+            ("max_decisions", max_decisions, int, 0),
+            ("vsids_decay", vsids_decay, float, None),
+            ("lgr_iterations", lgr_iterations, int, None),
+            ("lp_max_iterations", lp_max_iterations, int, None),
+            ("max_learned", max_learned, int, 0),
+            ("progress_interval", progress_interval, int, 1),
+            ("poll_interval", poll_interval, int, 1),
+        ):
+            _check_number(name, value, kind, low)
+        if not 0.0 < vsids_decay <= 1.0:
+            raise ValueError("vsids_decay must be in (0, 1], got %r" % vsids_decay)
         if proof is not None and external_bound is not None:
             raise ValueError(
                 "proof logging is incompatible with external_bound: an "
@@ -116,12 +149,6 @@ class SolverOptions:
         #: Learn cutting-plane resolvents alongside first-UIP clauses
         #: (Galena-style PB learning; post-paper extension).
         self.pb_learning = pb_learning
-        #: Propagation backend name (``repro.engine.available_engines()``):
-        #: ``"counter"`` for eager slack counters (the reference engine)
-        #: or ``"watched"`` for watched-literal/watched-sum propagation.
-        #: Validated lazily by ``make_engine`` so third-party backends
-        #: registered after option construction still work.
-        self.propagation = propagation
         #: Wall-clock budget in seconds (None = unlimited).
         self.time_limit = time_limit
         #: Conflict budget (None = unlimited).
@@ -202,7 +229,6 @@ class SolverOptions:
             "restart_interval": self.restart_interval,
             "phase_saving": self.phase_saving,
             "pb_learning": self.pb_learning,
-            "propagation": self.propagation,
             "time_limit": self.time_limit,
             "max_conflicts": self.max_conflicts,
             "max_decisions": self.max_decisions,
@@ -266,23 +292,3 @@ class SolverOptions:
 
     def __repr__(self) -> str:
         return "SolverOptions(lower_bound=%r)" % self.lower_bound
-
-
-def merge_solver_options(options: Optional[SolverOptions], **legacy) -> SolverOptions:
-    """Combine an optional :class:`SolverOptions` with legacy per-solver
-    keyword overrides (``time_limit=...`` etc.); explicitly passed
-    (non-None, non-False) legacy values win over the options object.
-
-    The baseline solvers accept both styles — the uniform
-    ``(instance, options)`` constructor of the registry and their
-    original keyword arguments — and funnel both through this helper.
-    """
-    base = options if options is not None else SolverOptions()
-    effective = {
-        key: value
-        for key, value in legacy.items()
-        if value is not None and value is not False
-    }
-    if not effective:
-        return base
-    return base.replace(**effective)

@@ -29,8 +29,8 @@ from ..covering.reductions import reduce_covering
 from ..engine.activity import VSIDSActivity
 from ..engine.conflict import ConflictAnalyzer, RootConflictError, highest_level
 from ..engine.constraint_db import StoredConstraint
-from ..engine.interface import make_engine
 from ..engine.pb_resolution import ResolutionScratch
+from ..engine.propagation import Propagator
 from ..engine.restarts import RestartScheduler
 from ..lagrangian.subgradient import LagrangianBound
 from ..lp.relaxation import LowerBound, LPRelaxationBound
@@ -166,8 +166,7 @@ class BsoloSolver:
             self._schedule = session.schedule
             self._bounder = session.bounder
         else:
-            self._propagator = make_engine(
-                self._options.propagation,
+            self._propagator = Propagator(
                 instance.num_variables,
                 tracer=self._tracer if self._tracer.enabled else None,
             )
@@ -279,12 +278,7 @@ class BsoloSolver:
             }
             self.stats.propagations = counts["propagations"]
             self._collect_lb_stats()
-            record_metrics(
-                self._options.metrics,
-                counts,
-                self.stats,
-                backend=self._propagator.name,
-            )
+            record_metrics(self._options.metrics, counts, self.stats)
         if tracer.enabled:
             tracer.emit(
                 ResultEvent(

@@ -149,7 +149,6 @@ def record_metrics(
     registry,
     counts: Mapping[str, int],
     stats: Optional[SolverStats] = None,
-    backend: Optional[str] = None,
 ) -> None:
     """Add one solve's counts to ``registry`` when the solve ends.
 
@@ -158,9 +157,8 @@ def record_metrics(
     :class:`~repro.obs.metrics.MetricsRegistry`, so it owns the name,
     help text and labels of every counter family.  ``stats`` feeds the
     ``solver_*`` families.  ``counts`` holds what the engine and the
-    bounders counted during this solve: ``propagations`` and
-    ``propagate_calls`` (recorded under the engine's ``backend`` name),
-    ``mis_hits``/``mis_misses`` and ``lp_pivots``.
+    bounders counted during this solve: ``propagations``,
+    ``propagate_calls``, ``mis_hits``/``mis_misses`` and ``lp_pivots``.
     A family is recorded only when its source is given, so the registry
     lists the families of the parts that ran.  Nothing is recorded
     without an enabled registry.
@@ -187,17 +185,13 @@ def record_metrics(
             stats.solutions_found
         )
         counter("solver_restarts", "Restarts performed").inc(stats.restarts)
-    if backend is not None:
+    if "propagations" in counts:
+        counter("engine_propagations", "Implications discovered by BCP").inc(
+            counts["propagations"]
+        )
         counter(
-            "engine_propagations",
-            "Implications discovered by BCP",
-            labels=("backend",),
-        ).labels(backend=backend).inc(counts["propagations"])
-        counter(
-            "engine_propagate_calls",
-            "Calls to the propagation fixed-point loop",
-            labels=("backend",),
-        ).labels(backend=backend).inc(counts["propagate_calls"])
+            "engine_propagate_calls", "Calls to the propagation fixed-point loop"
+        ).inc(counts["propagate_calls"])
     if "mis_hits" in counts:
         cache = counter(
             "mis_cache", "MIS constraint-state cache outcomes", labels=("outcome",)

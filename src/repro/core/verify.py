@@ -29,6 +29,7 @@ from typing import Callable, Optional, Tuple
 
 from ..pb.instance import PBInstance
 from .cuts import CutGenerator
+from .options import SolverOptions
 from .result import OPTIMAL, SATISFIABLE, SolveResult, UNSATISFIABLE
 
 
@@ -83,7 +84,7 @@ class VerifyOutcome:
 def _default_prover(instance: PBInstance, time_limit: Optional[float]):
     from ..baselines.linear_search import LinearSearchSolver
 
-    return LinearSearchSolver(instance, time_limit=time_limit).solve()
+    return LinearSearchSolver(instance, SolverOptions(time_limit=time_limit)).solve()
 
 
 def verify_result(

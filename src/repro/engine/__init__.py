@@ -15,37 +15,15 @@ from .conflict import (
     analyze,
     highest_level,
 )
-from .constraint_db import (
-    KIND_CARDINALITY,
-    KIND_CLAUSE,
-    KIND_GENERAL,
-    ConstraintDatabase,
-    StoredConstraint,
-    WatchedConstraintDatabase,
-    classify,
-)
-from .interface import (
-    Conflict,
-    PropagationEngine,
-    UnknownEngineError,
-    available_engines,
-    engine_descriptions,
-    make_engine,
-    register_engine,
-)
-from .propagation import Propagator
+from .constraint_db import ConstraintDatabase, StoredConstraint
+from .propagation import Conflict, Propagator
 from .restarts import RestartScheduler, luby
-from .watched import WatchedPropagator
 
 __all__ = [
     "AnalysisResult",
     "Conflict",
     "ConflictAnalyzer",
     "ConstraintDatabase",
-    "KIND_CARDINALITY",
-    "KIND_CLAUSE",
-    "KIND_GENERAL",
-    "PropagationEngine",
     "Propagator",
     "Reason",
     "RestartScheduler",
@@ -53,16 +31,8 @@ __all__ = [
     "StoredConstraint",
     "Trail",
     "UNASSIGNED",
-    "UnknownEngineError",
     "VSIDSActivity",
-    "WatchedConstraintDatabase",
-    "WatchedPropagator",
     "analyze",
-    "available_engines",
-    "classify",
-    "engine_descriptions",
     "highest_level",
     "luby",
-    "make_engine",
-    "register_engine",
 ]

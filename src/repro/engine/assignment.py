@@ -18,11 +18,10 @@ implied one (the trail remembers each variable's position), which is
 exactly the set of false literals the constraint had when it implied,
 so the tuple equals the one an eager builder would have made.
 
-Every propagation backend shares one :class:`Trail` over plain Python
-lists, which the propagation hot loops index one variable at a time.
-Its :class:`TrailDelta` feeds drive incremental lower bounding, so
-conflict analysis, ``MISBound.attach_trail`` and the benches all read
-the same structure whatever the backend.
+The :class:`Trail` keeps plain Python lists, which the propagation hot
+loops index one variable at a time.  Its :class:`TrailDelta` feeds drive
+incremental lower bounding, so conflict analysis and
+``MISBound.attach_trail`` read the same structure.
 """
 
 from __future__ import annotations

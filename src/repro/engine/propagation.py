@@ -1,8 +1,9 @@
 """Counter-based boolean constraint propagation for PB constraints.
 
-This is the **reference backend** of the :class:`PropagationEngine`
-protocol (registry name ``"counter"``).  For a normalized constraint
-``sum a_j l_j >= b`` define::
+:class:`Propagator` is the one propagation engine: the search loops
+(:class:`~repro.core.solver.BsoloSolver`, the sessions, the SAT-based
+baselines, the probing preprocessor) all drive it.  For a normalized
+constraint ``sum a_j l_j >= b`` define::
 
     slack = sum_{l_j not false} a_j  -  b
 
@@ -21,9 +22,46 @@ and coefficient (a :class:`~repro.engine.assignment.DeferredReason`);
 the trail builds the clausal tuple if conflict analysis reads it, which
 most implications never need.
 
-The eager per-assignment work — O(occurrences) slack updates on every
-assignment and undo — is what the ``"watched"`` backend
-(:mod:`repro.engine.watched`) eliminates.
+Protocol invariants
+-------------------
+For any interleaving of the calls below:
+
+* ``add_constraint`` either returns a :class:`Conflict` (the constraint
+  is violated under the current trail) or schedules the constraint so
+  that the next ``propagate`` discovers every implication it forces.
+* ``decide``/``assume``/``imply`` make a literal true on the shared
+  :class:`~repro.engine.assignment.Trail`; ``decide`` opens a decision
+  level, ``assume`` is only legal at level 0, and ``imply`` records a
+  clausal reason (all literals false except the implied one).
+* ``propagate`` runs implication discovery to a fixed point and returns
+  the first conflict found, or ``None``.  The set of literals implied at
+  a fixed point is the closure of the rule "an unassigned literal whose
+  coefficient exceeds the constraint's slack is true".
+* Every implication carries a clausal reason on the trail and, when it
+  came from a PB constraint, an ``antecedent`` entry, so conflict
+  analysis never needs the engine's internal state.  A reason may be a
+  :class:`~repro.engine.assignment.DeferredReason` (the implying
+  constraint, literal and coefficient) that ``Trail.reason`` turns into
+  the clausal tuple on first read; the tuple depends only on the
+  constraint and the trail prefix before the implied literal.
+* ``backtrack(level)`` undoes every assignment above ``level`` and
+  restores all internal bookkeeping; a subsequent ``propagate`` is a
+  no-op unless constraints were added in between.  Propagation is
+  demand-driven: a row scanned above ``level`` is not rescanned until an
+  assignment touches it, and ``reschedule_all`` queues every row.
+* ``replace_constraint(old, constraint)`` swaps one row for another
+  (the Section 5 cuts keep one row per cut source).  The result is
+  queued, never reported: the next ``propagate`` finds a violation as
+  an ordinary conflict and every implication the new row forces.  When
+  the record is not kept (the terms differ), the *replaced* record
+  leaves every occurrence list and the pending queue at once: it is
+  never woken again or returned inside a later :class:`Conflict`.
+  Implications already on the trail keep their reasons, which hold the
+  old immutable :class:`Constraint`.
+* ``reduce_learned`` purges every internal reference (occurrence lists,
+  the pending queue) to deleted constraints: no deleted
+  :class:`~repro.engine.constraint_db.StoredConstraint` is ever
+  returned inside a later :class:`Conflict` or re-propagated.
 
 **Proof-logging contract** (``SolverOptions(proof=...)``): the
 slack-based implication rule above is exactly the propagation strength
@@ -38,17 +76,36 @@ being RUP-checkable.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque, Optional, Tuple, Union
 
+from ..obs.events import PropagationEvent
 from ..pb.constraints import Constraint
-from .assignment import DeferredReason
+from ..pb.literals import variable
+from .assignment import DeferredReason, Reason, Trail
 from .constraint_db import ConstraintDatabase, StoredConstraint
-from .interface import Conflict, PropagationEngine, register_engine
 
 __all__ = ["Conflict", "Propagator"]
 
 
-class Propagator(PropagationEngine):
+class Conflict:
+    """A violated constraint plus a clausal explanation.
+
+    ``literals`` are all false under the current trail; together they are
+    sufficient for the violation.  For bound conflicts (paper Section 4)
+    ``stored`` is ``None`` and the literals come from ``w_bc``.
+    """
+
+    __slots__ = ("stored", "literals")
+
+    def __init__(self, stored: Optional[StoredConstraint], literals: Tuple[int, ...]):
+        self.stored = stored
+        self.literals = literals
+
+    def __repr__(self) -> str:
+        return "Conflict(%r)" % (self.literals,)
+
+
+class Propagator:
     """Counter-based engine: eager slacks, occurrence-list updates.
 
     ``tracer`` (a :class:`repro.obs.trace.Tracer`) is optional; when
@@ -57,10 +114,21 @@ class Propagator(PropagationEngine):
     untouched — the accounting rides on the existing counter.
     """
 
-    name = "counter"
-
     def __init__(self, num_variables: int, tracer=None):
-        super().__init__(num_variables, tracer=tracer)
+        self.trail = Trail(num_variables)
+        #: Implications discovered so far.
+        self.num_propagations = 0
+        #: Calls to the propagation loop so far.
+        self.num_propagate_calls = 0
+        self._tracer = tracer if (tracer is not None and tracer.enabled) else None
+        self._batch_mark = 0
+        if self._tracer is None:
+            # Skip the trace-batching wrapper entirely on the null path.
+            self.propagate = self._propagate_loop  # type: ignore[method-assign]
+        # var -> the PB constraint that implied it (for cutting-plane
+        # learning; the clausal reason on the trail is authoritative for
+        # clausal analysis)
+        self._antecedent: dict = {}
         self.database = ConstraintDatabase(self.trail)
         self._pending: Deque[StoredConstraint] = deque()
 
@@ -89,8 +157,14 @@ class Propagator(PropagationEngine):
         constraint: Constraint,
         learned: bool = False,
     ) -> StoredConstraint:
-        """Swap the row ``old`` for ``constraint`` and queue the result;
-        ``database.replace`` decides between in place and re-attach."""
+        """Swap the row ``old`` for ``constraint``; returns the new row.
+
+        Over the same terms, ``old`` is tightened in place and returned
+        itself; otherwise the new row takes ``old``'s slot.  ``old``
+        None, or deleted since, attaches a new row.  Either way the row
+        is queued for the next :meth:`propagate`, which reports it if it
+        is violated; no conflict is returned here.
+        """
         stored = self.database.replace(old, constraint, learned)
         if stored is not old and old is not None and old.queued:
             old.queued = False
@@ -99,6 +173,36 @@ class Propagator(PropagationEngine):
             stored.queued = True
             self._pending.append(stored)
         return stored
+
+    # ------------------------------------------------------------------
+    # Assignment entry points
+    # ------------------------------------------------------------------
+    def decide(self, literal: int) -> None:
+        """Open a new decision level with ``literal`` true."""
+        self.trail.decide(literal)
+        self._on_assign(literal)
+
+    def imply(
+        self,
+        literal: int,
+        reason: Union[Reason, DeferredReason],
+        antecedent: Optional[Constraint] = None,
+    ) -> None:
+        """Assert an implication at the current level."""
+        self.trail.imply(literal, reason)
+        if antecedent is not None:
+            self._antecedent[variable(literal)] = antecedent
+        self._on_assign(literal)
+
+    def assume(self, literal: int) -> None:
+        """Root-level assignment (preprocessing, necessary assignments)."""
+        self.trail.assume(literal)
+        self._on_assign(literal)
+
+    def antecedent(self, var: int) -> Optional[Constraint]:
+        """The PB constraint that implied ``var`` (None for decisions or
+        externally asserted literals)."""
+        return self._antecedent.get(var)
 
     # ------------------------------------------------------------------
     # Eager slack maintenance on every assignment
@@ -115,6 +219,27 @@ class Propagator(PropagationEngine):
     # ------------------------------------------------------------------
     # Propagation
     # ------------------------------------------------------------------
+    def propagate(self) -> Optional[Conflict]:
+        """Run boolean constraint propagation to a fixed point.
+
+        Returns the first conflict discovered, or ``None``.  With a
+        tracer, each call that implied something or hit a conflict emits
+        one batch event; an engine built without one runs the bare loop
+        in place of this wrapper.
+        """
+        conflict = self._propagate_loop()
+        delta = self.num_propagations - self._batch_mark
+        self._batch_mark = self.num_propagations
+        if delta or conflict is not None:
+            self._tracer.emit(
+                PropagationEvent(
+                    count=delta,
+                    level=self.trail.decision_level,
+                    conflict=conflict is not None,
+                )
+            )
+        return conflict
+
     def _propagate_loop(self) -> Optional[Conflict]:
         self.num_propagate_calls += 1
         while self._pending:
@@ -154,6 +279,17 @@ class Propagator(PropagationEngine):
                 lit, DeferredReason(constraint, lit, coef), antecedent=constraint
             )
         return None
+
+    def explain_violation(self, stored: StoredConstraint) -> Tuple[int, ...]:
+        """False literals sufficient for ``slack < 0``.
+
+        Their combined coefficient must exceed ``total - rhs``.  Built
+        eagerly: a conflict is analyzed as soon as it is reported.
+        """
+        constraint = stored.constraint
+        total = sum(c for c, _ in constraint.terms)
+        trail = self.trail
+        return trail.false_cover(constraint, total - constraint.rhs, len(trail))
 
     # ------------------------------------------------------------------
     # Backtracking
@@ -198,9 +334,9 @@ class Propagator(PropagationEngine):
             self._pending = fresh
         return removed
 
-
-register_engine(
-    "counter",
-    Propagator,
-    "eager slack counters over occurrence lists (reference backend)",
-)
+    # ------------------------------------------------------------------
+    def model(self) -> dict:
+        """The current (complete) assignment as a var -> 0/1 mapping."""
+        if not self.trail.all_assigned():
+            raise ValueError("model requested from partial assignment")
+        return self.trail.assignment()

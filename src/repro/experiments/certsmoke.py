@@ -1,7 +1,7 @@
 """Certify-after-solve smoke sweep: proof logging end to end.
 
-For each quick-family instance and each propagation backend, solve with
-a :class:`repro.certify.ProofLogger` attached, then replay the produced
+For each quick-family instance, solve with a
+:class:`repro.certify.ProofLogger` attached, then replay the produced
 log with the independent :class:`repro.certify.ProofChecker` and
 cross-check the checker's verdict against the solver's answer.  This is
 the harness behind ``python -m repro.experiments certsmoke`` (the CI
@@ -11,15 +11,12 @@ the harness behind ``python -m repro.experiments certsmoke`` (the CI
 from __future__ import annotations
 
 from io import StringIO
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence
 
 from ..certify import ProofChecker, ProofError, ProofLogger
 from ..core.options import SolverOptions
 from .runner import run_one
 from .table1 import family_instances
-
-#: Propagation backends: both engines emit proofs.
-CONFIGS: Tuple[str, ...] = ("counter", "watched")
 
 #: The quick Table 1 stand-in families.
 FAMILIES = ("mcnc", "ptl", "grout")
@@ -31,9 +28,8 @@ def run_certsmoke(
     scale: float = 0.5,
     time_limit: float = 30.0,
     solver: str = "bsolo-lpr",
-    configs: Sequence[str] = CONFIGS,
 ) -> List[Dict[str, Any]]:
-    """Solve, log, and independently re-check every (instance, config).
+    """Solve, log, and independently re-check every instance.
 
     Returns one record per run with the solver's answer, the checker's
     verdict, and an ``ok`` flag that also demands the two agree (the
@@ -44,37 +40,33 @@ def run_certsmoke(
     for family in families:
         instances, labels = family_instances(family, count=count, scale=scale)
         for instance, label in zip(instances, labels):
-            for propagation in configs:
-                sink = StringIO()
-                logger = ProofLogger(sink)
-                options = SolverOptions(
-                    time_limit=time_limit, propagation=propagation, proof=logger
+            sink = StringIO()
+            logger = ProofLogger(sink)
+            options = SolverOptions(time_limit=time_limit, proof=logger)
+            record = run_one(solver, instance, label, options)
+            logger.close()
+            row: Dict[str, Any] = {
+                "instance": label,
+                "status": record.result.status,
+                "cost": record.result.best_cost,
+                "steps": logger.steps_logged,
+                "uncertified_prunes": record.result.stats.uncertified_prunes,
+            }
+            try:
+                outcome = ProofChecker(instance).check_text(sink.getvalue())
+            except ProofError as exc:
+                row["verified"] = False
+                row["error"] = str(exc)
+                row["ok"] = False
+            else:
+                row["verified"] = True
+                row["claim"] = outcome.status
+                row["claim_cost"] = outcome.cost
+                row["ok"] = (
+                    outcome.status == record.result.status
+                    and outcome.cost == record.result.best_cost
                 )
-                record = run_one(solver, instance, label, options)
-                logger.close()
-                row: Dict[str, Any] = {
-                    "instance": label,
-                    "config": propagation,
-                    "status": record.result.status,
-                    "cost": record.result.best_cost,
-                    "steps": logger.steps_logged,
-                    "uncertified_prunes": record.result.stats.uncertified_prunes,
-                }
-                try:
-                    outcome = ProofChecker(instance).check_text(sink.getvalue())
-                except ProofError as exc:
-                    row["verified"] = False
-                    row["error"] = str(exc)
-                    row["ok"] = False
-                else:
-                    row["verified"] = True
-                    row["claim"] = outcome.status
-                    row["claim_cost"] = outcome.cost
-                    row["ok"] = (
-                        outcome.status == record.result.status
-                        and outcome.cost == record.result.best_cost
-                    )
-                records.append(row)
+            records.append(row)
     return records
 
 
@@ -83,8 +75,8 @@ def format_certsmoke(records: Sequence[Dict[str, Any]]) -> str:
     counts the run's prunes left uncertified, which a verified proof
     does not show."""
     lines = [
-        "%-12s %-22s %-14s %6s %8s  %s"
-        % ("instance", "config", "answer", "steps", "declined", "verdict")
+        "%-12s %-14s %6s %8s  %s"
+        % ("instance", "answer", "steps", "declined", "verdict")
     ]
     for row in records:
         answer = row["status"]
@@ -99,10 +91,9 @@ def format_certsmoke(records: Sequence[Dict[str, Any]]) -> str:
         else:
             verdict = "REJECTED: %s" % row.get("error")
         lines.append(
-            "%-12s %-22s %-14s %6d %8d  %s"
+            "%-12s %-14s %6d %8d  %s"
             % (
                 row["instance"],
-                row["config"],
                 answer,
                 row["steps"],
                 row["uncertified_prunes"],

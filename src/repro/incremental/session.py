@@ -47,7 +47,7 @@ from ..core.result import SolveResult
 from ..core.bound_schedule import AdaptiveSchedule
 from ..core.solver import BsoloSolver, make_bounder
 from ..engine.activity import VSIDSActivity
-from ..engine.interface import make_engine
+from ..engine.propagation import Propagator
 from ..engine.restarts import RestartScheduler
 from ..pb.constraints import Constraint
 from ..pb.instance import InfeasibleConstraintError, PBInstance
@@ -140,8 +140,7 @@ class SolverSession:
 
         tracer = self._options.tracer
         #: Persistent engine, sized to include the guard variable.
-        self.propagator = make_engine(
-            self._options.propagation,
+        self.propagator = Propagator(
             self.guard_var,
             tracer=tracer if (tracer is not None and tracer.enabled) else None,
         )

@@ -4,9 +4,9 @@ A worker is just ``(solver_name, options)`` — a name resolved through
 :mod:`repro.api` plus a picklable :class:`SolverOptions`.  The default
 portfolio diversifies along the axes the paper shows to be
 complementary: the lower-bound method (MIS / LGR / LPR / none), restart
-and phase-saving policy, PB-resolvent learning, the propagation backend,
-and entirely different search paradigms (SAT linear search, cutting
-planes, MILP branch & bound).
+and phase-saving policy, PB-resolvent learning, and entirely different
+search paradigms (SAT linear search, cutting planes, MILP branch &
+bound).
 """
 
 from __future__ import annotations
@@ -58,18 +58,14 @@ class WorkerSpec:
 
 
 #: The diversification ladder: each rung is (solver, option overrides).
-#: The propagation backend is a diversification axis too: watched-literal
-#: rungs race the counter rungs, so whichever engine fits the instance's
-#: constraint mix (clause-heavy vs dense PB) reaches the optimum first.
 _DEFAULT_LADDER = (
     ("bsolo-lpr", {}),
-    ("bsolo-mis", {"restarts": True, "phase_saving": True,
-                   "propagation": "watched"}),
-    ("linear-search", {"propagation": "watched"}),
+    ("bsolo-mis", {"restarts": True, "phase_saving": True}),
+    ("linear-search", {}),
     ("bsolo-lgr", {}),
     ("bsolo-lpr", {"pb_learning": True}),
     ("cutting-planes", {}),
-    ("bsolo-plain", {"restarts": True, "propagation": "watched"}),
+    ("bsolo-plain", {"restarts": True}),
     ("bsolo-lpr", {"restarts": True}),
     ("milp", {}),
 )

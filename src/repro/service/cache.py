@@ -53,8 +53,8 @@ def options_signature(options: Mapping[str, Any]) -> str:
     (the service's request whitelist).  Defaults are filled in before
     signing, so ``{}`` and an explicit ``{"lower_bound": "lpr"}``
     (the default) produce the same signature, while any semantically
-    different knob — backend, bound method, learning toggles, even
-    conflict budgets — produces a different one.
+    different knob — bound method, learning toggles, even conflict
+    budgets — produces a different one.
     """
     described = SolverOptions(**dict(options)).describe()
     semantic = {

@@ -16,7 +16,6 @@ from typing import Any, Dict, Mapping, Optional
 
 from ..api import canonical_name as resolve_solver
 from ..core.options import SolverOptions
-from ..engine.interface import available_engines
 from ..pb.instance import InfeasibleConstraintError, PBInstance
 from ..pb.opb import OPBError, parse
 
@@ -185,14 +184,6 @@ class SubmitRequest:
             options = SolverOptions(**raw_options)
         except (TypeError, ValueError) as exc:
             raise ProtocolError("bad_request", "invalid options: %s" % exc)
-        # SolverOptions leaves the backend to make_engine, so an unknown
-        # name would otherwise fail only inside the worker
-        if options.propagation not in available_engines():
-            raise ProtocolError(
-                "bad_request",
-                "unknown propagation engine %r (available: %s)"
-                % (options.propagation, ", ".join(available_engines())),
-            )
 
         timeout = data.get("timeout")
         if timeout is not None:

@@ -292,3 +292,57 @@ class TestOptionsReplace:
         clone = pickle.loads(pickle.dumps(options))
         assert clone.lower_bound == "lgr"
         assert clone.time_limit == 2.5
+
+
+class TestOptionsValidation:
+    """Every numeric knob is checked when the options are built, so a
+    bad value fails at construction, not inside a running solve."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("time_limit", "x"),
+            ("max_conflicts", "a"),
+            ("max_decisions", 1.5),
+            ("max_learned", True),
+            ("lp_max_iterations", "abc"),
+            ("lgr_iterations", 2.0),
+            ("vsids_decay", "0.9"),
+            ("restart_interval", None),
+            ("probing_implications", False),
+            ("progress_interval", 1.0),
+            ("poll_interval", "16"),
+        ],
+    )
+    def test_non_numbers_rejected(self, field, value):
+        with pytest.raises(TypeError):
+            SolverOptions(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("time_limit", -1.0),
+            ("max_conflicts", -1),
+            ("max_decisions", -1),
+            ("max_learned", -1),
+            ("vsids_decay", 7),
+            ("vsids_decay", 0.0),
+            ("restart_interval", 0),
+            ("probing_implications", -1),
+            ("progress_interval", 0),
+        ],
+    )
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            SolverOptions(**{field: value})
+
+    def test_ints_for_reals_and_none_budgets_accepted(self):
+        options = SolverOptions(
+            time_limit=5,
+            max_conflicts=0,
+            max_decisions=None,
+            max_learned=None,
+            vsids_decay=1,
+        )
+        assert options.time_limit == 5 and options.vsids_decay == 1
+        assert options.max_conflicts == 0 and options.max_learned is None

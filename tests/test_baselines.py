@@ -10,7 +10,7 @@ from repro.baselines import (
     MILPSolver,
     cardinality_reduction,
 )
-from repro.core import OPTIMAL, SATISFIABLE, UNKNOWN, UNSATISFIABLE
+from repro.core import OPTIMAL, SATISFIABLE, UNKNOWN, UNSATISFIABLE, SolverOptions
 from repro.pb import Constraint, Objective, PBInstance
 
 SOLVERS = [LinearSearchSolver, CuttingPlanesSolver, MILPSolver]
@@ -162,15 +162,15 @@ class TestBudgets:
         "solver_cls", [LinearSearchSolver, CuttingPlanesSolver]
     )
     def test_time_limit(self, solver_cls):
-        result = solver_cls(covering_instance(), time_limit=0.0).solve()
+        result = solver_cls(covering_instance(), SolverOptions(time_limit=0.0)).solve()
         assert result.status in (UNKNOWN, OPTIMAL)
 
     def test_milp_node_limit(self):
-        result = MILPSolver(covering_instance(), max_nodes=1).solve()
+        result = MILPSolver(covering_instance(), SolverOptions(max_decisions=1)).solve()
         assert result.status in (UNKNOWN, OPTIMAL)
 
     def test_milp_time_limit(self):
-        result = MILPSolver(covering_instance(), time_limit=0.0).solve()
+        result = MILPSolver(covering_instance(), SolverOptions(time_limit=0.0)).solve()
         assert result.status in (UNKNOWN, OPTIMAL)
 
 

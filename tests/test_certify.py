@@ -246,7 +246,7 @@ class TestEndToEnd:
     @pytest.mark.parametrize(
         "options",
         [
-            {"propagation": "watched"},
+            {"phase_saving": True},
             {"lower_bound": "mis"},
             {"lower_bound": "lgr"},
             {"pb_learning": True},
@@ -263,9 +263,9 @@ class TestEndToEnd:
         assert outcome.status == "optimal"
         assert outcome.cost == result.best_cost
 
-    def test_quick_families_all_configs(self, monkeypatch):
-        """Certify-after-solve across families x propagation backends;
-        each record carries its solve's declined prunes."""
+    def test_quick_families_all_certify(self, monkeypatch):
+        """Certify-after-solve across the quick families; each record
+        carries its solve's declined prunes."""
         from repro.experiments import certsmoke
 
         run_one = certsmoke.run_one

@@ -82,6 +82,10 @@ class TestMain:
         exit_code = cli.main([opt_file, "--time-limit", "30"])
         assert exit_code == 0
 
+    def test_negative_time_limit_rejected(self, opt_file):
+        with pytest.raises(SystemExit):
+            cli.main([opt_file, "--time-limit", "-1"])
+
     def test_help_lists_registered_solvers(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["--help"])

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines import BruteForceSolver, CoveringBnBSolver
-from repro.core import OPTIMAL, SATISFIABLE, UNKNOWN, UNSATISFIABLE
+from repro.core import OPTIMAL, SATISFIABLE, UNKNOWN, UNSATISFIABLE, SolverOptions
 from repro.pb import Constraint, Objective, PBInstance
 
 
@@ -70,11 +70,15 @@ class TestBasics:
 
 class TestBudgets:
     def test_node_limit(self):
-        result = CoveringBnBSolver(covering_instance(), max_nodes=0).solve()
+        result = CoveringBnBSolver(
+            covering_instance(), SolverOptions(max_decisions=0)
+        ).solve()
         assert result.status in (UNKNOWN, OPTIMAL)
 
     def test_time_limit(self):
-        result = CoveringBnBSolver(covering_instance(), time_limit=0.0).solve()
+        result = CoveringBnBSolver(
+            covering_instance(), SolverOptions(time_limit=0.0)
+        ).solve()
         assert result.status in (UNKNOWN, OPTIMAL)
 
 
@@ -107,12 +111,12 @@ class TestAgainstBruteForce:
 
     def test_against_bsolo_on_generated_covering(self):
         from repro.benchgen import generate_covering
-        from repro.core import SolverOptions, solve
+        from repro.core import solve
 
         instance = generate_covering(
             minterms=25, implicants=14, density=0.2, max_cost=25, seed=9
         )
-        classical = CoveringBnBSolver(instance, time_limit=30.0).solve()
+        classical = CoveringBnBSolver(instance, SolverOptions(time_limit=30.0)).solve()
         modern = solve(instance, SolverOptions(lower_bound="lpr", time_limit=30.0))
         assert classical.solved and modern.solved
         assert classical.best_cost == modern.best_cost

@@ -33,8 +33,6 @@ from repro.obs.timers import PhaseTimer
 from repro.pb.objective import Objective
 from tests.test_lb_incremental import walk_nodes, with_cut_rows
 
-BACKENDS = ("counter", "watched")
-
 
 def grout(seed: int):
     return generate_routing(
@@ -42,16 +40,13 @@ def grout(seed: int):
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("seed, optimum", [(2006, 22), (2009, 18), (2017, 14)])
-def test_violated_cut_reaches_propagation(backend, seed, optimum):
+def test_violated_cut_reaches_propagation(seed, optimum):
     """Every bound conflict is a prune: none is an infeasible relaxation
     caused by a cut the engine had not propagated."""
     instance = grout(seed)
     assert make_solver(instance, "milp").solve().best_cost == optimum
-    result = make_solver(
-        instance, "bsolo-mis", SolverOptions(propagation=backend)
-    ).solve()
+    result = make_solver(instance, "bsolo-mis", SolverOptions()).solve()
     assert result.status == OPTIMAL and result.best_cost == optimum
     assert result.stats.bound_conflicts == result.stats.prunings
 
@@ -101,7 +96,6 @@ def _recording_solvers(monkeypatch):
     return solvers
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
     "instance, optimum",
     [
@@ -110,7 +104,7 @@ def _recording_solvers(monkeypatch):
     ],
     ids=["ptl", "grout"],
 )
-def test_session_gc_keeps_live_cut_rows(monkeypatch, backend, instance, optimum):
+def test_session_gc_keeps_live_cut_rows(monkeypatch, instance, optimum):
     assert make_solver(instance, "milp").solve().best_cost == optimum
     solvers = _recording_solvers(monkeypatch)
     rows_checked = []
@@ -129,7 +123,6 @@ def test_session_gc_keeps_live_cut_rows(monkeypatch, backend, instance, optimum)
             lower_bound="mis",
             max_learned=4,
             preprocess=False,
-            propagation=backend,
             on_incumbent=on_incumbent,
         ),
     )
@@ -145,12 +138,9 @@ def test_session_gc_keeps_live_cut_rows(monkeypatch, backend, instance, optimum)
     assert rows_checked
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_phases_of_the_incumbent_path(monkeypatch, backend):
+def test_phases_of_the_incumbent_path(monkeypatch):
     instance = generate_ptl_mapping(nodes=9, extra_edges=4, seed=3)
-    solver = BsoloSolver(
-        instance, SolverOptions(lower_bound="mis", propagation=backend)
-    )
+    solver = BsoloSolver(instance, SolverOptions(lower_bound="mis"))
     current = [""]
     solver._timer = PhaseTimer(listener=lambda name: current.__setitem__(0, name))
     seen = {"resolve": set(), "swap": set(), "bound_inputs": set()}
@@ -197,15 +187,13 @@ def test_phases_of_the_incumbent_path(monkeypatch, backend):
     assert seen["bound_inputs"] == {"lower_bound.mis"}
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("imported", [None, 1100], ids=["local", "imported"])
-def test_one_engine_row_per_cut_source(backend, imported):
+def test_one_engine_row_per_cut_source(imported):
     """Local and imported incumbents swap into the same rows: the engine
     ends with the instance's rows plus one per live cut source."""
     instance = generate_ptl_mapping(nodes=9, extra_edges=4, seed=3)
     options = SolverOptions(
         lower_bound="mis",
-        propagation=backend,
         preprocess=False,
         covering_reductions=False,
     )

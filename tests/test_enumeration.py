@@ -109,14 +109,14 @@ class TestEnumeration:
 
         class RecordingSolver(BsoloSolver):
             def __init__(self, instance, options=None, **kwargs):
-                seen.append((options.propagation, options.preprocess))
+                seen.append((options.lower_bound, options.preprocess))
                 super().__init__(instance, options, **kwargs)
 
         monkeypatch.setattr(enumeration, "BsoloSolver", RecordingSolver)
         instance = PBInstance(
             [Constraint.clause([1, 2])], Objective({1: 2, 2: 2})
         )
-        options = SolverOptions(propagation="watched", preprocess=False)
+        options = SolverOptions(lower_bound="mis", preprocess=False)
         assert len(list(enumerate_optimal(instance, options))) == 2
         assert len(seen) >= 2
-        assert set(seen) == {("watched", False)}
+        assert set(seen) == {("mis", False)}

@@ -260,24 +260,6 @@ class TestLockstepStreams:
                     method, index, family
                 )
 
-    @pytest.mark.parametrize("engine", ["counter", "watched"])
-    def test_lockstep_across_engines(self, engine):
-        stream = assumption_stream(
-            num_variables=10, num_constraints=16, steps=5, seed=3
-        )
-        opts = options(propagation=engine, lower_bound="mis")
-        session = make_session(stream.instance, opts)
-        for index, step in enumerate(stream.steps):
-            warm = session.solve_under(step.assumptions)
-            effective, assumptions = stream.materialize(index)
-            cold = BsoloSolver(effective, opts)
-            cold.set_assumptions(list(assumptions))
-            reference = cold.solve()
-            assert (warm.status, warm.best_cost) == (
-                reference.status,
-                reference.best_cost,
-            )
-
 
 class TestStreamGenerators:
     def test_materialize_tracks_frames(self):

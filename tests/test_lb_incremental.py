@@ -22,7 +22,7 @@ from repro.baselines import BruteForceSolver
 from repro.core.cuts import CutGenerator
 from repro.core.options import SolverOptions
 from repro.core.solver import BsoloSolver
-from repro.engine.interface import Conflict, make_engine
+from repro.engine import Conflict, Propagator
 from repro.experiments.table1 import family_instances
 from repro.lp.tolerances import ceil_guarded
 from repro.mis import MISBound
@@ -55,7 +55,7 @@ def random_instance(seed: int, num_variables: int = 14) -> PBInstance:
 def walk_nodes(instance, seed, max_nodes):
     """Yield the ``fixed`` mapping of each non-conflicting node of a
     seeded decide/propagate/backtrack walk, with the live trail."""
-    engine = make_engine("counter", instance.num_variables)
+    engine = Propagator(instance.num_variables)
     for constraint in instance.constraints:
         engine.add_constraint(constraint)
     if isinstance(engine.propagate(), Conflict):

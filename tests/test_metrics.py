@@ -275,7 +275,7 @@ class TestNullMetrics:
         assert null.families() == []
 
 
-def expected_counters(stats, backend="counter"):
+def expected_counters(stats):
     """The counter samples a solve with ``stats`` (a ``SolverStats.as_dict()``)
     must record, keyed by family name and label values; the engine's
     ``engine_propagate_calls`` has no ``SolverStats`` source and is left out."""
@@ -288,7 +288,7 @@ def expected_counters(stats, backend="counter"):
         ("solver_uncertified_prunes",): stats["uncertified_prunes"],
         ("solver_incumbents",): stats["solutions_found"],
         ("solver_restarts",): stats["restarts"],
-        ("engine_propagations", backend): stats["propagations"],
+        ("engine_propagations",): stats["propagations"],
     }
     lb_stats = stats["lb_stats"]
     mis = lb_stats.get("mis")
@@ -335,20 +335,16 @@ class TestSolverIntegration:
             )
         )
         for instance, options in cases:
-            for backend in ("counter", "watched"):
-                registry = MetricsRegistry()
-                solver = BsoloSolver(
-                    instance,
-                    SolverOptions(propagation=backend, metrics=registry, **options),
-                )
-                result = solver.solve()
-                assert result.status == "optimal"
-                recorded = recorded_counters(registry)
-                calls = recorded.pop(("engine_propagate_calls", backend))
-                assert calls == solver._propagator.num_propagate_calls > 0
-                assert recorded == expected_counters(
-                    result.stats.as_dict(), backend
-                ), (options, backend)
+            registry = MetricsRegistry()
+            solver = BsoloSolver(
+                instance, SolverOptions(metrics=registry, **options)
+            )
+            result = solver.solve()
+            assert result.status == "optimal"
+            recorded = recorded_counters(registry)
+            calls = recorded.pop(("engine_propagate_calls",))
+            assert calls == solver._propagator.num_propagate_calls > 0
+            assert recorded == expected_counters(result.stats.as_dict()), options
 
     def test_session_calls_add_up(self):
         registry = MetricsRegistry()
@@ -367,7 +363,7 @@ class TestSolverIntegration:
         expected[("mis_cache", "miss")] = lb_stats["mis"]["cache_misses"]
         recorded = recorded_counters(registry)
         engine = session.propagator
-        assert recorded.pop(("engine_propagate_calls", "counter")) == (
+        assert recorded.pop(("engine_propagate_calls",)) == (
             engine.num_propagate_calls
         )
         assert recorded == expected
@@ -388,10 +384,7 @@ class TestSolverIntegration:
 
     def test_portfolio_registry_sums_worker_stats(self):
         registry = MetricsRegistry()
-        specs = [
-            WorkerSpec("bsolo-mis"),
-            WorkerSpec("bsolo-lpr", SolverOptions(propagation="watched")),
-        ]
+        specs = [WorkerSpec("bsolo-mis"), WorkerSpec("bsolo-lpr")]
         result = PortfolioSolver(
             generate_ptl_mapping(seed=3),
             specs=specs,
@@ -399,15 +392,12 @@ class TestSolverIntegration:
             metrics=registry,
         ).solve()
         assert result.status == "optimal"
-        backends = {"bsolo-mis": "counter", "bsolo-lpr": "watched"}
         workers = result.stats.workers
         assert len(workers) == 2
         recorded = recorded_counters(registry)
-        for backend in ("counter", "watched"):
-            assert recorded.pop(("engine_propagate_calls", backend)) > 0
+        assert recorded.pop(("engine_propagate_calls",)) > 0
         assert recorded == summed(
-            expected_counters(entry["stats"], backends[entry["solver"]])
-            for entry in workers
+            expected_counters(entry["stats"]) for entry in workers
         )
 
     def test_hot_path_touches_no_counter(self):

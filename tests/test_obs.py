@@ -269,7 +269,9 @@ class TestSolverTraceIntegration:
         path = str(tmp_path / "pbs.jsonl")
         instance = parse(OPT_INSTANCE)
         with JsonlTracer(path) as tracer:
-            solver = LinearSearchSolver(instance, tracer=tracer, profile=True)
+            solver = LinearSearchSolver(
+                instance, SolverOptions(tracer=tracer, profile=True)
+            )
             result = solver.solve()
         assert result.status == "optimal"
         records = read_trace(path)

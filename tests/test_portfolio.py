@@ -257,7 +257,7 @@ class TestPortfolioRuns:
         # hard enough that no worker finishes; the portfolio must come
         # back at its deadline plus the wind-down grace, not at the
         # workers' convenience
-        instance = ptl_suite(count=1, nodes=24, extra_edges=12)[0]
+        instance = ptl_suite(count=1, nodes=40, extra_edges=20)[0]
         start = time.monotonic()
         solver = PortfolioSolver(
             instance, workers=4, time_limit=1.0, grace=1.0

@@ -1,20 +1,25 @@
-"""Differential harness: every propagation backend must agree.
+"""Differential harness: the engine against a from-scratch fixed point.
 
-The counter engine is the reference; watched is checked against it
-with two layers of evidence:
+Randomized scripts drive the engine through decide / propagate /
+backtrack steps — with constraints added under assignment, mid-search
+learned-constraint deletion and row swaps (the Section 5 cuts'
+``replace_constraint``) on seeded ptl, grout and planted random
+instances, and coefficients near ``2**40``.  After every propagate a
+test-local oracle recomputes each live row's slack from the trail alone
+and checks the engine's answer against it:
 
-* randomized lockstep scripts driving both engines through the same
-  decide/propagate/backtrack steps and comparing implied sets,
-  conflict outcomes and assignment values at every step — including
-  mid-search learned-constraint deletion and row swaps (the Section 5
-  cuts' ``replace_constraint``) on seeded ptl, grout and planted
-  random instances and coefficients near ``2**40``;
-* full solves on small instances from each benchmark family, which
-  must reach the same status and the same optimum cost.
+* no conflict: no row is violated, and no unassigned literal has a
+  coefficient above its row's slack (the fixed point is reached);
+* a conflict: the reported row is live and really violated;
+* either way, the engine's own slack counters match (``check_slacks``).
+
+Propagation is demand-driven: a row scanned at a deeper level is not
+rescanned by itself after a backtrack.  So, as a session call does, the
+scripts re-queue every row (``reschedule_all``) after each backtrack.
 
 Deferred PB reasons are checked against the eager greedy builder they
-replaced: on every backend the reason read late from the trail must
-equal the one built at implication time.
+replaced: the reason read late from the trail must equal the one built
+at implication time.
 """
 
 from __future__ import annotations
@@ -24,18 +29,82 @@ import random
 import pytest
 
 from repro.benchgen import generate_planted, ptl_suite, routing_suite
-from repro.core import OPTIMAL, BsoloSolver, SolverOptions
+from repro.engine import Conflict, Propagator
 from repro.engine.assignment import DeferredReason
 from repro.engine.conflict import ConflictAnalyzer, RootConflictError
-from repro.engine.constraint_db import KIND_GENERAL
-from repro.engine.interface import Conflict, make_engine
 from repro.pb.constraints import Constraint
-
-BACKENDS = ("counter", "watched")
 
 
 # ----------------------------------------------------------------------
-# Lockstep fuzz
+# The oracle
+# ----------------------------------------------------------------------
+def _slack(trail, constraint: Constraint) -> int:
+    """Supply of the non-false literals minus the rhs, from the trail."""
+    supply = sum(
+        coef for coef, lit in constraint.terms if not trail.literal_is_false(lit)
+    )
+    return supply - constraint.rhs
+
+
+def check_fixed_point(engine: Propagator, conflict, context) -> None:
+    """Check one ``propagate`` result against slacks recomputed from
+    scratch over every live row."""
+    trail = engine.trail
+    database = engine.database
+    database.check_slacks()
+    if conflict is not None:
+        assert isinstance(conflict, Conflict), context
+        stored = conflict.stored
+        assert database.holds(stored), ("dead row reported", context)
+        assert _slack(trail, stored.constraint) < 0, ("not violated", context)
+        return
+    for stored in database.constraints:
+        constraint = stored.constraint
+        slack = _slack(trail, constraint)
+        assert slack >= 0, ("violated row missed", context, constraint)
+        for coef, lit in constraint.terms:
+            if coef > slack:
+                assert trail.is_assigned(abs(lit)), (
+                    "implication missed",
+                    context,
+                    constraint,
+                    lit,
+                )
+
+
+def _backtrack(engine: Propagator, rng: random.Random) -> bool:
+    """Backtrack to a random lower level and re-queue every row.
+    Returns True at level 0, where there is nothing to undo."""
+    level = engine.trail.decision_level
+    if level == 0:
+        return True
+    engine.backtrack(rng.randint(0, level - 1))
+    engine.reschedule_all()
+    return False
+
+
+def _propagate(engine: Propagator, rng: random.Random, context) -> bool:
+    """Propagate and check the result; backtrack at random on a
+    conflict.  Returns True on a conflict at level 0, which refutes the
+    rows: no backtrack can undo it, so the script ends there."""
+    conflict = engine.propagate()
+    check_fixed_point(engine, conflict, context)
+    return conflict is not None and _backtrack(engine, rng)
+
+
+def _decide(engine: Propagator, rng: random.Random, context) -> bool:
+    """Decide one random free literal and propagate."""
+    trail = engine.trail
+    free = [v for v in range(1, trail.num_variables + 1) if trail.value(v) < 0]
+    if not free:
+        return False
+    var = rng.choice(free)
+    engine.decide(var if rng.random() < 0.5 else -var)
+    return _propagate(engine, rng, context)
+
+
+# ----------------------------------------------------------------------
+# Random scripts
 # ----------------------------------------------------------------------
 def _random_constraint(rng: random.Random, num_vars: int) -> Constraint:
     kind = rng.randrange(3)
@@ -51,105 +120,37 @@ def _random_constraint(rng: random.Random, num_vars: int) -> Constraint:
     return Constraint.greater_equal(list(zip(coefs, lits)), rhs)
 
 
-def _lockstep_decide(engines, rng: random.Random, context) -> None:
-    """Decide one random free literal on every engine and propagate."""
-    num_vars = engines[0].trail.num_variables
-    free = [v for v in range(1, num_vars + 1) if engines[0].trail.value(v) < 0]
-    if not free:
-        return
-    var = rng.choice(free)
-    lit = var if rng.random() < 0.5 else -var
-    for engine in engines:
-        engine.decide(lit)
-    _lockstep_propagate(engines, rng, context)
-
-
-def _lockstep_propagate(engines, rng: random.Random, context) -> bool:
-    """Propagate every engine; backtrack at random on a conflict.
-
-    A conflict must be reported by all engines or none; after a
-    non-conflicting propagate the implied-literal fixpoint must match
-    and each backend's own bookkeeping must check out.  Returns True
-    on a conflict at level 0, which refutes the rows: no backtrack can
-    undo it, so the script ends there.
-    """
-    results = [engine.propagate() for engine in engines]
-    kinds = [isinstance(result, Conflict) for result in results]
-    assert len(set(kinds)) == 1, ("conflict mismatch", context, kinds)
-    if kinds[0]:
-        level = engines[0].trail.decision_level
-        if level == 0:
-            return True
-        target = rng.randint(0, level - 1)
-        for engine in engines:
-            engine.backtrack(target)
-    else:
-        # the implied-literal fixpoint of a *non-conflicting* propagate
-        # call is part of the equivalence contract
-        implied = [set(engine.trail.literals) for engine in engines]
-        for backend, other in zip(BACKENDS[1:], implied[1:]):
-            assert implied[0] == other, (
-                "implied mismatch",
-                context,
-                backend,
-                implied[0] ^ other,
-            )
-        for engine in engines:
-            if engine.name == "counter":
-                engine.database.check_slacks()
-            else:
-                engine.database.check_invariants()
-    return False
-
-
-def _lockstep_backtrack(engines, rng: random.Random) -> None:
-    level = engines[0].trail.decision_level
-    if level == 0:
-        return
-    target = rng.randint(0, level - 1)
-    for engine in engines:
-        engine.backtrack(target)
-
-
-def _assert_same_values(engines, context) -> None:
-    trails = [engine.trail for engine in engines]
-    for v in range(1, trails[0].num_variables + 1):
-        values = [trail.value(v) for trail in trails]
-        assert len(set(values)) == 1, ("value mismatch", context, v, values)
-
-
-def _run_lockstep_seed(seed: int) -> None:
+def _run_script_seed(seed: int) -> None:
     rng = random.Random(seed)
     num_vars = rng.randint(4, 14)
     num_cons = rng.randint(2, 20)
-    engines = [make_engine(name, num_vars) for name in BACKENDS]
+    engine = Propagator(num_vars)
     # interleave adds with decisions to exercise add-under-assignment
     constraints = [_random_constraint(rng, num_vars) for _ in range(num_cons)]
     for step in range(rng.randint(10, 60)):
         op = rng.random()
         if constraints and op < 0.25:
             constraint = constraints.pop()
-            results = [engine.add_constraint(constraint) for engine in engines]
-            kinds = [isinstance(result, Conflict) for result in results]
-            assert len(set(kinds)) == 1, ("add mismatch", seed, step, kinds)
-            if kinds[0]:
-                return  # both conflicted at add; stop this seed
+            conflict = engine.add_constraint(constraint)
+            if conflict is not None:
+                assert _slack(engine.trail, constraint) < 0, (seed, step)
+                return
         elif op < 0.65:
-            _lockstep_decide(engines, rng, (seed, step))
+            if _decide(engine, rng, (seed, step)):
+                return
         else:
-            _lockstep_backtrack(engines, rng)
-        _assert_same_values(engines, (seed, step))
+            _backtrack(engine, rng)
 
 
-class TestLockstepFuzz:
+class TestFixedPointFuzz:
     @pytest.mark.parametrize("block", range(4))
-    def test_backends_agree_under_random_scripts(self, block):
+    def test_random_scripts_reach_the_fixed_point(self, block):
         for seed in range(block * 20, (block + 1) * 20):
-            _run_lockstep_seed(seed)
+            _run_script_seed(seed)
 
 
 # ----------------------------------------------------------------------
-# Learned-constraint deletion mid-search
+# Learned-constraint deletion and row swaps mid-search
 # ----------------------------------------------------------------------
 def _random_clause(rng: random.Random, num_vars: int) -> Constraint:
     arity = rng.randint(2, min(5, num_vars))
@@ -172,75 +173,71 @@ def _tightened(rng: random.Random, constraint: Constraint) -> Constraint:
     return Constraint.greater_equal(terms, rhs)
 
 
-def _lockstep_swap(engines, rng: random.Random, context) -> bool:
-    """Tighten one to three live general-PB rows (one row may be picked
-    twice, so a queued row is swapped again), then propagate.  Returns
-    True when the tightened rows are refuted at the root."""
-    rows = engines[0].database.constraints
+def _swap(engine: Propagator, rng: random.Random, context) -> bool:
+    """Tighten one to three live general-PB rows (neither clause nor
+    cardinality, like the knapsack cuts; one row may be picked twice, so
+    a queued row is swapped again), then propagate.  Returns True when
+    the tightened rows are refuted at the root."""
+    rows = engine.database.constraints
     general = [
         index
         for index, stored in enumerate(rows)
-        if stored.kind == KIND_GENERAL
+        if not stored.constraint.is_clause
+        and not stored.constraint.is_cardinality
         and stored.constraint.rhs < sum(c for c, _ in stored.constraint.terms)
     ]
     if not general:
         return False
     for _ in range(rng.randint(1, 3)):
         index = rng.choice(general)
-        row = rows[index].constraint
-        tighter = _tightened(rng, row)
-        for engine in engines:
-            old = engine.database.constraints[index]
-            assert old.constraint is row  # rows line up across backends
-            stored = engine.replace_constraint(old, tighter, learned=old.learned)
-            assert stored.index == index and stored.constraint is tighter
-            if stored is not old:
-                assert not engine.database.holds(old)
+        old = rows[index]
+        tighter = _tightened(rng, old.constraint)
+        stored = engine.replace_constraint(old, tighter, learned=old.learned)
+        assert stored.index == index and stored.constraint is tighter
+        if stored is not old:
+            assert not engine.database.holds(old)
         if tighter.rhs >= sum(c for c, _ in tighter.terms):
             general.remove(index)
             if not general:
                 break
-    return _lockstep_propagate(engines, rng, context)
+    return _propagate(engine, rng, context)
 
 
-def _run_deletion_lockstep(instance, seed: int) -> None:
+def _run_deletion_script(instance, seed: int) -> None:
     rng = random.Random(seed)
     num_vars = instance.num_variables
-    engines = [make_engine(name, num_vars) for name in BACKENDS]
+    engine = Propagator(num_vars)
     for constraint in instance.constraints:
-        for engine in engines:
-            engine.add_constraint(constraint)
+        engine.add_constraint(constraint)
     learned: list = []
     for step in range(60):
         op = rng.random()
         if op < 0.1:
-            if _lockstep_swap(engines, rng, (seed, step)):
+            if _swap(engine, rng, (seed, step)):
                 return
         elif op < 0.25:
-            # every engine learns the same object, so deletion can be
-            # coordinated by identity
             clause = _random_clause(rng, num_vars)
             learned.append(clause)
-            results = [
-                engine.add_constraint(clause, learned=True) for engine in engines
-            ]
-            kinds = [isinstance(result, Conflict) for result in results]
-            assert len(set(kinds)) == 1, ("add", seed, step)
+            conflict = engine.add_constraint(clause, learned=True)
+            if conflict is not None:
+                assert _slack(engine.trail, clause) < 0, (seed, step)
+                if _backtrack(engine, rng):
+                    return
         elif op < 0.35 and learned:
             doomed = {id(c) for c in learned if rng.random() < 0.5}
+            before = engine.database.num_learned()
+            removed = engine.reduce_learned(
+                lambda stored: id(stored.constraint) not in doomed
+            )
+            assert removed == before - engine.database.num_learned()
+            live = {id(stored.constraint) for stored in engine.database}
+            assert not doomed & live, (seed, step)
             learned = [c for c in learned if id(c) not in doomed]
-            removed = [
-                engine.reduce_learned(
-                    lambda stored: id(stored.constraint) not in doomed
-                )
-                for engine in engines
-            ]
-            assert len(set(removed)) == 1, ("removed", seed, step, removed)
         elif op < 0.75:
-            _lockstep_decide(engines, rng, (seed, step))
+            if _decide(engine, rng, (seed, step)):
+                return
         else:
-            _lockstep_backtrack(engines, rng)
-        _assert_same_values(engines, (seed, step))
+            _backtrack(engine, rng)
 
 
 def family_instances(family: str, count: int, scale: float):
@@ -269,11 +266,11 @@ def family_instances(family: str, count: int, scale: float):
 
 class TestLearnedDeletion:
     @pytest.mark.parametrize("family", ["ptl", "grout", "random"])
-    def test_deletion_keeps_backends_in_lockstep(self, family):
+    def test_fixed_point_under_deletion_and_swaps(self, family):
         instances = family_instances(family, count=1, scale=0.2)
         for offset, instance in enumerate(instances):
             for seed in range(4):
-                _run_deletion_lockstep(instance, 100 * offset + seed)
+                _run_deletion_script(instance, 100 * offset + seed)
 
 
 # ----------------------------------------------------------------------
@@ -346,13 +343,13 @@ class _ReasonRecorder:
         ]
 
 
-def _reason_walk(backend: str, seed: int, recorder_stats: list) -> None:
+def _reason_walk(seed: int, recorder_stats: list) -> None:
     """Random decisions with first-UIP analysis on conflicts (which reads
     reasons the way the solver does), checking deferred reasons against
     the eager reference before every backtrack."""
     rng = random.Random(seed)
     num_vars = rng.randint(6, 14)
-    engine = make_engine(backend, num_vars)
+    engine = Propagator(num_vars)
     for _ in range(rng.randint(4, 18)):
         if isinstance(engine.add_constraint(_random_constraint(rng, num_vars)), Conflict):
             return
@@ -384,11 +381,10 @@ def _reason_walk(backend: str, seed: int, recorder_stats: list) -> None:
 
 
 class TestDeferredReasons:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_late_read_equals_eager_reference(self, backend):
+    def test_late_read_equals_eager_reference(self):
         stats = []
         for seed in range(120):
-            _reason_walk(backend, 7000 + seed, stats)
+            _reason_walk(7000 + seed, stats)
         compared = sum(c for c, _ in stats)
         filtered = sum(f for _, f in stats)
         assert compared > 200
@@ -396,13 +392,12 @@ class TestDeferredReasons:
         # of the implying constraint is on the trail
         assert filtered > 10
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_later_false_literal_is_not_in_the_reason(self, backend):
+    def test_later_false_literal_is_not_in_the_reason(self):
         # 3a + 2b + c + d >= 4: c false leaves slack 2 and implies a (3);
         # b (2) falls afterwards and implies d.  The greedy over false
         # literals would pick b first, but b was not false when a was
         # implied: the reason of a must be (a, c).
-        engine = make_engine(backend, 4)
+        engine = Propagator(4)
         engine.add_constraint(
             Constraint.greater_equal([(3, 1), (2, 2), (1, 3), (1, 4)], 4)
         )
@@ -424,11 +419,12 @@ class TestDeferredReasons:
 # ----------------------------------------------------------------------
 class TestLargeCoefficients:
     def test_near_2_pow_40_propagate_identically(self):
-        # slack arithmetic far beyond 32-bit range must stay exact
+        # slack arithmetic far beyond 32-bit range must stay exact: the
+        # engine's propagation must equal the oracle's fixed point
         for seed in range(8):
             rng = random.Random(900 + seed)
             num_vars = 8
-            engines = [make_engine(name, num_vars) for name in BACKENDS]
+            engine = Propagator(num_vars)
             for _ in range(6):
                 arity = rng.randint(2, 5)
                 variables = rng.sample(range(1, num_vars + 1), arity)
@@ -436,48 +432,13 @@ class TestLargeCoefficients:
                 coefs = [rng.randint(1, 1 << 40) for _ in lits]
                 rhs = rng.randint(1, max(1, sum(coefs) - 1))
                 constraint = Constraint.greater_equal(list(zip(coefs, lits)), rhs)
-                results = [engine.add_constraint(constraint) for engine in engines]
-                kinds = [isinstance(result, Conflict) for result in results]
-                assert len(set(kinds)) == 1, seed
-            for step in range(12):
-                _lockstep_decide(engines, rng, (seed, step))
-                _assert_same_values(engines, (seed, step))
-
-
-# ----------------------------------------------------------------------
-# Full-solve agreement
-# ----------------------------------------------------------------------
-def _small_instances():
-    instances = []
-    instances += [("ptl", inst) for inst in ptl_suite(2, seed=11, nodes=8, extra_edges=4)]
-    instances += [("grout", inst) for inst in routing_suite(1, seed=3)]
-    instances += [
-        (
-            "random",
-            generate_planted(
-                num_variables=12,
-                num_constraints=18,
-                max_arity=6,
-                max_coefficient=5,
-                seed=41,
-            )[0],
-        )
-    ]
-    return instances
-
-
-class TestFullSolveAgreement:
-    def test_same_status_and_optimum_on_every_family(self):
-        for label, instance in _small_instances():
-            outcomes = {}
-            for backend in BACKENDS:
-                options = SolverOptions.plain(
-                    propagation=backend, time_limit=30.0
-                )
-                result = BsoloSolver(instance, options).solve()
-                outcomes[backend] = result
-            statuses = {backend: r.status for backend, r in outcomes.items()}
-            assert len(set(statuses.values())) == 1, (label, statuses)
-            if outcomes["counter"].status == OPTIMAL:
-                costs = {backend: r.best_cost for backend, r in outcomes.items()}
-                assert len(set(costs.values())) == 1, (label, costs)
+                conflict = engine.add_constraint(constraint)
+                assert (conflict is not None) == (
+                    _slack(engine.trail, constraint) < 0
+                ), seed
+                if conflict is not None:
+                    break  # refuted at the root
+            else:
+                for step in range(12):
+                    if _decide(engine, rng, (seed, step)):
+                        break

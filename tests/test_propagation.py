@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import Propagator
+from repro.engine import Conflict, Propagator
 from repro.pb import Constraint
 
 
@@ -192,3 +192,150 @@ class TestBacktrackIntegration:
             prop.model()
         prop.decide(2)
         assert prop.model() == {1: 1, 2: 1}
+
+
+# ----------------------------------------------------------------------
+# Learned-constraint deletion mid-search (no stale references)
+# ----------------------------------------------------------------------
+class TestReduceLearnedMidSearch:
+    def test_deleted_mid_search_never_wakes_again(self):
+        engine = Propagator(4)
+        engine.add_constraint(Constraint.clause([1, 2, 3, 4]))
+        assert engine.propagate() is None
+        engine.decide(-1)
+        assert engine.propagate() is None
+        # learn two clauses mid-search, then forget one of them
+        engine.add_constraint(Constraint.clause([2, 3]), learned=True)
+        engine.add_constraint(Constraint.clause([1, 2]), learned=True)
+        assert engine.propagate() is None
+        removed = engine.reduce_learned(
+            lambda stored: stored.constraint.literals == (2, 3)
+        )
+        assert removed == 1
+        survivors = [s.constraint.literals for s in engine.database.constraints]
+        assert (1, 2) not in survivors
+        # back at the root, falsify the deleted clause's literals: a live
+        # (1,2) would imply 2 under -1 and then conflict under -2, so the
+        # silent propagates are the staleness proof
+        engine.backtrack(0)
+        engine.decide(-1)
+        assert engine.propagate() is None
+        assert not engine.trail.is_assigned(2)  # deleted (1,2) stays silent
+        engine.decide(-2)
+        assert engine.propagate() is None  # a live (1,2) would conflict here
+        assert engine.trail.literal_is_true(3)  # from the surviving (2,3)
+        engine.backtrack(0)
+        assert engine.propagate() is None
+        live = set(map(id, engine.database.constraints))
+        assert all(id(record) in live for record in _referenced(engine))
+
+    def test_deleted_general_pb_mid_search(self):
+        engine = Propagator(3)
+        engine.add_constraint(Constraint.clause([1, 2, 3]))
+        assert engine.propagate() is None
+        engine.decide(3)
+        assert engine.propagate() is None
+        engine.add_constraint(
+            Constraint.greater_equal([(2, 1), (2, 2), (1, -3)], 2), learned=True
+        )
+        assert engine.propagate() is None
+        assert engine.reduce_learned(lambda stored: False) == 1
+        assert engine.database.num_learned() == 0
+        # re-propagating after deletion must not touch the dead constraint
+        engine.decide(-1)
+        assert engine.propagate() is None
+        assert not engine.trail.is_assigned(2)
+        engine.backtrack(0)
+        assert engine.propagate() is None
+
+    def test_pending_queue_purged_on_delete(self):
+        engine = Propagator(3)
+        engine.decide(1)
+        engine.decide(-2)
+        # added under assignment, unit on 3: sits in the pending queue
+        # unscanned, and a scan would imply 3
+        engine.add_constraint(Constraint.clause([-1, 2, 3]), learned=True)
+        assert engine.reduce_learned(lambda stored: False) == 1
+        assert engine.propagate() is None
+        assert not engine.trail.is_assigned(3)
+
+
+# ----------------------------------------------------------------------
+# Row swaps (the stale-reference audit, for replaced records)
+# ----------------------------------------------------------------------
+def _referenced(engine):
+    """Every record named by the engine's occurrence lists and its
+    pending queue."""
+    records = [
+        stored
+        for entries in engine.database._occurrences.values()
+        for stored, _ in entries
+    ]
+    return records + list(engine._pending)
+
+
+class TestReplaceMidSearch:
+    def test_same_terms_tighten_in_place(self):
+        engine = Propagator(4)
+        cut = Constraint.greater_equal([(3, 1), (2, 2), (2, 3), (1, 4)], 3)
+        row = engine.replace_constraint(None, cut)
+        assert engine.propagate() is None
+        engine.decide(-1)
+        assert engine.propagate() is None
+        tighter = Constraint(cut.terms, 4)
+        assert engine.replace_constraint(row, tighter) is row
+        assert row.constraint is tighter and row.queued
+        # supply 5, slack 1: both coefficient-2 literals are implied
+        assert engine.propagate() is None
+        assert engine.trail.literal_is_true(2) and engine.trail.literal_is_true(3)
+        assert not engine.trail.is_assigned(4)
+        engine.database.check_slacks()
+
+    def test_replaced_record_is_never_referenced_again(self):
+        engine = Propagator(6)
+        terms = [(5, 1), (4, 2), (3, 3), (1, 4), (1, 5), (1, 6)]
+        row = engine.replace_constraint(None, Constraint.greater_equal(terms, 4))
+        assert engine.propagate() is None
+        engine.decide(-4)
+        assert engine.propagate() is None
+        # x1's coefficient saturates at the new rhs: the terms change,
+        # so the row is re-attached in the same slot
+        terms[0] = (9, 1)
+        new = engine.replace_constraint(row, Constraint.greater_equal(terms, 6))
+        assert new is not row and new.index == row.index
+        assert not engine.database.holds(row)
+        assert all(record is not row for record in _referenced(engine))
+        assert any(record is new for record in _referenced(engine))
+        # swapped again before any propagate: the still-queued record
+        # leaves the pending queue too
+        assert new.queued
+        terms[3] = (2, 4)
+        again = engine.replace_constraint(new, Constraint.greater_equal(terms, 6))
+        assert again is not new and not new.queued
+        assert all(record not in (row, new) for record in _referenced(engine))
+        assert engine.propagate() is None
+        engine.database.check_slacks()
+        # under -1 the supply is 9: a replacement with rhs 10 is
+        # returned queued, not as a conflict, and propagate reports it
+        engine.decide(-1)
+        assert engine.propagate() is None
+        live = engine.replace_constraint(again, Constraint(again.constraint.terms, 10))
+        conflict = engine.propagate()
+        assert isinstance(conflict, Conflict) and conflict.stored is live
+        engine.backtrack(0)
+        assert engine.propagate() is None
+        assert all(record not in (row, new) for record in _referenced(engine))
+        engine.database.check_slacks()
+
+    def test_replacing_a_deleted_row_attaches_a_new_one(self):
+        engine = Propagator(3)
+        terms = ((2, 1), (1, 2), (1, 3))
+        row = engine.replace_constraint(None, Constraint(terms, 2), learned=True)
+        assert engine.reduce_learned(lambda stored: False) == 1
+        new = engine.replace_constraint(row, Constraint(terms, 3), learned=True)
+        assert new is not row and engine.database.constraints == [new]
+        assert all(record is not row for record in _referenced(engine))
+        engine.decide(-2)
+        assert engine.propagate() is None
+        assert engine.trail.literal_is_true(1) and engine.trail.literal_is_true(3)
+        engine.database.check_slacks()

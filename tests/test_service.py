@@ -85,6 +85,22 @@ class TestProtocolUnit:
             ({"instance": EASY, "options": {"lb_schedule": "adaptive"}}, "bad_request"),
             ({"instance": EASY, "options": {"lb_frequency": 2}}, "bad_request"),
             ({"instance": EASY, "options": {"lower_bound": "hybrid"}}, "bad_request"),
+            ({"instance": EASY, "options": {"propagation": "counter"}}, "bad_request"),
+            # values the solver would trip on inside a worker
+            ({"instance": EASY, "options": {"time_limit": "x"}}, "bad_request"),
+            ({"instance": EASY, "options": {"max_conflicts": "a"}}, "bad_request"),
+            (
+                {"instance": EASY, "options": {"lp_max_iterations": "abc"}},
+                "bad_request",
+            ),
+            ({"instance": EASY, "options": {"vsids_decay": 7}}, "bad_request"),
+            (
+                {
+                    "instance": EASY,
+                    "options": {"restarts": True, "restart_interval": 0},
+                },
+                "bad_request",
+            ),
             ({"instance": EASY, "solver": "bsolo-hybrid"}, "unknown_solver"),
             ({"instance": EASY, "timeout": -1}, "bad_request"),
             ({"instance": EASY, "proof": "yes"}, "bad_request"),
@@ -283,11 +299,11 @@ class TestHttpSurface:
 
     @pytest.mark.parametrize("engine", ["bogus", "array"])
     def test_unknown_engine_400(self, client, engine):
+        # there is one propagation engine: naming one is an unknown option
         with pytest.raises(ServiceError) as err:
             client.submit(EASY, options={"propagation": engine})
         assert err.value.code == "bad_request" and err.value.status == 400
-        assert repr(engine) in err.value.message
-        assert "available: counter, watched" in err.value.message
+        assert "unsupported option(s): propagation" in err.value.message
 
     def test_unknown_route_404_and_wrong_method_405(self, client):
         status, body = client._request("GET", "/nope")

@@ -263,14 +263,13 @@ class TestStats:
         # the solver must at least have estimated bounds
         assert result.stats.lower_bound_calls >= 1
 
-    @pytest.mark.parametrize("backend", ["counter", "watched"])
-    def test_propagations_counted_without_logic_conflicts(self, backend):
+    def test_propagations_counted_without_logic_conflicts(self):
         # solved to optimality through implications and cuts alone: no
         # logic conflict ever syncs the count mid-search
         instance = PBInstance(
             [Constraint.at_least([1, 2, 3], 2)], Objective({1: 1, 2: 2, 3: 3})
         )
-        solver = BsoloSolver(instance, SolverOptions(propagation=backend))
+        solver = BsoloSolver(instance, SolverOptions())
         result = solver.solve()
         assert (result.status, result.best_cost) == (OPTIMAL, 3)
         assert result.stats.logic_conflicts == 0
