@@ -3,8 +3,7 @@
 A :class:`ProofLogger` attached to the bsolo solver (via
 ``SolverOptions(proof=...)``) records a machine-checkable derivation of
 every constraint the search learns — first-UIP clauses as RUP steps,
-cutting-plane resolvents as explicit resolution replays, Section-5 cuts
-as recomputable consequences of the incumbent, and bound conflicts as
+Section-5 cuts as recomputable consequences of the incumbent, and bound conflicts as
 exact-arithmetic lower-bound certificates (MIS accounting or rationalized
 LP/Lagrangian multipliers).  The standalone :class:`ProofChecker` replays
 such a log against the parsed OPB instance using *only* ``repro.pb``

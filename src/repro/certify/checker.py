@@ -3,9 +3,8 @@
 Replays a ``repro`` cutting-planes proof (see :mod:`repro.certify.format`)
 against a parsed OPB instance.  Each step must be a sound derivation
 from the constraint database built so far — RUP clauses are re-propagated
-with an internal slack-counting engine, resolution replays and bound
-certificates are recomputed with the exact arithmetic of
-:mod:`repro.certify.rules` — and the final claim is checked against the
+with an internal slack-counting engine, cuts and bound certificates are
+recomputed with the exact arithmetic of :mod:`repro.certify.rules` — and the final claim is checked against the
 verified incumbent and contradiction.  Any mismatch raises
 :class:`ProofError` carrying the 1-based step number and source line.
 
@@ -305,8 +304,6 @@ class ProofChecker:
             elif step.kind == fmt.CARD_CUT:
                 derived = self._check_card_cut(number, step, by_id, upper)
                 key = step.ids[0]
-            elif step.kind == fmt.RESOLVE:
-                derived = self._check_resolve(number, step, by_id)
             elif step.kind == fmt.BOUND_MIS:
                 self._check_bound_mis(number, step, by_id, upper)
                 derived = Constraint.clause(step.literals)
@@ -402,28 +399,6 @@ class ProofChecker:
                 % (step.ids[0], upper),
             )
         return cut
-
-    def _check_resolve(
-        self, number: int, step: fmt.Step, by_id: Dict[int, Constraint]
-    ) -> Constraint:
-        base = by_id.get(step.base)
-        if base is None:
-            raise ProofError(
-                number, step.line, "unknown base constraint id %d" % step.base
-            )
-        result = rules.replay_resolution(base, step.ops, by_id)
-        if result is None:
-            raise ProofError(
-                number, step.line, "resolution replay failed (unsound op)"
-            )
-        if result != step.constraint:
-            raise ProofError(
-                number,
-                step.line,
-                "replayed resolvent %r differs from stated %r"
-                % (result, step.constraint),
-            )
-        return result
 
     def _check_bound_mis(
         self,

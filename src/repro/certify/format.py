@@ -12,8 +12,7 @@ those constraints get ids ``1 .. m``.  Every subsequent *derivation*
 step appends one constraint to the database and receives the next id
 (``m+1``, ``m+2``, ...); the ``c`` and ``e`` steps derive nothing and
 get no id.  Literals are signed integers (``-4`` is the negation of
-variable 4, DIMACS style); explicit constraints are written as
-coefficient/literal pairs followed by ``>= rhs``.
+variable 4, DIMACS style).
 
 Step grammar (one line each; every list is ``0``-terminated)::
 
@@ -25,12 +24,6 @@ Step grammar (one line each; every list is ``0``-terminated)::
     t <cid>                                    cardinality-derived cut (eq. 13)
                                                recomputed from input <cid> and
                                                the current certified incumbent
-    p <base> {r <var> <aid> | w}* 0 <constraint>
-                                               cutting-plane resolution replay:
-                                               start from <base>, resolve on
-                                               <var> with antecedent <aid> /
-                                               weaken to cardinality; the
-                                               stated <constraint> must match
     b m <var> ... 0 <cid> ... 0 <lit> ... 0    bound-conflict clause certified
                                                by MIS accounting (path vars,
                                                responsible constraint ids,
@@ -43,15 +36,11 @@ Step grammar (one line each; every list is ``0``-terminated)::
                                                the root
     e optimal <cost> | e satisfiable <cost>    final claim (cost includes the
       | e unsatisfiable | e unknown            objective offset)
-
-``<constraint>`` is ``<coef> <lit> ... >= <rhs>`` (normalized terms).
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
-
-from ..pb.constraints import Constraint
 
 #: Header magic of version 1 of the format.
 HEADER = "pbp repro 1"
@@ -61,7 +50,6 @@ ASSUMPTION = "a"
 RUP = "u"
 SOLUTION = "o"
 CARD_CUT = "t"
-RESOLVE = "p"
 BOUND_MIS = "b m"
 BOUND_LIN = "b l"
 CONTRADICTION = "c"
@@ -89,9 +77,6 @@ class Step:
         "variables",
         "ids",
         "multipliers",
-        "base",
-        "ops",
-        "constraint",
         "status",
         "cost",
     )
@@ -104,9 +89,6 @@ class Step:
         variables: Sequence[int] = (),
         ids: Sequence[int] = (),
         multipliers: Sequence[int] = (),
-        base: int = 0,
-        ops: Sequence[Tuple] = (),
-        constraint: Optional[Constraint] = None,
         status: str = "",
         cost: Optional[int] = None,
     ):
@@ -117,10 +99,6 @@ class Step:
         self.variables = tuple(variables)
         self.ids = tuple(ids)
         self.multipliers = tuple(multipliers)
-        self.base = base
-        #: Resolution ops: ``("r", var, antecedent_id)`` or ``("w",)``.
-        self.ops = tuple(ops)
-        self.constraint = constraint
         self.status = status
         self.cost = cost
 
@@ -131,17 +109,6 @@ class Step:
 # ----------------------------------------------------------------------
 # Serialization (logger side)
 # ----------------------------------------------------------------------
-def format_constraint(constraint: Constraint) -> str:
-    """``<coef> <lit> ... >= <rhs>`` for an explicit constraint."""
-    parts: List[str] = []
-    for coef, lit in constraint.terms:
-        parts.append(str(coef))
-        parts.append(str(lit))
-    parts.append(">=")
-    parts.append(str(constraint.rhs))
-    return " ".join(parts)
-
-
 def format_step(step: Step) -> str:
     """Render one step back into its grammar line."""
     if step.kind == ASSUMPTION:
@@ -152,16 +119,6 @@ def format_step(step: Step) -> str:
         return "o " + _ints(step.literals)
     if step.kind == CARD_CUT:
         return "t %d" % step.ids[0]
-    if step.kind == RESOLVE:
-        parts = ["p", str(step.base)]
-        for op in step.ops:
-            if op[0] == "r":
-                parts.extend(("r", str(op[1]), str(op[2])))
-            else:
-                parts.append("w")
-        parts.append("0")
-        parts.append(format_constraint(step.constraint))
-        return " ".join(parts)
     if step.kind == BOUND_MIS:
         return "b m %s%s%s" % (
             _ints(step.variables),
@@ -250,8 +207,6 @@ def parse_step(line: str, line_no: int = 0) -> Step:
         if len(tokens) != 2:
             raise ProofSyntaxError(line_no, "'t' takes exactly one constraint id")
         return Step(CARD_CUT, line_no, ids=(_int(tokens[1], line_no),))
-    if kind == "p":
-        return _parse_resolve(tokens, line_no)
     if kind == "b":
         if len(tokens) < 2 or tokens[1] not in ("m", "l"):
             raise ProofSyntaxError(line_no, "'b' must be 'b m' or 'b l'")
@@ -265,39 +220,6 @@ def parse_step(line: str, line_no: int = 0) -> Step:
     if kind == "e":
         return _parse_end(tokens, line_no)
     raise ProofSyntaxError(line_no, "unknown step kind %r" % kind)
-
-
-def _parse_resolve(tokens: List[str], line_no: int) -> Step:
-    ops: List[Tuple] = []
-    if len(tokens) < 2:
-        raise ProofSyntaxError(line_no, "'p' needs a base constraint id")
-    base = _int(tokens[1], line_no)
-    i = 2
-    while i < len(tokens):
-        token = tokens[i]
-        if token == "0":
-            i += 1
-            break
-        if token == "r":
-            if i + 2 >= len(tokens):
-                raise ProofSyntaxError(line_no, "'r' needs <var> <antecedent-id>")
-            var = _int(tokens[i + 1], line_no)
-            aid = _int(tokens[i + 2], line_no)
-            if var <= 0:
-                raise ProofSyntaxError(line_no, "'r' variable must be positive")
-            ops.append(("r", var, aid))
-            i += 3
-        elif token == "w":
-            ops.append(("w",))
-            i += 1
-        else:
-            raise ProofSyntaxError(line_no, "expected 'r'/'w'/'0', got %r" % token)
-    else:
-        raise ProofSyntaxError(line_no, "'p' op list not 0-terminated")
-    constraint, rest = _parse_constraint(tokens[i:], line_no)
-    if rest:
-        raise ProofSyntaxError(line_no, "trailing tokens after constraint")
-    return Step(RESOLVE, line_no, base=base, ops=ops, constraint=constraint)
 
 
 def _parse_bound_mis(tokens: List[str], line_no: int) -> Step:
@@ -346,31 +268,6 @@ def _parse_end(tokens: List[str], line_no: int) -> Step:
     elif len(tokens) != 2:
         raise ProofSyntaxError(line_no, "'e %s' takes no cost" % status)
     return Step(END, line_no, status=status, cost=cost)
-
-
-def _parse_constraint(tokens: List[str], line_no: int) -> Tuple[Constraint, List[str]]:
-    """Parse ``<coef> <lit> ... >= <rhs>`` from the token stream."""
-    terms: List[Tuple[int, int]] = []
-    i = 0
-    while i < len(tokens) and tokens[i] != ">=":
-        if i + 1 >= len(tokens):
-            raise ProofSyntaxError(line_no, "dangling coefficient in constraint")
-        coef = _int(tokens[i], line_no)
-        lit = _int(tokens[i + 1], line_no)
-        if coef <= 0 or lit == 0:
-            raise ProofSyntaxError(
-                line_no, "constraint terms need positive coefficients and literals"
-            )
-        terms.append((coef, lit))
-        i += 2
-    if i >= len(tokens):
-        raise ProofSyntaxError(line_no, "constraint missing '>=' relation")
-    if i + 1 >= len(tokens):
-        raise ProofSyntaxError(line_no, "constraint missing right-hand side")
-    rhs = _int(tokens[i + 1], line_no)
-    if rhs < 0:
-        raise ProofSyntaxError(line_no, "constraint rhs must be non-negative")
-    return Constraint(tuple(terms), rhs), tokens[i + 2 :]
 
 
 def _int_list(tokens: List[str], line_no: int) -> Tuple[List[int], List[str]]:

@@ -7,12 +7,11 @@ per derivation step) and serializes steps via
 :mod:`repro.certify.format`.
 
 Every step whose soundness depends on solver-computed data — bound
-certificates, cutting-plane resolvents, Section-5 cuts — is **replayed
-through the exact arithmetic of** :mod:`repro.certify.rules` *before*
-being written.  The ``log_*`` method returns False instead of emitting
-when the replay fails, and the solver reacts by declining the prune (or
-dropping the learned constraint), which costs search effort but never
-soundness: a proof that reaches the disk always verifies, and a solver
+certificates, Section-5 cuts — is **replayed through the exact
+arithmetic of** :mod:`repro.certify.rules` *before* being written.  The
+``log_*`` method returns False instead of emitting when the replay
+fails, and the solver reacts by declining the prune (or dropping the
+cut), which costs search effort but never soundness: a proof that reaches the disk always verifies, and a solver
 bug surfaces as an unexplained certification failure rather than a bogus
 certificate.
 """
@@ -135,43 +134,6 @@ class ProofLogger:
         if replayed is None or not replayed.is_unsatisfiable:
             return False
         self._emit(fmt.Step(fmt.CARD_CUT, ids=(source_id,)), replayed)
-        return True
-
-    def log_resolvent(
-        self,
-        base: Constraint,
-        trace: Sequence[Tuple],
-        resolvent: Constraint,
-    ) -> bool:
-        """A cutting-plane resolution chain ending in ``resolvent``.
-
-        ``trace`` entries are ``("r", var, antecedent_constraint)`` or
-        ``("w",)`` as recorded by the engine.  The chain is replayed with
-        the checker's own rule replicas; any divergence (or an antecedent
-        the proof cannot reference) refuses the step.
-        """
-        base_id = self._ids.get(base)
-        if base_id is None:
-            return False
-        ops: List[Tuple] = []
-        by_id: Dict[int, Constraint] = {base_id: base}
-        for op in trace:
-            if op[0] == "r":
-                _, var, antecedent = op
-                aid = self._ids.get(antecedent)
-                if aid is None:
-                    return False
-                by_id[aid] = antecedent
-                ops.append(("r", var, aid))
-            else:
-                ops.append(("w",))
-        replayed = rules.replay_resolution(base, ops, by_id)
-        if replayed is None or replayed != resolvent:
-            return False
-        step = fmt.Step(
-            fmt.RESOLVE, base=base_id, ops=ops, constraint=resolvent
-        )
-        self._emit(step, resolvent)
         return True
 
     def log_bound_mis(

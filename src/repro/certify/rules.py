@@ -11,19 +11,16 @@ the ground truth when replaying a log.  The checker therefore never has
 to trust the solver's floating-point bound computations: its `ceil`
 arithmetic is exact by construction.
 
-The module deliberately re-implements cutting-plane resolution and
-cardinality reduction instead of importing
-:mod:`repro.engine.pb_resolution`, and the Section 5 rows
+The module deliberately re-implements the Section 5 rows
 (:class:`CutReplayer`) instead of importing :mod:`repro.core.cuts`: the
 checker's trust base must exclude the solver.  The logger replays each
-resolvent and cut through *these* replicas and refuses to log (and the
-solver refuses to learn) on any divergence, so the two implementations
-can never silently disagree inside a proof.
+cut through *this* replica and refuses to log (and the solver drops the
+cut) on any divergence, so the two implementations can never silently
+disagree inside a proof.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -196,80 +193,6 @@ def check_mis_bound(
         seen_charged |= charged
         total += minimum
     return path + ceil_fraction(total) >= upper
-
-
-# ----------------------------------------------------------------------
-# Cutting-plane resolution replay (checker-side replica)
-# ----------------------------------------------------------------------
-def cut_resolve(
-    first: Constraint, second: Constraint, var: int
-) -> Optional[Constraint]:
-    """Cancel ``var`` between two constraints (the cutting-plane rule).
-
-    The gcd multipliers make the opposite-polarity coefficients equal;
-    normalization folds the cancellation into the rhs.  Returns None
-    when the polarities do not oppose (such a step proves nothing).
-    """
-    a_pos = first.coefficient(var)
-    a_neg = first.coefficient(-var)
-    b_pos = second.coefficient(var)
-    b_neg = second.coefficient(-var)
-    if a_pos and b_neg:
-        a, b = a_pos, b_neg
-    elif a_neg and b_pos:
-        a, b = a_neg, b_pos
-    else:
-        return None
-    g = math.gcd(a, b)
-    return combine([(first, b // g), (second, a // g)])
-
-
-def weaken_to_cardinality(constraint: Constraint) -> Optional[Constraint]:
-    """Weaken a PB constraint to the cardinality constraint it implies.
-
-    ``sum a_j l_j >= b`` forces at least ``r`` literals true, where ``r``
-    counts greedily over descending coefficients; "at least r of the
-    l_j" is therefore implied.  Returns None when vacuous.
-    """
-    if constraint.is_cardinality or constraint.rhs == 0:
-        return None
-    required = constraint.minimum_true_literals()
-    if not isinstance(required, int) or required <= 0:
-        return None
-    reduced = Constraint.at_least(list(constraint.literals), required)
-    if reduced.is_tautology:
-        return None
-    return reduced
-
-
-def replay_resolution(
-    base: Constraint,
-    ops: Sequence[Tuple],
-    constraint_of: Mapping[int, Constraint],
-) -> Optional[Constraint]:
-    """Replay a ``p`` step's op list; None when any op is unsound.
-
-    ``ops`` entries are ``("r", var, antecedent_id)`` or ``("w",)``;
-    ``constraint_of`` resolves antecedent ids.  Every op produces an
-    implied constraint by construction, so a successful replay yields an
-    implied result regardless of where the ops came from — the caller
-    additionally compares the result against the step's stated
-    constraint so later references mean what the solver derived.
-    """
-    resolvent = base
-    for op in ops:
-        if op[0] == "r":
-            _, var, aid = op
-            antecedent = constraint_of.get(aid)
-            if antecedent is None:
-                return None
-            combined = cut_resolve(resolvent, antecedent, var)
-        else:
-            combined = weaken_to_cardinality(resolvent)
-        if combined is None or combined.is_tautology:
-            return None
-        resolvent = combined
-    return resolvent
 
 
 # ----------------------------------------------------------------------

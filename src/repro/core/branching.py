@@ -30,11 +30,9 @@ class Brancher:
         self,
         activity: VSIDSActivity,
         lp_guided: bool = True,
-        phase_saving: bool = False,
     ):
         self._activity = activity
         self._lp_guided = lp_guided
-        self._phase_saving = phase_saving
 
     def pick(
         self,
@@ -52,8 +50,6 @@ class Brancher:
         var = self._activity.best(unassigned)
         if var is None:  # pragma: no cover - unassigned is non-empty
             return None
-        if self._phase_saving and trail.saved_phase(var) == 1:
-            return var
         return -var  # phase 0: cheapest for minimization
 
     def _pick_fractional(

@@ -63,12 +63,7 @@ class SolverOptions:
         lp_guided_branching: bool = True,
         lgr_alpha_refinement: bool = True,
         preprocess: bool = True,
-        probing_implications: int = 0,
         covering_reductions: bool = True,
-        restarts: bool = False,
-        restart_interval: int = 100,
-        phase_saving: bool = False,
-        pb_learning: bool = False,
         time_limit: Optional[float] = None,
         max_conflicts: Optional[int] = None,
         max_decisions: Optional[int] = None,
@@ -92,15 +87,25 @@ class SolverOptions:
             raise ValueError(
                 "lower_bound must be one of %s, got %r" % (_METHODS, lower_bound)
             )
+        for name, value in (
+            ("bound_conflict_learning", bound_conflict_learning),
+            ("upper_bound_cuts", upper_bound_cuts),
+            ("cardinality_cuts", cardinality_cuts),
+            ("lp_guided_branching", lp_guided_branching),
+            ("lgr_alpha_refinement", lgr_alpha_refinement),
+            ("preprocess", preprocess),
+            ("covering_reductions", covering_reductions),
+            ("profile", profile),
+        ):
+            if not isinstance(value, bool):
+                raise TypeError("%s must be a bool, got %r" % (name, value))
         for name, value, kind, low in (
-            ("probing_implications", probing_implications, int, 0),
-            ("restart_interval", restart_interval, int, 1),
             ("time_limit", time_limit, float, 0),
             ("max_conflicts", max_conflicts, int, 0),
             ("max_decisions", max_decisions, int, 0),
             ("vsids_decay", vsids_decay, float, None),
-            ("lgr_iterations", lgr_iterations, int, None),
-            ("lp_max_iterations", lp_max_iterations, int, None),
+            ("lgr_iterations", lgr_iterations, int, 0),
+            ("lp_max_iterations", lp_max_iterations, int, 0),
             ("max_learned", max_learned, int, 0),
             ("progress_interval", progress_interval, int, 1),
             ("poll_interval", poll_interval, int, 1),
@@ -133,22 +138,10 @@ class SolverOptions:
         self.lgr_alpha_refinement = lgr_alpha_refinement
         #: Probing for necessary assignments before search (Section 6).
         self.preprocess = preprocess
-        #: Binary implication clauses collected while probing (the
-        #: Savelsbergh/[6] constraint-strengthening flavour); 0 disables.
-        self.probing_implications = probing_implications
         #: Covering-matrix reductions (essentiality, subsumption,
         #: dominance — paper refs [5, 7, 15]) applied when the instance
         #: is clause-only.
         self.covering_reductions = covering_reductions
-        #: Luby restarts (post-paper extension; learned clauses and the
-        #: incumbent survive a restart, so completeness is unaffected).
-        self.restarts = restarts
-        self.restart_interval = restart_interval
-        #: Branch toward the variable's previous value instead of 0.
-        self.phase_saving = phase_saving
-        #: Learn cutting-plane resolvents alongside first-UIP clauses
-        #: (Galena-style PB learning; post-paper extension).
-        self.pb_learning = pb_learning
         #: Wall-clock budget in seconds (None = unlimited).
         self.time_limit = time_limit
         #: Conflict budget (None = unlimited).
@@ -223,12 +216,7 @@ class SolverOptions:
             "lp_guided_branching": self.lp_guided_branching,
             "lgr_alpha_refinement": self.lgr_alpha_refinement,
             "preprocess": self.preprocess,
-            "probing_implications": self.probing_implications,
             "covering_reductions": self.covering_reductions,
-            "restarts": self.restarts,
-            "restart_interval": self.restart_interval,
-            "phase_saving": self.phase_saving,
-            "pb_learning": self.pb_learning,
             "time_limit": self.time_limit,
             "max_conflicts": self.max_conflicts,
             "max_decisions": self.max_decisions,

@@ -15,92 +15,67 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..engine.propagation import Propagator
-from ..pb.constraints import Constraint
 
 
 class PreprocessResult:
     """Outcome of the probing pass."""
 
-    __slots__ = ("unsatisfiable", "necessary_literals", "probes", "implications")
+    __slots__ = ("unsatisfiable", "necessary_literals", "probes")
 
     def __init__(
-        self,
-        unsatisfiable: bool,
-        necessary_literals: List[int],
-        probes: int,
-        implications: Optional[List[Constraint]] = None,
+        self, unsatisfiable: bool, necessary_literals: List[int], probes: int
     ):
         self.unsatisfiable = unsatisfiable
         #: Literals asserted at level 0 (in discovery order).
         self.necessary_literals = necessary_literals
         #: Number of probe decisions performed.
         self.probes = probes
-        #: Binary clauses derived by probing (constraint strengthening,
-        #: paper references [6, 14]): ``probe -> implied`` recorded as
-        #: ``(~probe | implied)``, valuable for the *contrapositive*
-        #: direction that counter-based propagation cannot see.
-        self.implications = implications or []
 
 
 def probe_necessary_assignments(
-    propagator: Propagator,
-    max_rounds: int = 3,
-    learn_implications: bool = False,
-    max_implications: int = 0,
+    propagator: Propagator, max_rounds: int = 3
 ) -> PreprocessResult:
     """Failed-literal probing at the root level.
 
     The propagator must be at decision level 0 with propagation already
     at a fixed point.  On return it is again at level 0 with all
     discovered necessary assignments applied (unless unsatisfiable).
-    With ``learn_implications`` up to ``max_implications`` binary clauses
-    ``(~probe | implied)`` are collected from deep implication chains —
-    the caller decides whether to add them to the database.
     """
     necessary: List[int] = []
-    implications: List[Constraint] = []
     probes = 0
-    budget = max_implications if learn_implications else 0
     for _ in range(max_rounds):
         changed = False
         for var in list(propagator.trail.unassigned_variables()):
             if propagator.trail.is_assigned(var):
                 continue  # may have been fixed by an earlier probe
-            failed_positive = _probe(propagator, var, implications, budget)
+            failed_positive = _probe(propagator, var)
             probes += 1
             if propagator.trail.is_assigned(var):
                 # probing the positive literal failed and asserted ~var
                 necessary.append(-var)
                 changed = True
                 if failed_positive == "unsat":
-                    return PreprocessResult(True, necessary, probes, implications)
+                    return PreprocessResult(True, necessary, probes)
                 continue
-            failed_negative = _probe(propagator, -var, implications, budget)
+            failed_negative = _probe(propagator, -var)
             probes += 1
             if propagator.trail.is_assigned(var):
                 necessary.append(var)
                 changed = True
                 if failed_negative == "unsat":
-                    return PreprocessResult(True, necessary, probes, implications)
+                    return PreprocessResult(True, necessary, probes)
         if not changed:
             break
-    return PreprocessResult(False, necessary, probes, implications)
+    return PreprocessResult(False, necessary, probes)
 
 
-def _probe(
-    propagator: Propagator,
-    literal: int,
-    implications: List[Constraint],
-    max_implications: int,
-) -> Optional[str]:
+def _probe(propagator: Propagator, literal: int) -> Optional[str]:
     """Try ``literal``; on conflict assert its complement at level 0.
 
     Returns "unsat" when the complement itself conflicts at the root.
     """
     propagator.decide(literal)
     conflict = propagator.propagate()
-    if conflict is None and len(implications) < max_implications:
-        _collect_implications(propagator, literal, implications, max_implications)
     propagator.backtrack(0)
     if conflict is None:
         return None
@@ -110,23 +85,3 @@ def _probe(
         return "unsat"
     return "failed"
 
-
-def _collect_implications(
-    propagator: Propagator,
-    probe_literal: int,
-    implications: List[Constraint],
-    max_implications: int,
-) -> None:
-    trail = propagator.trail
-    probe_var = probe_literal if probe_literal > 0 else -probe_literal
-    for implied in trail.literals:
-        var = implied if implied > 0 else -implied
-        if var == probe_var or trail.level(var) == 0:
-            continue
-        reason = trail.reason(var)
-        # binary-clause reasons already encode the implication; only the
-        # longer chains yield new binary facts
-        if reason is not None and len(reason) > 2:
-            implications.append(Constraint.clause([-probe_literal, implied]))
-            if len(implications) >= max_implications:
-                return

@@ -29,9 +29,7 @@ from ..covering.reductions import reduce_covering
 from ..engine.activity import VSIDSActivity
 from ..engine.conflict import ConflictAnalyzer, RootConflictError, highest_level
 from ..engine.constraint_db import StoredConstraint
-from ..engine.pb_resolution import ResolutionScratch
 from ..engine.propagation import Propagator
-from ..engine.restarts import RestartScheduler
 from ..lagrangian.subgradient import LagrangianBound
 from ..lp.relaxation import LowerBound, LPRelaxationBound
 from ..mis.independent_set import MISBound
@@ -43,7 +41,6 @@ from ..obs.events import (
     IncumbentEvent,
     LowerBoundEvent,
     ProgressEvent,
-    RestartEvent,
     ResultEvent,
     RunHeaderEvent,
 )
@@ -96,7 +93,7 @@ class BsoloSolver:
 
     With ``session=`` (internal; see :class:`repro.incremental.SolverSession`)
     the solver runs one *call* of a persistent session instead: the
-    propagation engine, VSIDS activity, restart/schedule state and the
+    propagation engine, VSIDS activity, bound-schedule state and the
     bounder are borrowed from the session rather than built, constraints
     are assumed to be loaded already, and the search runs entirely above
     a *guard decision level* so that no assignment ever becomes a
@@ -158,11 +155,10 @@ class BsoloSolver:
             self._timer = NULL_TIMER
         if session is not None:
             # Borrow the session's persistent state: engine (constraints
-            # pre-loaded), activity, restart/bound-schedule state and the
+            # pre-loaded), activity, bound-schedule state and the
             # (already trail-attached) bounder survive across calls.
             self._propagator = session.propagator
             self._activity = session.activity
-            self._restart_scheduler = session.restart_scheduler
             self._schedule = session.schedule
             self._bounder = session.bounder
         else:
@@ -173,23 +169,16 @@ class BsoloSolver:
             self._activity = VSIDSActivity(
                 instance.num_variables, decay=self._options.vsids_decay
             )
-            self._restart_scheduler = (
-                RestartScheduler(self._options.restart_interval)
-                if self._options.restarts
-                else None
-            )
             self._bounder = make_bounder(instance, self._options)
             self._schedule = AdaptiveSchedule()
         # One analyzer per solver: its flat seen-buffer is reused across
         # every conflict (sized to the trail, which sessions extend by a
         # guard variable).
         self._analyzer = ConflictAnalyzer(self._propagator.trail.num_variables)
-        self._resolution = ResolutionScratch(self._propagator.trail.num_variables)
         self._brancher = Brancher(
             self._activity,
             lp_guided=self._options.lp_guided_branching
             and self._options.lower_bound == LPR,
-            phase_saving=self._options.phase_saving,
         )
         self._cut_generator = CutGenerator(
             instance, cardinality_cuts=self._options.cardinality_cuts
@@ -438,24 +427,16 @@ class BsoloSolver:
                 return self._finish()  # assumption-induced conflict
 
         if self._options.preprocess:
-            preprocess = probe_necessary_assignments(
-                propagator,
-                learn_implications=self._options.probing_implications > 0,
-                max_implications=self._options.probing_implications,
-            )
+            preprocess = probe_necessary_assignments(propagator)
             self.stats.necessary_assignments = len(preprocess.necessary_literals)
             if proof is not None:
-                # Each necessary literal (in discovery order) and each
-                # probing implication is RUP: probing found it by unit
-                # propagation, which the checker replays identically.
+                # Each necessary literal (in discovery order) is RUP:
+                # probing found it by unit propagation, which the checker
+                # replays identically.
                 for literal in preprocess.necessary_literals:
                     proof.log_rup((literal,))
             if preprocess.unsatisfiable:
                 return self._finish()
-            for clause in preprocess.implications:
-                if proof is not None:
-                    proof.log_rup(clause.literals)
-                propagator.add_constraint(clause)
         return None
 
     def _main_loop(self) -> SolveResult:
@@ -487,26 +468,15 @@ class BsoloSolver:
                             type="logic", level=propagator.trail.decision_level
                         )
                     )
-                source = conflict.stored.constraint if conflict.stored else None
                 if profiling:
                     timer.push("analyze")
-                resolved = self._resolve(conflict.literals, source)
+                resolved = self._resolve(conflict.literals)
                 if profiling:
                     timer.pop()
                 self._maybe_progress()
                 if not resolved:
                     return self._finish()
                 self._maybe_reduce_learned()
-                if (
-                    self._restart_scheduler is not None
-                    and self._restart_scheduler.on_conflict()
-                    and propagator.trail.decision_level > self._root_level
-                ):
-                    self.stats.restarts += 1
-                    if tracer.enabled:
-                        tracer.emit(RestartEvent(conflicts=self.stats.conflicts))
-                    # Session calls restart to the guard level, never to 0.
-                    propagator.backtrack(self._root_level)
                 continue
 
             if self._session is not None and self._assumptions:
@@ -974,11 +944,7 @@ class BsoloSolver:
     # ------------------------------------------------------------------
     # Conflict resolution (logic conflicts and bound conflicts alike)
     # ------------------------------------------------------------------
-    def _resolve(
-        self,
-        literals: Sequence[int],
-        conflict_constraint: Optional[Constraint] = None,
-    ) -> bool:
+    def _resolve(self, literals: Sequence[int]) -> bool:
         """Learn from a set of false literals; False = search exhausted."""
         trail = self._propagator.trail
         if not literals:
@@ -1000,18 +966,6 @@ class BsoloSolver:
             analysis = self._analyzer.analyze(literals, trail)
         except RootConflictError:
             return False
-        proof = self._proof
-        resolvent = None
-        resolution_trace: Optional[List[Tuple]] = None
-        if self._options.pb_learning and conflict_constraint is not None:
-            # must run before the backjump pops the antecedents
-            resolution_trace = [] if proof is not None else None
-            resolvent = self._resolution.derive(
-                conflict_constraint,
-                analysis.resolved_variables,
-                self._propagator.antecedent,
-                resolution_trace,
-            )
         self._activity.bump_all(analysis.seen_variables)
         self._activity.decay()
         self.stats.record_backjump(level, analysis.backtrack_level)
@@ -1033,12 +987,12 @@ class BsoloSolver:
             max(analysis.backtrack_level, self._root_level)
         )
         learned = Constraint.clause(analysis.learned_literals)
-        if proof is not None:
+        if self._proof is not None:
             # First-UIP clauses are RUP against the proof database: the
             # checker's propagation has the same strength as the engine's
             # and every constraint the analysis touched is in the log.
             with self._timer.phase("proof"):
-                proof.log_rup(analysis.learned_literals)
+                self._proof.log_rup(analysis.learned_literals)
         conflict = self._propagator.add_constraint(learned, learned=True)
         self.stats.learned_constraints += 1
         if conflict is not None:  # pragma: no cover - learned clause asserts
@@ -1047,27 +1001,6 @@ class BsoloSolver:
             self._propagator.imply(
                 analysis.asserting_literal, analysis.learned_literals
             )
-        if resolvent is not None and proof is not None:
-            with self._timer.phase("proof"):
-                logged_resolvent = proof.log_resolvent(
-                    conflict_constraint, resolution_trace, resolvent
-                )
-        else:
-            logged_resolvent = True
-        if resolvent is not None and proof is not None and not logged_resolvent:
-            # The checker-side replay disagreed with the engine's
-            # derivation: drop the resolvent instead of learning an
-            # unprovable constraint (the clausal learner above suffices).
-            resolvent = None
-        if resolvent is not None:
-            conflict = self._propagator.add_constraint(resolvent, learned=True)
-            self.stats.learned_constraints += 1
-            self.stats.pb_resolvents += 1
-            if conflict is not None:
-                return self._resolve(
-                    conflict.literals,
-                    conflict.stored.constraint if conflict.stored else None,
-                )
         return True
 
     def _maybe_reduce_learned(self) -> None:

@@ -27,7 +27,7 @@ class SolverStats:
         self.prunings = 0
         #: Learned clauses (logic + bound).
         self.learned_constraints = 0
-        #: Cutting-plane resolvents learned (pb_learning option).
+        #: Cutting-plane resolvents learned (the galena baseline).
         self.pb_resolvents = 0
         #: Section 5 cuts installed from improved solutions, one per cut
         #: per improvement.  bsolo keeps one engine row per cut source
@@ -42,8 +42,6 @@ class SolverStats:
         self.backjump_max = 0
         #: Necessary assignments found by preprocessing.
         self.necessary_assignments = 0
-        #: Restarts performed by the scheduler.
-        self.restarts = 0
         #: Variables resolved away during conflict analysis (first-UIP
         #: resolution steps; a proxy for analysis effort).
         self.resolution_steps = 0
@@ -113,7 +111,6 @@ class SolverStats:
             "backjump_total": self.backjump_total,
             "backjump_max": self.backjump_max,
             "necessary_assignments": self.necessary_assignments,
-            "restarts": self.restarts,
             "resolution_steps": self.resolution_steps,
             "progress_reports": self.progress_reports,
             "external_bounds": self.external_bounds,
@@ -184,7 +181,6 @@ def record_metrics(
         counter("solver_incumbents", "Improving solutions found").inc(
             stats.solutions_found
         )
-        counter("solver_restarts", "Restarts performed").inc(stats.restarts)
     if "propagations" in counts:
         counter("engine_propagations", "Implications discovered by BCP").inc(
             counts["propagations"]

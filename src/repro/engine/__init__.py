@@ -17,7 +17,6 @@ from .conflict import (
 )
 from .constraint_db import ConstraintDatabase, StoredConstraint
 from .propagation import Conflict, Propagator
-from .restarts import RestartScheduler, luby
 
 __all__ = [
     "AnalysisResult",
@@ -26,7 +25,6 @@ __all__ = [
     "ConstraintDatabase",
     "Propagator",
     "Reason",
-    "RestartScheduler",
     "RootConflictError",
     "StoredConstraint",
     "Trail",
@@ -34,5 +32,4 @@ __all__ = [
     "VSIDSActivity",
     "analyze",
     "highest_level",
-    "luby",
 ]

@@ -96,8 +96,6 @@ class Trail:
         self._position: List[int] = [0] * (num_variables + 1)
         self._trail: List[int] = []  # literals made true, in order
         self._level_start: List[int] = [0]  # trail index where each level begins
-        # last value each variable ever took (phase saving; 0 initially)
-        self._saved_phase: List[int] = [0] * (num_variables + 1)
         # registered TrailDelta feeds (empty in the common case, so the
         # hot push/pop paths pay only a truthiness check)
         self._deltas: List[TrailDelta] = []
@@ -203,10 +201,6 @@ class Trail:
             )
         return tuple(chosen)
 
-    def saved_phase(self, var: int) -> int:
-        """The value ``var`` last held (0 if never assigned) — phase saving."""
-        return self._saved_phase[var]
-
     def __len__(self) -> int:
         return len(self._trail)
 
@@ -268,7 +262,6 @@ class Trail:
         self._level[var] = self.decision_level
         self._reason[var] = reason
         self._position[var] = len(self._trail)
-        self._saved_phase[var] = self._value[var]
         self._trail.append(literal)
         if self._deltas:
             for delta in self._deltas:

@@ -105,10 +105,9 @@ class ResolutionScratch:
     The combination itself still goes through
     :meth:`Constraint.greater_equal` — normalization's output is
     independent of term order, so each intermediate resolvent is
-    byte-identical to what :func:`resolve` builds and proof traces
-    replay unchanged.
+    byte-identical to what :func:`resolve` builds.
 
-    One instance per solver; reused across every conflict.
+    One instance per search; reused across every conflict.
     """
 
     __slots__ = ("_lit", "_coef", "_touched")
@@ -143,7 +142,6 @@ class ResolutionScratch:
         conflict_constraint: Constraint,
         resolved_variables: Sequence[int],
         antecedent_of: Callable[[int], Optional[Constraint]],
-        trace: Optional[List[Tuple]] = None,
     ) -> Optional[Constraint]:
         """See :func:`derive_resolvent` (same contract, reused buffers)."""
         resolvent = conflict_constraint
@@ -176,13 +174,9 @@ class ResolutionScratch:
                 combined = Constraint.greater_equal(terms, rhs)
                 if combined.is_tautology:
                     return None
-                if trace is not None:
-                    trace.append(("r", var, antecedent))
                 tamed = _tame(combined)
                 if tamed is None:
                     return None
-                if trace is not None and tamed is not combined:
-                    trace.append(("w",))
                 resolvent = tamed
                 self._clear()
                 self._load(resolvent)
@@ -197,7 +191,6 @@ def derive_resolvent(
     conflict_constraint: Constraint,
     resolved_variables: Sequence[int],
     antecedent_of: Callable[[int], Optional[Constraint]],
-    trace: Optional[List[Tuple]] = None,
 ) -> Optional[Constraint]:
     """Replay the first-UIP resolution walk with cutting planes.
 
@@ -208,14 +201,10 @@ def derive_resolvent(
     propagation).  Returns the final implied constraint, or None when the
     derivation is impossible or yields nothing beyond a clause.
 
-    When ``trace`` is given, the successful derivation's ops are appended
-    to it — ``("r", var, antecedent_constraint)`` per resolution and
-    ``("w",)`` per applied cardinality reduction — in replayable order
-    (the format :class:`repro.certify.ProofLogger.log_resolvent` takes).
-
     Convenience wrapper over :class:`ResolutionScratch`; long-running
-    callers (the solver) hold one scratchpad and reuse it instead.
+    callers (:class:`~repro.baselines.sat_search.DecisionSearch`) hold
+    one scratchpad and reuse it instead.
     """
     return ResolutionScratch().derive(
-        conflict_constraint, resolved_variables, antecedent_of, trace
+        conflict_constraint, resolved_variables, antecedent_of
     )

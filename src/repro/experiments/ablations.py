@@ -1,7 +1,7 @@
 """Feature-ablation experiments on the bsolo solver.
 
-Turns individual techniques on/off (bound-conflict learning, cuts,
-LP-guided branching, preprocessing, and the post-paper extensions) and
+Turns individual techniques off (bound-conflict learning, cuts,
+LP-guided branching, preprocessing, covering reductions) and
 runs the resulting configurations on one instance family, reporting
 status / time / decisions per configuration.  ``TestAblations`` in
 ``tests/test_scaling_ablations.py`` runs every configuration and checks
@@ -27,9 +27,6 @@ ABLATIONS: Dict[str, Dict] = {
     "no-lp-branching": {"lp_guided_branching": False},
     "no-preprocess": {"preprocess": False},
     "no-covering-reductions": {"covering_reductions": False},
-    "with-pb-learning": {"pb_learning": True},
-    "with-restarts": {"restarts": True},
-    "with-phase-saving": {"phase_saving": True},
 }
 
 

@@ -1,7 +1,7 @@
 """Persistent solving sessions: ``solve_under``, push/pop, warm state.
 
 A :class:`SolverSession` keeps one propagation engine, VSIDS activity,
-restart/bound-schedule state and the trail-attached incremental MIS
+bound-schedule state and the trail-attached incremental MIS
 cache alive across many related solve calls, instead of rebuilding
 everything per instance.  The intended workload is ROADMAP Open item 4's
 perturbation streams: solve, tweak (assumptions, an extra constraint, a
@@ -48,7 +48,6 @@ from ..core.bound_schedule import AdaptiveSchedule
 from ..core.solver import BsoloSolver, make_bounder
 from ..engine.activity import VSIDSActivity
 from ..engine.propagation import Propagator
-from ..engine.restarts import RestartScheduler
 from ..pb.constraints import Constraint
 from ..pb.instance import InfeasibleConstraintError, PBInstance
 from ..pb.objective import Objective
@@ -147,12 +146,6 @@ class SolverSession:
         #: Persistent branching activity (warm across calls).
         self.activity = VSIDSActivity(
             self.guard_var, decay=self._options.vsids_decay
-        )
-        #: Persistent restart state (None unless ``options.restarts``).
-        self.restart_scheduler = (
-            RestartScheduler(self._options.restart_interval)
-            if self._options.restarts
-            else None
         )
         #: Persistent lower-bound schedule.
         self.schedule = AdaptiveSchedule()

@@ -3,7 +3,7 @@
 The measurement layer every performance claim is judged against:
 
 * :mod:`repro.obs.events` — typed search-event records (decision,
-  propagation batch, logic/bound conflict, backjump, restart, lower
+  propagation batch, logic/bound conflict, backjump, lower
   bound call, incumbent update, cut, progress, result, worker summary);
 * :mod:`repro.obs.trace` — the no-op :data:`NULL_TRACER` (zero overhead
   when disabled) and the crash-safe buffered :class:`JsonlTracer` sink;
@@ -38,7 +38,6 @@ from .events import (
     LOWER_BOUND,
     PROGRESS,
     PROPAGATION,
-    RESTART,
     RESULT,
     RUN_HEADER,
     WORKER_SUMMARY,
@@ -51,7 +50,6 @@ from .events import (
     LowerBoundEvent,
     ProgressEvent,
     PropagationEvent,
-    RestartEvent,
     ResultEvent,
     RunHeaderEvent,
     WorkerSummaryEvent,
@@ -96,7 +94,6 @@ __all__ = [
     "NULL_TRACER",
     "PROGRESS",
     "PROPAGATION",
-    "RESTART",
     "RESULT",
     "RUN_HEADER",
     "WORKER_SUMMARY",
@@ -119,7 +116,6 @@ __all__ = [
     "PhaseTimer",
     "ProgressEvent",
     "PropagationEvent",
-    "RestartEvent",
     "ResultEvent",
     "RunHeaderEvent",
     "Tracer",

@@ -4,7 +4,7 @@ Each event is a small dataclass with a ``kind`` tag; a trace is the
 sequence of events one solve emitted, serialized as JSONL (one event per
 line, see :mod:`repro.obs.trace`).  The schema mirrors what the paper's
 experiments attribute solver behaviour to: decisions, propagation
-batches, logic vs. bound conflicts (Section 4), backjumps, restarts,
+batches, logic vs. bound conflicts (Section 4), backjumps,
 lower-bound calls per method (Section 3), incumbent updates and cuts
 (Section 5).
 
@@ -24,7 +24,6 @@ DECISION = "decision"
 PROPAGATION = "propagation"
 CONFLICT = "conflict"
 BACKJUMP = "backjump"
-RESTART = "restart"
 LOWER_BOUND = "lower_bound"
 INCUMBENT = "incumbent"
 CUT = "cut"
@@ -38,7 +37,6 @@ EVENT_KINDS = (
     PROPAGATION,
     CONFLICT,
     BACKJUMP,
-    RESTART,
     LOWER_BOUND,
     INCUMBENT,
     CUT,
@@ -106,14 +104,6 @@ class BackjumpEvent(Event):
     from_level: int = 0
     to_level: int = 0
     learned_size: int = 0
-
-
-@dataclass
-class RestartEvent(Event):
-    """The restart scheduler cleared the decision stack."""
-
-    kind: ClassVar[str] = RESTART
-    conflicts: int = 0
 
 
 @dataclass
@@ -199,7 +189,6 @@ EVENT_TYPES: Dict[str, type] = {
         PropagationEvent,
         ConflictEvent,
         BackjumpEvent,
-        RestartEvent,
         LowerBoundEvent,
         IncumbentEvent,
         CutEvent,

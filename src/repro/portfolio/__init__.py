@@ -1,7 +1,7 @@
 """Parallel portfolio solving (:class:`PortfolioSolver`).
 
-Launches N diversified workers — bsolo under different
-branching/restart/bounding configurations plus the baseline paradigms —
+Launches N diversified workers — bsolo under different lower-bounding
+methods plus the baseline paradigms —
 as separate processes, shares improving incumbents between them so every
 worker can tighten its upper bound mid-search, enforces the run
 deadline, and degrades gracefully when workers crash.
@@ -21,7 +21,7 @@ Custom portfolios are lists of :class:`WorkerSpec`::
 
     specs = [
         WorkerSpec("bsolo-lpr"),
-        WorkerSpec("bsolo-mis", SolverOptions(restarts=True)),
+        WorkerSpec("bsolo-mis", SolverOptions(vsids_decay=0.9)),
         WorkerSpec("linear-search"),
     ]
     result = PortfolioSolver(instance, specs=specs, time_limit=30.0).solve()

@@ -3,10 +3,9 @@
 A worker is just ``(solver_name, options)`` — a name resolved through
 :mod:`repro.api` plus a picklable :class:`SolverOptions`.  The default
 portfolio diversifies along the axes the paper shows to be
-complementary: the lower-bound method (MIS / LGR / LPR / none), restart
-and phase-saving policy, PB-resolvent learning, and entirely different
-search paradigms (SAT linear search, cutting planes, MILP branch &
-bound).
+complementary: the lower-bound method (MIS / LGR / LPR / none) and
+entirely different search paradigms (SAT linear search, cutting planes,
+MILP branch & bound).
 """
 
 from __future__ import annotations
@@ -57,17 +56,15 @@ class WorkerSpec:
         return "WorkerSpec(%r, label=%r)" % (self.solver, self.label)
 
 
-#: The diversification ladder: each rung is (solver, option overrides).
+#: The diversification ladder: one registered solver per rung.
 _DEFAULT_LADDER = (
-    ("bsolo-lpr", {}),
-    ("bsolo-mis", {"restarts": True, "phase_saving": True}),
-    ("linear-search", {}),
-    ("bsolo-lgr", {}),
-    ("bsolo-lpr", {"pb_learning": True}),
-    ("cutting-planes", {}),
-    ("bsolo-plain", {"restarts": True}),
-    ("bsolo-lpr", {"restarts": True}),
-    ("milp", {}),
+    "bsolo-lpr",
+    "bsolo-mis",
+    "linear-search",
+    "bsolo-lgr",
+    "cutting-planes",
+    "bsolo-plain",
+    "milp",
 )
 
 
@@ -78,22 +75,21 @@ def default_specs(
 
     The first rungs of the ladder cover the paper's complementary
     bounding strategies plus the comparator paradigms; beyond the ladder
-    the bsolo configurations repeat with perturbed VSIDS decay and
-    restart intervals so no two workers search identically.
+    the rungs repeat with a perturbed VSIDS decay, which makes a repeated
+    bsolo rung search differently from its first visit.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     template = base if base is not None else SolverOptions()
     specs: List[WorkerSpec] = []
     for index in range(workers):
-        solver, overrides = _DEFAULT_LADDER[index % len(_DEFAULT_LADDER)]
-        options = template.replace(**overrides) if overrides else template
+        solver = _DEFAULT_LADDER[index % len(_DEFAULT_LADDER)]
         lap = index // len(_DEFAULT_LADDER)
+        options = template
         if lap:
             # repeat visits get perturbed heuristics for diversity
-            options = options.replace(
-                vsids_decay=max(0.5, options.vsids_decay - 0.05 * lap),
-                restart_interval=options.restart_interval + 50 * lap,
+            options = template.replace(
+                vsids_decay=max(0.5, template.vsids_decay - 0.05 * lap)
             )
         specs.append(
             WorkerSpec(solver, options, label="%s@%d" % (solver, index))

@@ -1,6 +1,9 @@
 """Tests for the solver registry and the ``repro.api`` façade."""
 
+import inspect
+import os
 import pickle
+import re
 
 import pytest
 
@@ -268,10 +271,10 @@ class TestSolveResultNormalization:
 
 class TestOptionsReplace:
     def test_replace_overrides_and_preserves(self):
-        base = SolverOptions(lower_bound="mis", restarts=True)
+        base = SolverOptions(lower_bound="mis", preprocess=False)
         derived = base.replace(lower_bound="lpr")
         assert derived.lower_bound == "lpr"
-        assert derived.restarts is True
+        assert derived.preprocess is False
         assert base.lower_bound == "mis"  # original untouched
 
     def test_replace_unknown_key_rejected(self):
@@ -280,7 +283,7 @@ class TestOptionsReplace:
 
     def test_replace_carries_callables(self):
         marker = lambda: None  # noqa: E731
-        derived = SolverOptions(should_stop=marker).replace(restarts=True)
+        derived = SolverOptions(should_stop=marker).replace(preprocess=False)
         assert derived.should_stop is marker
 
     def test_poll_interval_validated(self):
@@ -295,8 +298,9 @@ class TestOptionsReplace:
 
 
 class TestOptionsValidation:
-    """Every numeric knob is checked when the options are built, so a
-    bad value fails at construction, not inside a running solve."""
+    """Every numeric and boolean knob is checked when the options are
+    built, so a bad value fails at construction, not inside a running
+    solve."""
 
     @pytest.mark.parametrize(
         "field, value",
@@ -308,8 +312,6 @@ class TestOptionsValidation:
             ("lp_max_iterations", "abc"),
             ("lgr_iterations", 2.0),
             ("vsids_decay", "0.9"),
-            ("restart_interval", None),
-            ("probing_implications", False),
             ("progress_interval", 1.0),
             ("poll_interval", "16"),
         ],
@@ -327,13 +329,30 @@ class TestOptionsValidation:
             ("max_learned", -1),
             ("vsids_decay", 7),
             ("vsids_decay", 0.0),
-            ("restart_interval", 0),
-            ("probing_implications", -1),
             ("progress_interval", 0),
+            ("lgr_iterations", -5),
+            ("lp_max_iterations", -1),
         ],
     )
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError):
+            SolverOptions(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("bound_conflict_learning", 1),
+            ("upper_bound_cuts", "no"),
+            ("cardinality_cuts", None),
+            ("lp_guided_branching", 0.0),
+            ("lgr_alpha_refinement", "true"),
+            ("preprocess", "false"),
+            ("covering_reductions", 0),
+            ("profile", "yes"),
+        ],
+    )
+    def test_non_bools_rejected(self, field, value):
+        with pytest.raises(TypeError):
             SolverOptions(**{field: value})
 
     def test_ints_for_reals_and_none_budgets_accepted(self):
@@ -346,3 +365,19 @@ class TestOptionsValidation:
         )
         assert options.time_limit == 5 and options.vsids_decay == 1
         assert options.max_conflicts == 0 and options.max_learned is None
+
+
+class TestDocsContract:
+    """docs/API.md's options table must list exactly the knobs
+    ``SolverOptions`` takes."""
+
+    def test_options_table_matches_constructor(self):
+        path = os.path.join(os.path.dirname(__file__), "..", "docs", "API.md")
+        with open(path) as handle:
+            doc = handle.read()
+        section = doc.split("### `SolverOptions` knobs", 1)[1].split("\n#", 1)[0]
+        documented = set()
+        for row in re.findall(r"^\| (.+?) \|", section, flags=re.MULTILINE):
+            documented.update(re.findall(r"`(\w+)`", row))
+        parameters = set(inspect.signature(SolverOptions.__init__).parameters)
+        assert documented == parameters - {"self"}

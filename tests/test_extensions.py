@@ -1,8 +1,6 @@
-"""Tests for the post-paper extensions: multiplier reuse and probing
-implications."""
+"""Tests for the Lagrangian bound's multiplier reuse (a post-paper
+extension)."""
 
-from repro.core import BsoloSolver, SolverOptions, OPTIMAL, probe_necessary_assignments
-from repro.engine import Propagator
 from repro.lagrangian import LagrangianBound
 from repro.pb import Constraint, Objective, PBInstance
 
@@ -38,90 +36,3 @@ class TestMultiplierReuse:
         lgr = LagrangianBound(covering_instance(), reuse_multipliers=False)
         lgr.compute({})
         assert lgr._mu_memory == {}
-
-
-class TestProbingImplications:
-    def propagator(self):
-        # x1 -> x2 via a non-binary chain: (~1 | 2 | 3), (~1 | 2 | ~3)
-        prop = Propagator(3)
-        prop.add_constraint(Constraint.clause([-1, 2, 3]))
-        prop.add_constraint(Constraint.clause([-1, 2, -3]))
-        assert prop.propagate() is None
-        return prop
-
-    def test_disabled_by_default(self):
-        result = probe_necessary_assignments(self.propagator())
-        assert result.implications == []
-
-    def test_deep_chain_yields_binary(self):
-        # (~1|2), (~2|3): probing 1 implies 3 through a chain; but both
-        # reasons are binary so nothing new is learned.  Use a ternary
-        # reason instead: (~1|2|3) & (~1|2|~3) -- probing 1 implies
-        # nothing directly (two clauses, no unit)... use PB constraint:
-        # 2*~1 + 1*2 + 1*4 >= 2 -- probing 1 forces nothing; simpler:
-        prop = Propagator(3)
-        prop.add_constraint(Constraint.greater_equal([(2, -1), (1, 2), (1, 3)], 2))
-        result = probe_necessary_assignments(
-            prop, learn_implications=True, max_implications=10
-        )
-        # probing x1=1 forces x2 and x3 (reason size 2 each: (lit, 1));
-        # reasons of size 2 are skipped, so implications may be empty --
-        # the point is it must not crash and must stay at level 0
-        assert prop.trail.decision_level == 0
-
-    def test_ternary_reason_collected(self):
-        prop = Propagator(4)
-        # clause (~1 | ~2 | 3): probing 1 after asserting 2 at root gives
-        # reason (3, -1, -2) of length 3 -> implication (~1 | 3) learned
-        prop.add_constraint(Constraint.clause([-1, -2, 3]))
-        prop.assume(2)
-        assert prop.propagate() is None
-        result = probe_necessary_assignments(
-            prop, learn_implications=True, max_implications=10
-        )
-        assert Constraint.clause([-1, 3]) in result.implications
-
-    def test_cap_respected(self):
-        prop = Propagator(4)
-        prop.add_constraint(Constraint.clause([-1, -2, 3]))
-        prop.add_constraint(Constraint.clause([-1, -2, 4]))
-        prop.assume(2)
-        assert prop.propagate() is None
-        result = probe_necessary_assignments(
-            prop, learn_implications=True, max_implications=1
-        )
-        assert len(result.implications) <= 1
-
-    def test_solver_option(self):
-        options = SolverOptions(probing_implications=16)
-        result = BsoloSolver(covering_instance(), options).solve()
-        assert result.status == OPTIMAL and result.best_cost == 4
-
-    def test_solver_option_correctness_random(self):
-        import random
-
-        from repro.baselines import BruteForceSolver
-
-        rng = random.Random(5)
-        for _ in range(5):
-            n = rng.randint(4, 6)
-            constraints = []
-            for _ in range(rng.randint(3, 8)):
-                variables = rng.sample(range(1, n + 1), rng.randint(2, n))
-                constraints.append(
-                    Constraint.clause(
-                        [v if rng.random() < 0.5 else -v for v in variables]
-                    )
-                )
-            instance = PBInstance(
-                constraints,
-                Objective({v: rng.randint(0, 4) for v in range(1, n + 1)}),
-                num_variables=n,
-            )
-            expected = BruteForceSolver(instance).solve()
-            result = BsoloSolver(
-                instance, SolverOptions(probing_implications=50)
-            ).solve()
-            assert result.status == expected.status
-            if expected.best_cost is not None:
-                assert result.best_cost == expected.best_cost

@@ -287,7 +287,6 @@ def expected_counters(stats):
         ("solver_prunings",): stats["prunings"],
         ("solver_uncertified_prunes",): stats["uncertified_prunes"],
         ("solver_incumbents",): stats["solutions_found"],
-        ("solver_restarts",): stats["restarts"],
         ("engine_propagations",): stats["propagations"],
     }
     lb_stats = stats["lb_stats"]

@@ -1,11 +1,16 @@
-"""Tests for cutting-plane resolution and PB learning."""
+"""Tests for cutting-plane resolution and the galena baseline's PB
+learning."""
 
 import itertools
 
 import pytest
 
-from repro.baselines import BruteForceSolver
-from repro.core import BsoloSolver, SolverOptions, OPTIMAL, UNSATISFIABLE
+from repro.baselines import (
+    BruteForceSolver,
+    CuttingPlanesSolver,
+    LinearSearchSolver,
+)
+from repro.core import SolverOptions
 from repro.engine.pb_resolution import (
     MAX_LITERALS,
     cardinality_reduction,
@@ -138,6 +143,9 @@ class TestDeriveResolvent:
 
 
 class TestSolverWithPBLearning:
+    """The galena baseline (``cutting-planes``) learns a cutting-plane
+    resolvent next to each first-UIP clause."""
+
     def general_instance(self):
         return PBInstance(
             [
@@ -150,10 +158,9 @@ class TestSolverWithPBLearning:
 
     def test_same_optimum_with_pb_learning(self):
         instance = self.general_instance()
-        base = BsoloSolver(instance, SolverOptions(lower_bound="plain")).solve()
-        learned = BsoloSolver(
-            instance, SolverOptions(lower_bound="plain", pb_learning=True)
-        ).solve()
+        # pbs: the same linear search over the same engine, clauses only
+        base = LinearSearchSolver(instance, SolverOptions()).solve()
+        learned = CuttingPlanesSolver(instance, SolverOptions()).solve()
         assert base.status == learned.status
         assert base.best_cost == learned.best_cost
 
@@ -184,37 +191,8 @@ class TestSolverWithPBLearning:
             num_variables=n,
         )
         expected = BruteForceSolver(instance).solve()
-        result = BsoloSolver(
-            instance, SolverOptions(lower_bound="mis", pb_learning=True)
-        ).solve()
+        result = CuttingPlanesSolver(instance, SolverOptions()).solve()
         assert result.status == expected.status
         if expected.best_cost is not None:
             assert result.best_cost == expected.best_cost
             assert instance.check(result.best_assignment)
-
-    def test_resolvents_counted(self):
-        import random
-
-        rng = random.Random(4)
-        # a PB-heavy unsatisfiable-ish instance to force PB conflicts
-        constraints = []
-        n = 6
-        for _ in range(12):
-            variables = rng.sample(range(1, n + 1), 3)
-            terms = [(rng.randint(2, 4), v if rng.random() < 0.5 else -v) for v in variables]
-            constraint = Constraint.greater_equal(
-                terms, max(2, sum(c for c, _ in terms) - 3)
-            )
-            if not constraint.is_unsatisfiable and not constraint.is_tautology:
-                constraints.append(constraint)
-        try:
-            instance = PBInstance(constraints, Objective({}), num_variables=n)
-        except ValueError:
-            pytest.skip("degenerate draw")
-        solver = BsoloSolver(
-            instance, SolverOptions(pb_learning=True, preprocess=False)
-        )
-        solver.solve()
-        # not guaranteed to fire on every instance, but the counter must
-        # be consistent with the learned count
-        assert solver.stats.pb_resolvents <= solver.stats.learned_constraints

@@ -28,6 +28,7 @@ from repro.portfolio import (
     WorkerSpec,
     default_specs,
 )
+from repro.portfolio.specs import _DEFAULT_LADDER
 
 
 def covering_instance():
@@ -118,13 +119,20 @@ class TestWorkerSpecs:
         assert len(set(labels)) == 4
 
     def test_default_specs_cycle_with_perturbation(self):
-        specs = default_specs(11)
-        assert len(specs) == 11
+        rungs = len(_DEFAULT_LADDER)
+        specs = default_specs(rungs + 2)
+        assert len(specs) == rungs + 2
+        # the rungs of one lap are pairwise distinct configurations
+        lap = {
+            (spec.solver, tuple(sorted(spec.options.describe().items())))
+            for spec in specs[:rungs]
+        }
+        assert len(lap) == rungs
         # rung 0 and its second-lap repeat use the same solver but
         # perturbed heuristics, so the searches diverge
-        assert specs[9].solver == specs[0].solver
+        assert specs[rungs].solver == specs[0].solver
         base = specs[0].options or SolverOptions()
-        assert specs[9].options.vsids_decay < base.vsids_decay
+        assert specs[rungs].options.vsids_decay < base.vsids_decay
 
     def test_default_specs_rejects_zero_workers(self):
         with pytest.raises(ValueError):
@@ -136,7 +144,7 @@ class TestWorkerSpecs:
             WorkerSpec("bsolo", SolverOptions(**{field: lambda *a: None}))
 
     def test_spec_accepts_plain_options(self):
-        spec = WorkerSpec("bsolo-mis", SolverOptions(restarts=True), label="w0")
+        spec = WorkerSpec("bsolo-mis", SolverOptions(vsids_decay=0.9), label="w0")
         assert spec.solver == "bsolo-mis"
         assert spec.label == "w0"
 

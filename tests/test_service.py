@@ -101,6 +101,23 @@ class TestProtocolUnit:
                 },
                 "bad_request",
             ),
+            # wrongly typed flags and negative iteration caps would pass
+            # the type check and silently change the search
+            ({"instance": EASY, "options": {"preprocess": "false"}}, "bad_request"),
+            ({"instance": EASY, "options": {"upper_bound_cuts": "no"}}, "bad_request"),
+            ({"instance": EASY, "options": {"covering_reductions": 0}}, "bad_request"),
+            ({"instance": EASY, "options": {"cardinality_cuts": None}}, "bad_request"),
+            ({"instance": EASY, "options": {"lgr_iterations": -5}}, "bad_request"),
+            ({"instance": EASY, "options": {"lp_max_iterations": -1}}, "bad_request"),
+            # the deleted search extensions are unknown options
+            ({"instance": EASY, "options": {"restarts": True}}, "bad_request"),
+            ({"instance": EASY, "options": {"restart_interval": 100}}, "bad_request"),
+            ({"instance": EASY, "options": {"phase_saving": True}}, "bad_request"),
+            ({"instance": EASY, "options": {"pb_learning": True}}, "bad_request"),
+            (
+                {"instance": EASY, "options": {"probing_implications": 16}},
+                "bad_request",
+            ),
             ({"instance": EASY, "solver": "bsolo-hybrid"}, "unknown_solver"),
             ({"instance": EASY, "timeout": -1}, "bad_request"),
             ({"instance": EASY, "proof": "yes"}, "bad_request"),

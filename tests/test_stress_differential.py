@@ -22,9 +22,9 @@ from repro.core import (
 from repro.experiments import SOLVER_NAMES, run_one
 
 OPTION_MIXES = [
-    {"lower_bound": "lpr", "pb_learning": True, "phase_saving": True},
-    {"lower_bound": "lgr", "restarts": True, "restart_interval": 3},
-    {"lower_bound": "mis", "probing_implications": 20, "max_learned": 3},
+    {"lower_bound": "lgr", "lgr_alpha_refinement": False},
+    {"lower_bound": "lpr", "lp_guided_branching": False, "preprocess": False},
+    {"lower_bound": "mis", "covering_reductions": False, "max_learned": 3},
     {"lower_bound": "plain", "upper_bound_cuts": False, "cardinality_cuts": False},
     {"lower_bound": "lpr", "bound_conflict_learning": False},
 ]
@@ -99,7 +99,7 @@ class TestSatisfactionStress:
         oracle = BruteForceSolver(instance).solve()
         for options in (
             SolverOptions(),
-            SolverOptions(pb_learning=True, restarts=True, restart_interval=2),
+            SolverOptions(preprocess=False, covering_reductions=False, max_learned=2),
         ):
             result = BsoloSolver(instance, options).solve()
             assert result.status == oracle.status
