@@ -143,7 +143,6 @@ def solve(
     tracer=None,
     profile: Optional[bool] = None,
     metrics=None,
-    hotspot=None,
 ) -> SolveResult:
     """Solve ``instance`` with any registered solver; the façade.
 
@@ -152,9 +151,8 @@ def solve(
     :class:`UnsupportedOptionError`).  ``timeout`` (seconds) overrides
     ``options.time_limit`` when given.  The observability
     instruments — ``tracer`` (a :class:`repro.obs.Tracer`), ``profile``
-    (phase timing on/off), ``metrics`` (a
-    :class:`repro.obs.MetricsRegistry`) and ``hotspot`` (a
-    :class:`repro.obs.HotspotProfiler`) — likewise override the
+    (phase timing on/off) and ``metrics`` (a
+    :class:`repro.obs.MetricsRegistry`) — likewise override the
     corresponding options fields when given, so instrumented one-off
     runs need no explicit :class:`SolverOptions`.
 
@@ -176,8 +174,6 @@ def solve(
         overrides["profile"] = profile
     if metrics is not None:
         overrides["metrics"] = metrics
-    if hotspot is not None:
-        overrides["hotspot"] = hotspot
     if overrides:
         options = (options or SolverOptions()).replace(**overrides)
     return make_solver(

@@ -94,7 +94,7 @@ class CuttingPlanesSolver:
             )
 
         search = DecisionSearch(
-            instance.num_variables, pb_learning=True,
+            instance.num_variables, decay=options.vsids_decay, pb_learning=True,
             tracer=tracer, timer=self._timer,
         )
         search.add_constraints(instance.constraints)

@@ -100,7 +100,8 @@ class LinearSearchSolver:
                         self.stats.cuts_added += 1
             # PBS restarts the SAT engine for every new cost bound.
             search = DecisionSearch(
-                instance.num_variables, tracer=tracer, timer=self._timer,
+                instance.num_variables, decay=options.vsids_decay,
+                tracer=tracer, timer=self._timer,
             )
             search.add_constraints(instance.constraints)
             search.add_constraints(extra)

@@ -39,7 +39,7 @@ class DecisionSearch:
                  pb_learning: bool = False, tracer=None, timer=None):
         self._tracer = tracer if (tracer is not None and tracer.enabled) else None
         self._timer = timer if timer is not None else NULL_TIMER
-        self._propagator = Propagator(num_variables, tracer=self._tracer)
+        self._propagator = Propagator(num_variables)
         self._activity = VSIDSActivity(num_variables, decay=decay)
         self._analyzer = ConflictAnalyzer(num_variables)
         self._resolution = ResolutionScratch(num_variables)
@@ -153,7 +153,7 @@ class DecisionSearch:
             resolvent = self._resolution.derive(
                 conflict_constraint,
                 analysis.resolved_variables,
-                self._propagator.antecedent,
+                self._propagator.trail.antecedent,
             )
         self._activity.bump_all(analysis.seen_variables)
         self._activity.decay()

@@ -154,16 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
             "are merged"
         ),
     )
-    parser.add_argument(
-        "--hotspot",
-        metavar="FILE",
-        default=None,
-        help=(
-            "profile the solve with the per-phase hotspot profiler, "
-            "write collapsed stacks (flamegraph input) to FILE and print "
-            "the top self-time table (single-solver runs only)"
-        ),
-    )
     return parser
 
 
@@ -206,11 +196,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--time-limit must be >= 0")
     if args.portfolio is not None and args.portfolio < 1:
         parser.error("--portfolio must be >= 1")
-    if args.portfolio is not None and args.hotspot:
-        parser.error(
-            "--hotspot is not supported with --portfolio (the profiler "
-            "cannot cross the worker process boundary)"
-        )
     if args.proof and args.portfolio is not None:
         parser.error(
             "--proof is not supported with --portfolio (proof sinks cannot "
@@ -230,7 +215,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
-    hotspot = None
 
     if args.portfolio is not None:
         import time as _time
@@ -268,20 +252,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                 proof_logger = ProofLogger(args.proof)
             except OSError as exc:
                 parser.error("cannot open --proof file: %s" % exc)
-        if args.hotspot:
-            from .obs.prof import HotspotProfiler
-
-            hotspot = HotspotProfiler()
         try:
             options = SolverOptions(
                 time_limit=args.time_limit,
                 tracer=tracer,
-                profile=args.profile or bool(args.hotspot),
+                profile=args.profile,
                 on_progress=_print_progress if args.progress else None,
                 progress_interval=args.progress_interval,
                 proof=proof_logger,
                 metrics=registry,
-                hotspot=hotspot,
             )
             record = run_one(args.solver, instance, args.instance, options)
         finally:
@@ -317,18 +296,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         for line in format_profile(
             result.stats.phase_times, result.stats.elapsed, counters=counters
         ).splitlines():
-            print("c " + line)
-    if hotspot is not None:
-        from .obs.prof import format_hotspots
-
-        try:
-            with open(args.hotspot, "w") as sink:
-                hotspot.write_collapsed(sink)
-        except OSError as exc:
-            print("c hotspot write failed: %s" % exc, file=sys.stderr)
-        else:
-            print("c hotspot collapsed stacks written to %s" % args.hotspot)
-        for line in format_hotspots(hotspot).splitlines():
             print("c " + line)
     if registry is not None:
         text = registry.render_text()
@@ -377,7 +344,6 @@ def _wbo_main(parser: argparse.ArgumentParser, args) -> int:
         (args.portfolio, "--portfolio"),
         (args.proof, "--proof"),
         (args.trace, "--trace"),
-        (args.hotspot, "--hotspot"),
         (args.metrics, "--metrics"),
     ):
         if flag:

@@ -74,7 +74,6 @@ class SolverOptions:
         tracer=None,
         profile: bool = False,
         metrics=None,
-        hotspot=None,
         on_progress=None,
         progress_interval: int = 1000,
         on_incumbent=None,
@@ -163,13 +162,8 @@ class SolverOptions:
         self.profile = profile
         #: Metrics registry (:class:`repro.obs.metrics.MetricsRegistry`);
         #: None = no metrics.  The solve's counts reach it once, when
-        #: ``solve()`` ends; only the bound-call wall-time histogram is
-        #: recorded during search.
+        #: ``solve()`` ends; the search itself touches no instrument.
         self.metrics = metrics
-        #: Hotspot profiler (:class:`repro.obs.prof.HotspotProfiler`);
-        #: when set the solver runs it around the solve, scoping samples
-        #: to the phase timer's phases (forces ``profile`` accounting).
-        self.hotspot = hotspot
         #: Periodic callback ``(stats, best, lower) -> None`` fired every
         #: ``progress_interval`` conflicts; ``best`` is the incumbent cost
         #: (offset included, None before the first solution) and ``lower``
@@ -237,7 +231,6 @@ class SolverOptions:
         kwargs.update(
             tracer=self.tracer,
             metrics=self.metrics,
-            hotspot=self.hotspot,
             on_progress=self.on_progress,
             on_incumbent=self.on_incumbent,
             external_bound=self.external_bound,

@@ -130,29 +130,10 @@ class BsoloSolver:
 
         tracer = self._options.tracer
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        metrics = self._options.metrics
-        #: The one per-event instrument.  Counts reach the registry once,
-        #: when ``solve()`` ends (:func:`record_metrics`), but no count
-        #: can rebuild a distribution of bound-call wall times.
-        self._m_lb_seconds = (
-            metrics.histogram(
-                "solver_lower_bound_seconds",
-                "Wall time of one lower-bound estimation",
-                labels=("method",),
-            )
-            if metrics is not None and metrics.enabled
-            else None
-        )
-        #: Opt-in hotspot profiler; forces phase accounting on so its
-        #: samples can be scoped to solver phases.
-        self._hotspot = self._options.hotspot
-        if self._options.profile or self._hotspot is not None:
-            listener = (
-                self._hotspot.phase_listener if self._hotspot is not None else None
-            )
-            self._timer = PhaseTimer(listener=listener)
-        else:
-            self._timer = NULL_TIMER
+        #: The only clock inside the search (with ``profile``); the
+        #: metrics registry gets the solve's counts once, when ``solve()``
+        #: ends.
+        self._timer = PhaseTimer() if self._options.profile else NULL_TIMER
         if session is not None:
             # Borrow the session's persistent state: engine (constraints
             # pre-loaded), activity, bound-schedule state and the
@@ -162,10 +143,7 @@ class BsoloSolver:
             self._schedule = session.schedule
             self._bounder = session.bounder
         else:
-            self._propagator = Propagator(
-                instance.num_variables,
-                tracer=self._tracer if self._tracer.enabled else None,
-            )
+            self._propagator = Propagator(instance.num_variables)
             self._activity = VSIDSActivity(
                 instance.num_variables, decay=self._options.vsids_decay
             )
@@ -251,14 +229,10 @@ class BsoloSolver:
                     options=self._options.describe(),
                 )
             )
-        if self._hotspot is not None:
-            self._hotspot.start()
         try:
             result = self._search()
             self._finalize_proof(result)
         finally:
-            if self._hotspot is not None:
-                self._hotspot.stop()
             self.stats.elapsed = time.monotonic() - start
             self.stats.phase_times = self._timer.snapshot()
             counts = {
@@ -511,14 +485,7 @@ class BsoloSolver:
                 continue
 
             if self._bounder is not None and self._schedule.should_bound():
-                if self._m_lb_seconds is None:
-                    pruned, exhausted = self._apply_lower_bound()
-                else:
-                    bound_start = time.monotonic()
-                    pruned, exhausted = self._apply_lower_bound()
-                    self._m_lb_seconds.labels(method=self._bounder.name).observe(
-                        time.monotonic() - bound_start
-                    )
+                pruned, exhausted = self._apply_lower_bound()
                 self._schedule.record(pruned)
                 if pruned:
                     self._maybe_progress()

@@ -157,10 +157,10 @@ def record_metrics(
     bounders counted during this solve: ``propagations``,
     ``propagate_calls``, ``mis_hits``/``mis_misses`` and ``lp_pivots``.
     A family is recorded only when its source is given, so the registry
-    lists the families of the parts that ran.  Nothing is recorded
-    without an enabled registry.
+    lists the families of the parts that ran.  ``registry`` None records
+    nothing.
     """
-    if registry is None or not registry.enabled:
+    if registry is None:
         return
     counter = registry.counter
     if stats is not None:

@@ -13,10 +13,13 @@ implications between a conflict and its first UIP.  A PB implication is
 therefore recorded as a :class:`DeferredReason` — the implying
 constraint, the implied literal and its coefficient — and
 :meth:`Trail.reason` derives the clausal tuple on first read, caching it
-in place.  The derivation looks only at literals assigned *before* the
-implied one (the trail remembers each variable's position), which is
-exactly the set of false literals the constraint had when it implied,
-so the tuple equals the one an eager builder would have made.
+in the record.  The derivation looks only at literals assigned *before*
+the implied one (the trail remembers each variable's position), which
+is exactly the set of false literals the constraint had when it
+implied, so the tuple equals the one built at implication time.
+The record stays on the trail until the variable is unassigned, so
+:meth:`Trail.antecedent` returns the implying constraint (what
+cutting-plane learning resolves with) before and after that read.
 
 The :class:`Trail` keeps plain Python lists, which the propagation hot
 loops index one variable at a time.  Its :class:`TrailDelta` feeds drive
@@ -38,20 +41,22 @@ UNASSIGNED = -1
 
 
 class DeferredReason:
-    """A PB implication whose clausal reason is not built yet: ``literal``
-    was implied by ``constraint``, where its coefficient is ``coef``.
+    """A PB implication: ``literal`` was implied by ``constraint``, where
+    its coefficient is ``coef``.  ``clause`` is the clausal reason once
+    :meth:`Trail.reason` has built it (None before).
 
     Holds the immutable :class:`~repro.pb.constraints.Constraint`, so
     deleting the stored constraint it came from (learned-constraint
     reduction) cannot change the reason.
     """
 
-    __slots__ = ("constraint", "literal", "coef")
+    __slots__ = ("constraint", "literal", "coef", "clause")
 
     def __init__(self, constraint: Constraint, literal: int, coef: int):
         self.constraint = constraint
         self.literal = literal
         self.coef = coef
+        self.clause: Optional[Reason] = None
 
 
 class TrailDelta:
@@ -158,18 +163,29 @@ class Trail:
     def reason(self, var: int) -> Optional[Reason]:
         """Clausal antecedent of ``var`` (None for decisions/unassigned).
 
-        A deferred PB reason is built here on first read and cached.
+        A deferred PB reason is built here on first read and cached in
+        its record.
         """
         reason = self._reason[var]
         if reason is None or reason.__class__ is tuple:
             return reason
-        constraint = reason.constraint
-        total = sum(coef for coef, _ in constraint.terms)
-        built = (reason.literal,) + self.false_cover(
-            constraint, total - constraint.rhs - reason.coef, self._position[var]
-        )
-        self._reason[var] = built
+        built = reason.clause
+        if built is None:
+            constraint = reason.constraint
+            total = sum(coef for coef, _ in constraint.terms)
+            built = (reason.literal,) + self.false_cover(
+                constraint, total - constraint.rhs - reason.coef, self._position[var]
+            )
+            reason.clause = built
         return built
+
+    def antecedent(self, var: int) -> Optional[Constraint]:
+        """The PB constraint that implied ``var``: None for decisions,
+        root assignments, tuple reasons and unassigned variables."""
+        reason = self._reason[var]
+        if reason is None or reason.__class__ is tuple:
+            return None
+        return reason.constraint
 
     def false_cover(
         self, constraint: Constraint, needed: int, before: int

@@ -37,13 +37,14 @@ For any interleaving of the calls below:
   the first conflict found, or ``None``.  The set of literals implied at
   a fixed point is the closure of the rule "an unassigned literal whose
   coefficient exceeds the constraint's slack is true".
-* Every implication carries a clausal reason on the trail and, when it
-  came from a PB constraint, an ``antecedent`` entry, so conflict
-  analysis never needs the engine's internal state.  A reason may be a
-  :class:`~repro.engine.assignment.DeferredReason` (the implying
-  constraint, literal and coefficient) that ``Trail.reason`` turns into
-  the clausal tuple on first read; the tuple depends only on the
-  constraint and the trail prefix before the implied literal.
+* Every implication carries a clausal reason on the trail, so conflict
+  analysis never needs the engine's internal state.  A PB implication's
+  reason is a :class:`~repro.engine.assignment.DeferredReason` (the
+  implying constraint, literal and coefficient): ``Trail.reason`` builds
+  the clausal tuple from it on first read and ``Trail.antecedent``
+  returns its constraint, before and after that read.  The tuple
+  depends only on the constraint and the trail prefix before the
+  implied literal.
 * ``backtrack(level)`` undoes every assignment above ``level`` and
   restores all internal bookkeeping; a subsequent ``propagate`` is a
   no-op unless constraints were added in between.  Propagation is
@@ -78,9 +79,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional, Tuple, Union
 
-from ..obs.events import PropagationEvent
 from ..pb.constraints import Constraint
-from ..pb.literals import variable
 from .assignment import DeferredReason, Reason, Trail
 from .constraint_db import ConstraintDatabase, StoredConstraint
 
@@ -106,29 +105,14 @@ class Conflict:
 
 
 class Propagator:
-    """Counter-based engine: eager slacks, occurrence-list updates.
+    """Counter-based engine: eager slacks, occurrence-list updates."""
 
-    ``tracer`` (a :class:`repro.obs.trace.Tracer`) is optional; when
-    given and enabled, every :meth:`propagate` call that produced
-    implications or a conflict emits one batch event.  The hot loops are
-    untouched — the accounting rides on the existing counter.
-    """
-
-    def __init__(self, num_variables: int, tracer=None):
+    def __init__(self, num_variables: int):
         self.trail = Trail(num_variables)
         #: Implications discovered so far.
         self.num_propagations = 0
         #: Calls to the propagation loop so far.
         self.num_propagate_calls = 0
-        self._tracer = tracer if (tracer is not None and tracer.enabled) else None
-        self._batch_mark = 0
-        if self._tracer is None:
-            # Skip the trace-batching wrapper entirely on the null path.
-            self.propagate = self._propagate_loop  # type: ignore[method-assign]
-        # var -> the PB constraint that implied it (for cutting-plane
-        # learning; the clausal reason on the trail is authoritative for
-        # clausal analysis)
-        self._antecedent: dict = {}
         self.database = ConstraintDatabase(self.trail)
         self._pending: Deque[StoredConstraint] = deque()
 
@@ -182,27 +166,15 @@ class Propagator:
         self.trail.decide(literal)
         self._on_assign(literal)
 
-    def imply(
-        self,
-        literal: int,
-        reason: Union[Reason, DeferredReason],
-        antecedent: Optional[Constraint] = None,
-    ) -> None:
+    def imply(self, literal: int, reason: Union[Reason, DeferredReason]) -> None:
         """Assert an implication at the current level."""
         self.trail.imply(literal, reason)
-        if antecedent is not None:
-            self._antecedent[variable(literal)] = antecedent
         self._on_assign(literal)
 
     def assume(self, literal: int) -> None:
         """Root-level assignment (preprocessing, necessary assignments)."""
         self.trail.assume(literal)
         self._on_assign(literal)
-
-    def antecedent(self, var: int) -> Optional[Constraint]:
-        """The PB constraint that implied ``var`` (None for decisions or
-        externally asserted literals)."""
-        return self._antecedent.get(var)
 
     # ------------------------------------------------------------------
     # Eager slack maintenance on every assignment
@@ -222,25 +194,8 @@ class Propagator:
     def propagate(self) -> Optional[Conflict]:
         """Run boolean constraint propagation to a fixed point.
 
-        Returns the first conflict discovered, or ``None``.  With a
-        tracer, each call that implied something or hit a conflict emits
-        one batch event; an engine built without one runs the bare loop
-        in place of this wrapper.
+        Returns the first conflict discovered, or ``None``.
         """
-        conflict = self._propagate_loop()
-        delta = self.num_propagations - self._batch_mark
-        self._batch_mark = self.num_propagations
-        if delta or conflict is not None:
-            self._tracer.emit(
-                PropagationEvent(
-                    count=delta,
-                    level=self.trail.decision_level,
-                    conflict=conflict is not None,
-                )
-            )
-        return conflict
-
-    def _propagate_loop(self) -> Optional[Conflict]:
         self.num_propagate_calls += 1
         while self._pending:
             stored = self._pending.popleft()
@@ -275,9 +230,7 @@ class Propagator:
             if values[var] >= 0:
                 continue
             self.num_propagations += 1
-            self.imply(
-                lit, DeferredReason(constraint, lit, coef), antecedent=constraint
-            )
+            self.imply(lit, DeferredReason(constraint, lit, coef))
         return None
 
     def explain_violation(self, stored: StoredConstraint) -> Tuple[int, ...]:
@@ -298,7 +251,6 @@ class Propagator:
         """Undo assignments above ``target_level`` and restore slacks."""
         for lit in self.trail.backtrack(target_level):
             self.database.on_literal_unassigned(lit)
-            self._antecedent.pop(lit if lit > 0 else -lit, None)
         self._clear_pending()
         # Constraints that became unit again are rediscovered lazily: any
         # implication missed here can only matter after the caller asserts

@@ -137,12 +137,8 @@ class SolverSession:
         self._objective = instance.objective
         self._variable_names = dict(instance.variable_names)
 
-        tracer = self._options.tracer
         #: Persistent engine, sized to include the guard variable.
-        self.propagator = Propagator(
-            self.guard_var,
-            tracer=tracer if (tracer is not None and tracer.enabled) else None,
-        )
+        self.propagator = Propagator(self.guard_var)
         #: Persistent branching activity (warm across calls).
         self.activity = VSIDSActivity(
             self.guard_var, decay=self._options.vsids_decay

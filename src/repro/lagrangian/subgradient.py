@@ -25,7 +25,6 @@ refinement drops assignments whose flip could only raise the bound.
 from __future__ import annotations
 
 import math
-import time
 from typing import Dict, List, Mapping, Optional
 
 import numpy as np
@@ -68,10 +67,13 @@ class LagrangianBound:
         self._mu_memory: Dict[Constraint, float] = {}
         self.num_calls = 0
         self.total_iterations = 0
-        self.total_seconds = 0.0
         #: Trace of L(mu) per iteration of the last call (for convergence
         #: studies, paper Section 6 discusses LGR's slow convergence).
         self.last_trace: List[float] = []
+
+    def stats_dict(self) -> Dict[str, float]:
+        """Structured per-bounder stats (merged into ``SolverStats``)."""
+        return {"calls": self.num_calls, "iterations": self.total_iterations}
 
     # ------------------------------------------------------------------
     def compute(
@@ -82,23 +84,6 @@ class LagrangianBound:
         ``upper_target`` feeds the Polyak step size (defaults to the sum
         of remaining costs).
         """
-        started = time.perf_counter()
-        try:
-            return self._compute(fixed, upper_target)
-        finally:
-            self.total_seconds += time.perf_counter() - started
-
-    def stats_dict(self) -> Dict[str, float]:
-        """Structured per-bounder stats (merged into ``SolverStats``)."""
-        return {
-            "calls": self.num_calls,
-            "iterations": self.total_iterations,
-            "seconds": round(self.total_seconds, 6),
-        }
-
-    def _compute(
-        self, fixed: Mapping[int, int], upper_target: Optional[float]
-    ) -> LowerBound:
         self.num_calls += 1
         data = build_lp_data(self._instance, fixed)
         if data is None:

@@ -24,7 +24,6 @@ value prunes into infeasible ones, whose explanation is the weakest.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 from ..pb.constraints import Constraint
@@ -99,25 +98,13 @@ class LPRelaxationBound:
         self._max_iterations = max_iterations
         self.num_calls = 0
         self.total_iterations = 0
-        self.total_seconds = 0.0
 
     def stats_dict(self) -> Dict[str, float]:
         """Structured per-bounder stats (merged into ``SolverStats``)."""
-        return {
-            "calls": self.num_calls,
-            "iterations": self.total_iterations,
-            "seconds": round(self.total_seconds, 6),
-        }
+        return {"calls": self.num_calls, "iterations": self.total_iterations}
 
     def compute(self, fixed: Mapping[int, int]) -> LowerBound:
         """``P.lower`` for the sub-problem under the partial assignment."""
-        started = time.perf_counter()
-        try:
-            return self._compute(fixed)
-        finally:
-            self.total_seconds += time.perf_counter() - started
-
-    def _compute(self, fixed: Mapping[int, int]) -> LowerBound:
         self.num_calls += 1
         data = build_lp_data(self._instance, fixed)
         if data is None:

@@ -47,7 +47,6 @@ the value nor the infeasible verdict.
 from __future__ import annotations
 
 import math
-import time
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from ..pb.constraints import Constraint
@@ -217,7 +216,6 @@ class MISBound:
                 self._touching.setdefault(var, []).append(state)
         self._delta = None  # TrailDelta once attach_trail() is called
         self.num_calls = 0
-        self.total_seconds = 0.0
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -243,21 +241,12 @@ class MISBound:
         """Structured per-bounder stats (merged into ``SolverStats``)."""
         return {
             "calls": self.num_calls,
-            "seconds": round(self.total_seconds, 6),
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
         }
 
     def compute(self, fixed: Mapping[int, int]) -> LowerBound:
         """``P.lower`` from a variable-disjoint set of constraints."""
-        started = time.perf_counter()
-        try:
-            return self._compute(fixed)
-        finally:
-            self.total_seconds += time.perf_counter() - started
-
-    # ------------------------------------------------------------------
-    def _compute(self, fixed: Mapping[int, int]) -> LowerBound:
         self.num_calls += 1
         costs = self._costs
 

@@ -1,19 +1,17 @@
-"""Observability: tracing, metrics, phase timers, profiling, reports.
+"""Observability: tracing, metrics, phase timers, reports.
 
 The measurement layer every performance claim is judged against:
 
 * :mod:`repro.obs.events` — typed search-event records (decision,
-  propagation batch, logic/bound conflict, backjump, lower
-  bound call, incumbent update, cut, progress, result, worker summary);
+  logic/bound conflict, backjump, lower bound call, incumbent update,
+  cut, progress, result, worker summary);
 * :mod:`repro.obs.trace` — the no-op :data:`NULL_TRACER` (zero overhead
   when disabled) and the crash-safe buffered :class:`JsonlTracer` sink;
 * :mod:`repro.obs.metrics` — Counter/Gauge/Histogram families in a
   :class:`MetricsRegistry` with deterministic exposition and
-  cross-process snapshot merging (:data:`NULL_METRICS` when off);
+  cross-process snapshot merging;
 * :mod:`repro.obs.timers` — :class:`PhaseTimer` with exclusive-time
-  accounting per search phase;
-* :mod:`repro.obs.prof` — the opt-in :class:`HotspotProfiler`
-  (phase-scoped collapsed stacks + self-time tables);
+  accounting per search phase, the one clock inside a solve;
 * :mod:`repro.obs.merge` — portfolio worker-trace merging onto one
   aligned timeline, plus the per-worker/straggler reports;
 * :mod:`repro.obs.report` — profile tables and gap-vs-time summaries.
@@ -37,7 +35,6 @@ from .events import (
     INCUMBENT,
     LOWER_BOUND,
     PROGRESS,
-    PROPAGATION,
     RESULT,
     RUN_HEADER,
     WORKER_SUMMARY,
@@ -49,7 +46,6 @@ from .events import (
     IncumbentEvent,
     LowerBoundEvent,
     ProgressEvent,
-    PropagationEvent,
     ResultEvent,
     RunHeaderEvent,
     WorkerSummaryEvent,
@@ -66,14 +62,11 @@ from .merge import (
 from .metrics import (
     DEFAULT_BUCKETS,
     LATENCY_BUCKETS,
-    NULL_METRICS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullMetricsRegistry,
 )
-from .prof import HotspotProfiler, format_hotspots
 from .report import format_profile, format_progress, gap_history, trace_summary
 from .timers import NULL_TIMER, NullPhaseTimer, PhaseTimer
 from .trace import NULL_TRACER, JsonlTracer, NullTracer, Tracer, read_trace
@@ -89,11 +82,9 @@ __all__ = [
     "INCUMBENT",
     "LATENCY_BUCKETS",
     "LOWER_BOUND",
-    "NULL_METRICS",
     "NULL_TIMER",
     "NULL_TRACER",
     "PROGRESS",
-    "PROPAGATION",
     "RESULT",
     "RUN_HEADER",
     "WORKER_SUMMARY",
@@ -105,23 +96,19 @@ __all__ = [
     "Event",
     "Gauge",
     "Histogram",
-    "HotspotProfiler",
     "IncumbentEvent",
     "JsonlTracer",
     "LowerBoundEvent",
     "MetricsRegistry",
-    "NullMetricsRegistry",
     "NullPhaseTimer",
     "NullTracer",
     "PhaseTimer",
     "ProgressEvent",
-    "PropagationEvent",
     "ResultEvent",
     "RunHeaderEvent",
     "Tracer",
     "WorkerSummaryEvent",
     "event_from_record",
-    "format_hotspots",
     "format_profile",
     "format_progress",
     "format_worker_report",

@@ -3,10 +3,10 @@
 Each event is a small dataclass with a ``kind`` tag; a trace is the
 sequence of events one solve emitted, serialized as JSONL (one event per
 line, see :mod:`repro.obs.trace`).  The schema mirrors what the paper's
-experiments attribute solver behaviour to: decisions, propagation
-batches, logic vs. bound conflicts (Section 4), backjumps,
-lower-bound calls per method (Section 3), incumbent updates and cuts
-(Section 5).
+experiments attribute solver behaviour to: decisions, logic vs. bound
+conflicts (Section 4), backjumps, lower-bound calls per method
+(Section 3), incumbent updates and cuts (Section 5).  The propagation
+engine emits nothing: its implication count is ``stats.propagations``.
 
 Events carry *payload* fields only; the tracer stamps the relative
 monotonic timestamp ``t`` at emission time, so re-running a search
@@ -21,7 +21,6 @@ from typing import Any, ClassVar, Dict, Optional
 #: Event kind tags (the ``kind`` field of every JSONL record).
 RUN_HEADER = "run_header"
 DECISION = "decision"
-PROPAGATION = "propagation"
 CONFLICT = "conflict"
 BACKJUMP = "backjump"
 LOWER_BOUND = "lower_bound"
@@ -34,7 +33,6 @@ WORKER_SUMMARY = "worker_summary"
 EVENT_KINDS = (
     RUN_HEADER,
     DECISION,
-    PROPAGATION,
     CONFLICT,
     BACKJUMP,
     LOWER_BOUND,
@@ -74,16 +72,6 @@ class DecisionEvent(Event):
     kind: ClassVar[str] = DECISION
     literal: int = 0
     level: int = 0
-
-
-@dataclass
-class PropagationEvent(Event):
-    """One call to BCP: how many implications it produced."""
-
-    kind: ClassVar[str] = PROPAGATION
-    count: int = 0
-    level: int = 0
-    conflict: bool = False
 
 
 @dataclass
@@ -186,7 +174,6 @@ EVENT_TYPES: Dict[str, type] = {
     for cls in (
         RunHeaderEvent,
         DecisionEvent,
-        PropagationEvent,
         ConflictEvent,
         BackjumpEvent,
         LowerBoundEvent,

@@ -11,11 +11,9 @@ Design rules, in order of importance:
    (:class:`~repro.core.stats.SolverStats`, the engine's and the
    bounders' own counters), and :func:`repro.core.stats.record_metrics`
    adds them to the registry once, when a solve ends, so the search
-   updates no counter and a run without a registry pays nothing for
-   one.  The one per-event instrument is the solver's bound-call
-   wall-time histogram, which no count can rebuild.  The shared
-   :data:`NULL_METRICS` registry hands out inert instruments and
-   reports ``enabled = False``.
+   updates no instrument and a run without a registry (``None``) pays
+   nothing for one.  Time inside a solve is the phase timer's
+   (:mod:`repro.obs.timers`), not a metric.
 2. **Deterministic exposition.**  :meth:`MetricsRegistry.render_text`
    and :meth:`MetricsRegistry.as_dict` order families and label sets
    lexicographically, so two runs that did the same work render the
@@ -46,8 +44,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-#: Default histogram bucket upper bounds (seconds-flavoured, spanning
-#: microsecond bound calls to multi-second LP solves).
+#: Default histogram bucket upper bounds (seconds, spanning 100 µs to
+#: 10 s).
 DEFAULT_BUCKETS = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
     0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
@@ -202,14 +200,7 @@ class _Family:
 
 
 class MetricsRegistry:
-    """A process-local collection of metric families.
-
-    ``enabled`` is the contract with instrumented code, mirroring the
-    tracer: when False (see :class:`NullMetricsRegistry`) call sites
-    must skip instrument updates entirely.
-    """
-
-    enabled = True
+    """A process-local collection of metric families."""
 
     def __init__(self):
         self._families: Dict[str, _Family] = {}
@@ -413,90 +404,3 @@ def _render_value(value: float) -> str:
     if isinstance(value, float) and value.is_integer():
         return str(int(value))
     return repr(value)
-
-
-# ----------------------------------------------------------------------
-class _NullInstrument:
-    """Inert instrument satisfying every instrument interface."""
-
-    __slots__ = ()
-
-    value = 0
-    sum = 0.0
-    count = 0
-
-    def inc(self, amount: float = 1) -> None:
-        """No-op."""
-        pass
-
-    def dec(self, amount: float = 1) -> None:
-        """No-op."""
-        pass
-
-    def set(self, value: float) -> None:
-        """No-op."""
-        pass
-
-    def observe(self, value: float) -> None:
-        """No-op."""
-        pass
-
-    def labels(self, **label_values):
-        """No-op: labeled children of a null family are the family."""
-        return self
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullMetricsRegistry:
-    """Disabled registry (the default everywhere).
-
-    Hands out shared inert instruments so construction-time wiring stays
-    branch-free, and reports ``enabled = False`` so hot paths skip
-    updates entirely.
-    """
-
-    enabled = False
-
-    def counter(self, name: str, help_text: str = "", labels: Sequence[str] = ()):
-        """An inert counter/family."""
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, help_text: str = "", labels: Sequence[str] = ()):
-        """An inert gauge/family."""
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, help_text: str = "",
-                  labels: Sequence[str] = (),
-                  buckets: Sequence[float] = DEFAULT_BUCKETS):
-        """An inert histogram/family."""
-        return _NULL_INSTRUMENT
-
-    def families(self) -> List[Any]:
-        """Always empty."""
-        return []
-
-    def get_value(self, name: str, **label_values) -> Any:
-        """Always None: nothing is recorded."""
-        return None
-
-    def as_dict(self) -> Dict[str, Any]:
-        """Always empty."""
-        return {}
-
-    def render_text(self) -> str:
-        """Always empty."""
-        return ""
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Always empty."""
-        return {}
-
-    def merge_snapshot(self, snap: Mapping[str, Any]) -> None:
-        """Dropped: a disabled registry aggregates nothing."""
-        pass
-
-
-#: Shared no-op instance: safe because it holds no state.
-NULL_METRICS = NullMetricsRegistry()

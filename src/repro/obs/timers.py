@@ -13,7 +13,10 @@ The solver uses the conventional phase names::
     lower_bound.mis / lower_bound.lgr / lower_bound.lpr
 
 With profiling off the solver holds the shared :data:`NULL_TIMER`,
-whose ``push``/``pop`` are no-ops.
+whose ``push``/``pop`` are no-ops.  The phase timer is the only clock
+inside a solve: the bounders, the propagation engine and the metrics
+registry keep none of their own, so a solve without ``profile`` reads
+no clock but ``stats.elapsed`` and its deadline.
 """
 
 from __future__ import annotations
@@ -40,24 +43,16 @@ class _PhaseContext:
 
 
 class PhaseTimer:
-    """Stack-based exclusive phase timing.
-
-    ``listener``, when given, is called with the name of the phase that
-    became current after every push/pop (the empty string once the stack
-    drains) — the hook the hotspot profiler uses to scope its samples to
-    solver phases without the solver knowing about the profiler.
-    """
+    """Stack-based exclusive phase timing."""
 
     enabled = True
 
-    def __init__(self, clock=time.perf_counter, listener=None):
+    def __init__(self, clock=time.perf_counter):
         self._clock = clock
         # [name, start-of-current-exclusive-segment]
         self._stack: List[List] = []
         #: phase name -> exclusive seconds (banked segments only).
         self.totals: Dict[str, float] = {}
-        #: Optional ``callable(current_phase: str)`` phase-change hook.
-        self.listener = listener
 
     # ------------------------------------------------------------------
     def push(self, name: str) -> None:
@@ -68,8 +63,6 @@ class PhaseTimer:
             top = stack[-1]
             self.totals[top[0]] = self.totals.get(top[0], 0.0) + now - top[1]
         stack.append([name, now])
-        if self.listener is not None:
-            self.listener(name)
 
     def pop(self) -> str:
         """Leave the current phase; resumes the enclosing phase's clock."""
@@ -81,8 +74,6 @@ class PhaseTimer:
         self.totals[name] = self.totals.get(name, 0.0) + now - since
         if stack:
             stack[-1][1] = now
-        if self.listener is not None:
-            self.listener(stack[-1][0] if stack else "")
         return name
 
     def phase(self, name: str) -> _PhaseContext:

@@ -168,11 +168,7 @@ class PortfolioSolver:
         #: into it.  Falls back to ``options.metrics`` (the options
         #: object never crosses the process boundary, so a live registry
         #: there belongs to the coordinator by construction).
-        if metrics is None:
-            metrics = self._options.metrics
-        self._metrics = (
-            metrics if (metrics is not None and metrics.enabled) else None
-        )
+        self._metrics = metrics if metrics is not None else self._options.metrics
         self.stats = PortfolioStats()
 
     # ------------------------------------------------------------------

@@ -20,7 +20,6 @@ from ..core.options import SolverOptions
 _PROCESS_LOCAL_FIELDS = (
     "tracer",
     "metrics",
-    "hotspot",
     "on_progress",
     "on_incumbent",
     "external_bound",
@@ -67,6 +66,10 @@ _DEFAULT_LADDER = (
     "milp",
 )
 
+#: The rungs a repeat lap revisits: every rung that reads ``vsids_decay``
+#: (``milp`` has no VSIDS, so a repeat would rerun its first search).
+_REPEAT_LADDER = tuple(solver for solver in _DEFAULT_LADDER if solver != "milp")
+
 
 def default_specs(
     workers: int = 4, base: Optional[SolverOptions] = None
@@ -74,17 +77,23 @@ def default_specs(
     """The default diversified portfolio of ``workers`` members.
 
     The first rungs of the ladder cover the paper's complementary
-    bounding strategies plus the comparator paradigms; beyond the ladder
-    the rungs repeat with a perturbed VSIDS decay, which makes a repeated
-    bsolo rung search differently from its first visit.
+    bounding strategies plus the comparator paradigms.  Beyond the
+    ladder the rungs repeat with a VSIDS decay lowered by 0.05 per lap
+    (floor 0.5), which every repeated rung reads (bsolo's branching,
+    linear-search's and cutting-planes' decision search), so a repeat
+    searches differently from its first visit; ``milp`` has no VSIDS and
+    runs on the first lap only.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     template = base if base is not None else SolverOptions()
     specs: List[WorkerSpec] = []
     for index in range(workers):
-        solver = _DEFAULT_LADDER[index % len(_DEFAULT_LADDER)]
-        lap = index // len(_DEFAULT_LADDER)
+        if index < len(_DEFAULT_LADDER):
+            solver, lap = _DEFAULT_LADDER[index], 0
+        else:
+            lap, rung = divmod(index - len(_DEFAULT_LADDER), len(_REPEAT_LADDER))
+            solver, lap = _REPEAT_LADDER[rung], lap + 1
         options = template
         if lap:
             # repeat visits get perturbed heuristics for diversity

@@ -124,13 +124,6 @@ class TestPortfolioFlag:
         records = read_trace(trace_path)
         assert sorted({r["worker_id"] for r in records}) == [0, 1]
 
-    def test_portfolio_rejects_hotspot(self, opt_file, tmp_path):
-        with pytest.raises(SystemExit):
-            cli.main(
-                [opt_file, "--portfolio", "2",
-                 "--hotspot", str(tmp_path / "h.folded")]
-            )
-
 
 class TestObservabilityFlags:
     def test_stats_floats_have_six_decimals(self, opt_file, capsys):
@@ -244,18 +237,6 @@ class TestMetricsAndHotspotFlags:
             l for l in out.splitlines() if l.startswith("c solver_decisions")
         ]
         assert metric_lines
-
-    def test_hotspot_flag_writes_collapsed_stacks(
-        self, opt_file, tmp_path, capsys
-    ):
-        folded = str(tmp_path / "solve.folded")
-        exit_code = cli.main([opt_file, "--hotspot", folded])
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert any(l.startswith("c hotspots:") for l in out.splitlines())
-        lines = open(folded).read().splitlines()
-        assert lines
-        assert all(line.rsplit(" ", 1)[1].isdigit() for line in lines)
 
 
 class TestObsSubcommand:

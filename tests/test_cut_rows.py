@@ -138,11 +138,29 @@ def test_session_gc_keeps_live_cut_rows(monkeypatch, instance, optimum):
     assert rows_checked
 
 
+class _TopPhaseTimer(PhaseTimer):
+    """A phase timer that also records the current top phase ("" when
+    none is open) in ``current[0]``."""
+
+    def __init__(self, current):
+        super().__init__()
+        self._current = current
+
+    def push(self, name):
+        super().push(name)
+        self._current[0] = name
+
+    def pop(self):
+        name = super().pop()
+        self._current[0] = self._stack[-1][0] if self._stack else ""
+        return name
+
+
 def test_phases_of_the_incumbent_path(monkeypatch):
     instance = generate_ptl_mapping(nodes=9, extra_edges=4, seed=3)
     solver = BsoloSolver(instance, SolverOptions(lower_bound="mis"))
     current = [""]
-    solver._timer = PhaseTimer(listener=lambda name: current.__setitem__(0, name))
+    solver._timer = _TopPhaseTimer(current)
     seen = {"resolve": set(), "swap": set(), "bound_inputs": set()}
     in_solution = [False]
 

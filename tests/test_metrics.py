@@ -1,15 +1,24 @@
 """Tests for the metrics registry (repro.obs.metrics).
 
 Covers instrument semantics (counter/gauge/histogram), family labeling
-rules, deterministic exposition, cross-process snapshot/merge, the
-inert NULL_METRICS registry, and solver integration: every counter
-family equals its SolverStats or lb_stats source, and counts reach the
-registry once, when a solve ends.
+rules, deterministic exposition, cross-process snapshot/merge, and
+solver integration: every counter family equals its SolverStats or
+lb_stats source, counts reach the registry once, when a solve ends, and
+a solve with no instrument reads no clock but its elapsed time.  The
+layering test pins that the search's lower layers (``repro.pb``,
+``repro.engine``, ``repro.lp``, ``repro.mis``, ``repro.lagrangian``)
+import neither ``time`` nor ``repro.obs``.
 """
+
+import ast
+import pathlib
+import threading
+import time
 
 import pytest
 
-from repro import SolverOptions, parse, solve
+import repro
+from repro import SolverOptions, make_solver, solve
 from repro.baselines.covering_bnb import CoveringBnBSolver
 from repro.benchgen import generate_covering, generate_ptl_mapping, generate_routing
 from repro.core.solver import BsoloSolver
@@ -20,18 +29,8 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_METRICS,
-    NullMetricsRegistry,
 )
 from repro.portfolio import PortfolioSolver, WorkerSpec
-
-OPT_INSTANCE = """\
-* #variable= 3 #constraint= 3
-min: +1 x1 +2 x2 +3 x3 ;
-+1 x1 +1 x2 >= 1 ;
-+1 x2 +1 x3 >= 1 ;
-+1 x1 +1 x3 >= 1 ;
-"""
 
 
 class TestInstruments:
@@ -249,32 +248,6 @@ class TestSnapshotMerge:
         json.dumps(registry.snapshot())  # must be JSON/pickle-safe
 
 
-class TestNullMetrics:
-    """The disabled registry is inert and branch-free to wire."""
-
-    def test_disabled_flag(self):
-        assert NULL_METRICS.enabled is False
-        assert MetricsRegistry().enabled is True
-
-    def test_instruments_accept_all_operations(self):
-        counter = NULL_METRICS.counter("x", labels=("k",))
-        counter.labels(k="v").inc(5)
-        NULL_METRICS.gauge("g").set(3)
-        NULL_METRICS.gauge("g").dec()
-        NULL_METRICS.histogram("h").observe(1.0)
-        assert NULL_METRICS.render_text() == ""
-        assert NULL_METRICS.as_dict() == {}
-        assert NULL_METRICS.snapshot() == {}
-        assert NULL_METRICS.get_value("x", k="v") is None
-
-    def test_merge_into_null_is_dropped(self):
-        registry = MetricsRegistry()
-        registry.counter("n").inc()
-        null = NullMetricsRegistry()
-        null.merge_snapshot(registry.snapshot())
-        assert null.families() == []
-
-
 def expected_counters(stats):
     """The counter samples a solve with ``stats`` (a ``SolverStats.as_dict()``)
     must record, keyed by family name and label values; the engine's
@@ -400,8 +373,8 @@ class TestSolverIntegration:
         )
 
     def test_hot_path_touches_no_counter(self):
-        # Counters reach the registry once, when solve() ends: a snapshot
-        # taken mid-search holds no counts, only the bound-time histogram.
+        # Counts reach the registry once, when solve() ends: a snapshot
+        # taken mid-search is empty.
         registry = MetricsRegistry()
         snapshots = []
         options = SolverOptions(
@@ -412,27 +385,72 @@ class TestSolverIntegration:
         result = solve(generate_ptl_mapping(seed=3), options=options)
         assert result.status == "optimal"
         assert snapshots
-        for snapshot in snapshots:
-            for name, family in snapshot.items():
-                if family["type"] == "counter":
-                    assert all(
-                        sample["value"] == 0 for sample in family["samples"]
-                    ), name
-        family = registry.as_dict()["solver_lower_bound_seconds"]
-        observed = sum(sample["count"] for sample in family["samples"])
-        assert observed == result.stats.lower_bound_calls > 0
+        assert all(snapshot == {} for snapshot in snapshots)
+        assert recorded_counters(registry)[("solver_decisions",)] == (
+            result.stats.decisions
+        )
 
-    def test_lower_bound_histogram_observed(self):
-        instance = parse(OPT_INSTANCE)
-        registry = MetricsRegistry()
-        result = solve(instance, SolverOptions(metrics=registry))
-        assert result.status == "optimal"
-        calls = result.stats.lower_bound_calls
-        if calls:
-            family = registry.as_dict().get("solver_lower_bound_seconds")
-            assert family is not None
-            observed = sum(sample["count"] for sample in family["samples"])
-            assert observed == calls
+    def test_hot_path_reads_no_clock(self, monkeypatch):
+        # With no instrument passed, a solve reads the clock for
+        # stats.elapsed only: no bounder, engine or registry times itself.
+        # Reads are counted on this thread only, so a thread an earlier
+        # test left behind cannot add to them.
+        main = threading.get_ident()
+        reads = {"perf_counter": 0, "monotonic": 0}
+        for name in reads:
+
+            def counted(clock=getattr(time, name), name=name):
+                if threading.get_ident() == main:
+                    reads[name] += 1
+                return clock()
+
+            monkeypatch.setattr(time, name, counted)
+        instance = generate_routing(5, 5, 10, 2, 3, seed=9)
+        for solver in ("bsolo-lpr", "bsolo-mis", "bsolo-lgr"):
+            reads.update(perf_counter=0, monotonic=0)
+            result = make_solver(instance, solver).solve()
+            assert result.status == "optimal"
+            assert result.stats.lower_bound_calls > 0
+            assert reads == {"perf_counter": 0, "monotonic": 2}, solver
 
     def test_default_buckets_are_sorted(self):
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
+
+
+class TestLayering:
+    """The search's lower layers hold no clock and no instrument."""
+
+    LOWER_LAYERS = ("pb", "engine", "lp", "mis", "lagrangian")
+
+    @staticmethod
+    def _imported(module: str, is_package: bool, node) -> list:
+        """Absolute names an import statement of ``module`` binds."""
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        base = node.module or ""
+        if node.level:
+            package = module.split(".")
+            if not is_package:
+                package = package[:-1]
+            package = package[: len(package) - (node.level - 1)]
+            base = ".".join(package + ([node.module] if node.module else []))
+        return [base] + [base + "." + alias.name for alias in node.names]
+
+    def test_lower_layers_import_no_clock_or_obs(self):
+        root = pathlib.Path(repro.__file__).parent
+        leaked = []
+        for layer in self.LOWER_LAYERS:
+            for path in sorted((root / layer).rglob("*.py")):
+                parts = path.relative_to(root).with_suffix("").parts
+                is_package = parts[-1] == "__init__"
+                module = ".".join(("repro",) + (parts[:-1] if is_package else parts))
+                tree = ast.parse(path.read_text(), filename=str(path))
+                for node in ast.walk(tree):
+                    if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                        continue
+                    for name in self._imported(module, is_package, node):
+                        if name in ("time", "repro.obs") or name.startswith(
+                            ("time.", "repro.obs.")
+                        ):
+                            leaked.append((module, name))
+        assert not leaked, leaked

@@ -245,7 +245,6 @@ class TestSolverTraceIntegration:
         assert "lpr" in result.stats.lb_stats
         detail = result.stats.lb_stats["lpr"]
         assert detail["calls"] >= 1
-        assert detail["seconds"] >= 0.0
 
     def test_on_progress_callback(self):
         instance = parse(OPT_INSTANCE)

@@ -12,6 +12,7 @@ import pytest
 from repro import solve, solve_portfolio
 from repro.api import register_solver
 from repro.baselines.linear_search import LinearSearchSolver
+from repro.benchgen import generate_routing
 from repro.benchgen.ptl import ptl_suite
 from repro.benchgen.synthesis import covering_suite
 from repro.core import (
@@ -133,6 +134,28 @@ class TestWorkerSpecs:
         assert specs[rungs].solver == specs[0].solver
         base = specs[0].options or SolverOptions()
         assert specs[rungs].options.vsids_decay < base.vsids_decay
+
+    def test_repeat_laps_skip_milp(self):
+        # every repeated rung reads the perturbed decay; milp reads none,
+        # so it runs on the first lap only
+        specs = default_specs(21)
+        assert [spec.solver for spec in specs].count("milp") == 1
+        configs = {
+            (spec.solver, tuple(sorted(spec.options.describe().items())))
+            for spec in specs
+        }
+        assert len(configs) == len(specs)
+
+    @pytest.mark.parametrize("solver", ["linear-search", "cutting-planes"])
+    def test_baselines_read_the_perturbed_decay(self, solver):
+        instance = generate_routing(5, 5, 10, 2, 3, seed=9)
+        decisions = {
+            decay: solve(
+                instance, solver, SolverOptions(vsids_decay=decay)
+            ).stats.decisions
+            for decay in (0.95, 0.9)
+        }
+        assert decisions[0.95] != decisions[0.9], decisions
 
     def test_default_specs_rejects_zero_workers(self):
         with pytest.raises(ValueError):

@@ -312,11 +312,11 @@ class _ReasonRecorder:
         self.filtered = 0
         imply = engine.imply
 
-        def recording_imply(literal, reason, antecedent=None):
+        def recording_imply(literal, reason):
             if isinstance(reason, DeferredReason):
                 var = literal if literal > 0 else -literal
                 self.pending.append((var, reason, _eager_reason(engine.trail, reason)))
-            imply(literal, reason, antecedent)
+            imply(literal, reason)
 
         engine.imply = recording_imply
 
@@ -326,7 +326,7 @@ class _ReasonRecorder:
         everything assigned after the implications."""
         trail = self.engine.trail
         for var, deferred, eager in self.pending:
-            if trail._reason[var] is not deferred:
+            if trail._reason[var] is not deferred or deferred.clause is not None:
                 continue  # backtracked since, or already read
             later_false = [
                 lit
@@ -339,7 +339,9 @@ class _ReasonRecorder:
             if later_false:
                 self.filtered += 1
         self.pending = [
-            entry for entry in self.pending if trail._reason[entry[0]] is entry[1]
+            entry
+            for entry in self.pending
+            if trail._reason[entry[0]] is entry[1] and entry[1].clause is None
         ]
 
 
@@ -412,6 +414,26 @@ class TestDeferredReasons:
         assert engine.trail.reason(4) == (4, 2, 3)
         # cached in place: a second read returns the same tuple
         assert engine.trail.reason(1) is engine.trail.reason(1)
+
+    def test_antecedent_survives_the_reason_read(self):
+        # the implying constraint stays readable after conflict analysis
+        # has built the clausal reason, and leaves with the assignment
+        constraint = Constraint.greater_equal([(3, 1), (2, 2), (1, 3), (1, 4)], 4)
+        engine = Propagator(4)
+        engine.add_constraint(constraint)
+        assert engine.propagate() is None
+        engine.decide(-3)
+        assert engine.propagate() is None
+        trail = engine.trail
+        assert trail.antecedent(1) is constraint
+        assert trail.reason(1) == (1, 3)
+        assert trail.antecedent(1) is constraint
+        assert trail.antecedent(3) is None  # a decision
+        engine.backtrack(0)
+        assert trail.antecedent(1) is None
+        # a tuple reason names no PB constraint
+        engine.imply(2, (2,))
+        assert trail.antecedent(2) is None
 
 
 # ----------------------------------------------------------------------
