@@ -19,7 +19,7 @@ from ..core.result import (
     UNKNOWN,
     UNSATISFIABLE,
 )
-from ..core.stats import SolverStats
+from ..core.stats import SolverStats, record_metrics
 from ..obs.events import IncumbentEvent, ResultEvent, RunHeaderEvent
 from ..obs.timers import NULL_TIMER, PhaseTimer
 from ..obs.trace import NULL_TRACER
@@ -93,6 +93,7 @@ class BruteForceSolver:
                         break
         stats.elapsed = time.monotonic() - start
         stats.phase_times = self._timer.snapshot()
+        record_metrics(options.metrics, {}, stats)
         if status is None:
             if best_assignment is None:
                 status = UNSATISFIABLE

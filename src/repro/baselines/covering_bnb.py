@@ -280,6 +280,7 @@ class CoveringBnBSolver:
                 "mis_hits": self._mis.cache_hits,
                 "mis_misses": self._mis.cache_misses,
             },
+            self.stats,
         )
         if best is not None:
             best_cost = upper + objective.offset

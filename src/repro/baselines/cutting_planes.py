@@ -30,7 +30,7 @@ from ..core.result import (
     UNKNOWN,
     UNSATISFIABLE,
 )
-from ..core.stats import SolverStats
+from ..core.stats import SolverStats, record_metrics
 from ..obs.events import CutEvent, IncumbentEvent, ResultEvent, RunHeaderEvent
 from ..obs.timers import NULL_TIMER, PhaseTimer
 from ..obs.trace import NULL_TRACER
@@ -164,6 +164,7 @@ class CuttingPlanesSolver:
         self.stats.pb_resolvents = search.pb_resolvents
         self.stats.elapsed = time.monotonic() - start
         self.stats.phase_times = self._timer.snapshot()
+        record_metrics(options.metrics, {}, self.stats)
         if external_cost is not None:
             reported = external_cost
         elif best_cost is not None and (

@@ -26,7 +26,7 @@ from ..core.result import (
     UNKNOWN,
     UNSATISFIABLE,
 )
-from ..core.stats import SolverStats
+from ..core.stats import SolverStats, record_metrics
 from ..lp.simplex import INFEASIBLE, OPTIMAL as LP_OPTIMAL, SimplexSolver
 from ..lp.standard_form import build_lp_data
 from ..lp.tolerances import ROUND_EPS, ceil_guarded
@@ -196,6 +196,7 @@ class MILPSolver:
         self.stats.decisions = self.nodes
         self.stats.elapsed = time.monotonic() - start
         self.stats.phase_times = self._timer.snapshot()
+        record_metrics(options.metrics, {}, self.stats)
         if best_assignment is not None:
             best_cost = upper + objective.offset
         else:

@@ -168,17 +168,20 @@ class ProofLogger:
         self,
         literals: Sequence[int],
         weights: Sequence[Tuple[Constraint, Union[int, float, Fraction]]],
+        with_axiom: bool = True,
     ) -> bool:
         """A bound-conflict clause certified by a dual linear combination.
 
         ``weights`` pairs constraints with non-negative (possibly
-        floating-point) multipliers, typically LP row duals or Lagrangian
-        weights; the current improvement axiom is appended automatically.
-        The multipliers are rationalized through a coarse-to-fine
+        floating-point) multipliers: LP row duals or Lagrangian weights
+        of a value prune, with the current improvement axiom appended;
+        or, ``with_axiom=False``, the Farkas ray of an infeasible
+        relaxation, whose rows alone cut off the clause.  The
+        multipliers are rationalized through a coarse-to-fine
         denominator ladder until some integer scaling passes the exact
         implication check; returns False when none does.
         """
-        if self._upper is None:
+        if with_axiom and self._upper is None:
             return False
         weighted: List[Tuple[Constraint, int, Union[int, float, Fraction]]] = []
         for constraint, weight in weights:
@@ -188,8 +191,6 @@ class ProofLogger:
             if cid is None:
                 return False
             weighted.append((constraint, cid, weight))
-        axiom = self._axiom
-        axiom_id = self._axiom_id
         for limit in _DENOMINATOR_LADDER:
             fractions = [
                 Fraction(weight).limit_denominator(limit)
@@ -210,9 +211,10 @@ class ProofLogger:
                 parts.append((constraint, multiplier))
                 ids.append(cid)
                 multipliers.append(multiplier)
-            parts.append((axiom, scale))
-            ids.append(axiom_id)
-            multipliers.append(scale)
+            if with_axiom:
+                parts.append((self._axiom, scale))
+                ids.append(self._axiom_id)
+                multipliers.append(scale)
             if rules.check_linear_bound(literals, parts):
                 step = fmt.Step(
                     fmt.BOUND_LIN,
@@ -223,25 +225,6 @@ class ProofLogger:
                 self._emit(step, Constraint.clause(literals))
                 return True
         return False
-
-    def log_infeasibility(
-        self, literals: Sequence[int], witness: Constraint
-    ) -> bool:
-        """A clause implied by a single constraint violated under its
-        negation (the infeasible-relaxation case: multiplier 1)."""
-        cid = self._ids.get(witness)
-        if cid is None:
-            return False
-        if not rules.check_linear_bound(literals, [(witness, 1)]):
-            return False
-        step = fmt.Step(
-            fmt.BOUND_LIN,
-            ids=(cid,),
-            multipliers=(1,),
-            literals=tuple(literals),
-        )
-        self._emit(step, Constraint.clause(literals))
-        return True
 
     # ------------------------------------------------------------------
     # Terminal steps.

@@ -2,7 +2,6 @@
 
 from .bound_conflicts import (
     bound_conflict_clause,
-    infeasibility_clause,
     lower_bound_explanation,
     path_explanation,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "bound_conflict_clause",
     "count_optimal",
     "enumerate_optimal",
-    "infeasibility_clause",
     "lower_bound_explanation",
     "path_explanation",
     "probe_necessary_assignments",

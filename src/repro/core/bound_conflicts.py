@@ -11,6 +11,11 @@ literals at least one of which must become true in any better solution:
   (Section 4.2), rows with non-zero multipliers for LGR (Section 4.3),
   the selected independent set for MIS.
 
+An infeasible relaxation names its own rows: the support of an LP's
+Farkas ray, or a row the assignment already violates.  Its clause is
+``w_pl`` over those rows alone: no completion is feasible at any cost,
+so ``w_pp`` is not needed.
+
 For Lagrangian explanations the optional ``alpha_j`` refinement drops
 assignments whose flip can only raise the bound (Section 4.3, with the
 sign correction documented in DESIGN.md): keep a false literal over
@@ -23,7 +28,6 @@ from __future__ import annotations
 from typing import List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..pb.constraints import Constraint
-from ..pb.instance import PBInstance
 from ..pb.objective import Objective
 from ..engine.assignment import Trail
 
@@ -85,35 +89,4 @@ def bound_conflict_clause(
         if lit not in seen:
             seen.add(lit)
             literals.append(lit)
-    return tuple(literals)
-
-
-def infeasibility_clause(instance: PBInstance, trail: Trail) -> Tuple[int, ...]:
-    """Explanation when the relaxation is infeasible under the trail.
-
-    Sound conservative choice: the false literals of every constraint not
-    yet satisfied.  Pinning them keeps each of those constraints at least
-    as hard, so the sub-problem stays infeasible.
-    """
-    assignment = trail.assignment()
-    seen: Set[int] = set()
-    literals: List[int] = []
-    for constraint in instance.constraints:
-        satisfied = 0
-        false_lits: List[int] = []
-        for coef, lit in constraint.terms:
-            var = lit if lit > 0 else -lit
-            value = assignment.get(var)
-            if value is None:
-                continue
-            if (value == 1) == (lit > 0):
-                satisfied += coef
-            else:
-                false_lits.append(lit)
-        if satisfied >= constraint.rhs:
-            continue
-        for lit in false_lits:
-            if lit not in seen:
-                seen.add(lit)
-                literals.append(lit)
     return tuple(literals)

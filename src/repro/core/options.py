@@ -79,7 +79,6 @@ class SolverOptions:
         on_incumbent=None,
         external_bound=None,
         should_stop=None,
-        poll_interval: int = 16,
         proof=None,
     ):
         if lower_bound not in _METHODS:
@@ -107,7 +106,6 @@ class SolverOptions:
             ("lp_max_iterations", lp_max_iterations, int, 0),
             ("max_learned", max_learned, int, 0),
             ("progress_interval", progress_interval, int, 1),
-            ("poll_interval", poll_interval, int, 1),
         ):
             _check_number(name, value, kind, low)
         if not 0.0 < vsids_decay <= 1.0:
@@ -178,18 +176,16 @@ class SolverOptions:
         self.on_incumbent = on_incumbent
         #: Cooperative bound import: a zero-argument callable returning
         #: the best cost known *outside* this solver (offset included),
-        #: or None.  Polled every ``poll_interval`` search steps; a value
-        #: below the current upper bound tightens it exactly as if a
-        #: solution of that cost had been found locally (eq. 10 cuts are
-        #: generated from the imported bound too).
+        #: or None.  Polled every few search steps (bsolo: every 16); a
+        #: value below the current upper bound tightens it exactly as if
+        #: a solution of that cost had been found locally (eq. 10 cuts
+        #: are generated from the imported bound too).
         self.external_bound = external_bound
         #: Cooperative interrupt: a zero-argument callable returning True
         #: when the solver should stop and report its best-so-far (the
         #: portfolio runner passes ``Event.is_set``).  Polled together
         #: with ``external_bound``.
         self.should_stop = should_stop
-        #: Search steps between polls of ``external_bound``/``should_stop``.
-        self.poll_interval = poll_interval
         #: Proof sink (:class:`repro.certify.ProofLogger`); when set the
         #: solver records a checkable cutting-planes derivation of its
         #: answer (see ``docs/PROOFS.md``).  Proof mode disables
@@ -220,7 +216,6 @@ class SolverOptions:
             "max_learned": self.max_learned,
             "profile": self.profile,
             "progress_interval": self.progress_interval,
-            "poll_interval": self.poll_interval,
         }
 
     # ------------------------------------------------------------------

@@ -50,7 +50,7 @@ from ..pb.constraints import Constraint
 from ..pb.instance import PBInstance
 from .bound_conflicts import (
     bound_conflict_clause,
-    infeasibility_clause,
+    lower_bound_explanation,
     path_explanation,
 )
 from .branching import Brancher
@@ -68,6 +68,10 @@ from .result import (
 from .stats import SolverStats, record_metrics
 
 logger = logging.getLogger("repro.bsolo")
+
+#: Main-loop iterations between polls of the deadline and the
+#: cooperative hooks (``should_stop``/``external_bound``).
+_POLL_INTERVAL = 16
 
 
 def make_bounder(instance: PBInstance, options: SolverOptions):
@@ -185,11 +189,6 @@ class BsoloSolver:
         #: prune whose certificate fails is declined (sound — the search
         #: merely continues), counted in ``stats.uncertified_prunes``.
         self._proof = self._options.proof
-        self._cooperative = (
-            self._options.should_stop is not None
-            or self._options.external_bound is not None
-        )
-        self._poll_countdown = self._options.poll_interval
         self._deadline: Optional[float] = None
         self._assumptions: List[int] = []
         #: Literals bound ahead of time through ``set_assumptions`` (the
@@ -418,14 +417,26 @@ class BsoloSolver:
         timer = self._timer
         tracer = self._tracer
         profiling = timer.enabled
+        options = self._options
+        polling = (
+            self._deadline is not None
+            or options.should_stop is not None
+            or options.external_bound is not None
+        )
+        # The first poll comes on the first iteration, so a budget that
+        # expired during set-up stops the search before it starts.
+        countdown = 1
         while True:
-            if self._budget_exhausted():
+            if (
+                options.max_conflicts is not None
+                and self.stats.conflicts > options.max_conflicts
+            ):
                 return self._timeout()
-            if self._cooperative:
-                self._poll_countdown -= 1
-                if self._poll_countdown <= 0:
-                    self._poll_countdown = self._options.poll_interval
-                    outcome = self._poll_cooperative()
+            if polling:
+                countdown -= 1
+                if not countdown:
+                    countdown = _POLL_INTERVAL
+                    outcome = self._poll()
                     if outcome is not None:
                         return outcome
 
@@ -503,8 +514,8 @@ class BsoloSolver:
                 return self._finish()
             self.stats.decisions += 1
             if (
-                self._options.max_decisions is not None
-                and self.stats.decisions > self._options.max_decisions
+                options.max_decisions is not None
+                and self.stats.decisions > options.max_decisions
             ):
                 return self._timeout()
             if tracer.enabled:
@@ -517,12 +528,15 @@ class BsoloSolver:
             propagator.decide(literal)
 
     # ------------------------------------------------------------------
-    # Cooperative hooks (portfolio protocol)
+    # Deadline and cooperative hooks (portfolio protocol)
     # ------------------------------------------------------------------
-    def _poll_cooperative(self) -> Optional[SolveResult]:
-        """Check the interrupt and bound-import hooks; a returned result
-        ends the search (stop requested, or the imported bound proved
-        the remaining search space empty)."""
+    def _poll(self) -> Optional[SolveResult]:
+        """Check the deadline, the interrupt and the bound-import hooks;
+        a returned result ends the search (time is up, stop requested,
+        or the imported bound proved the remaining search space
+        empty)."""
+        if self._deadline is not None and time.monotonic() > self._deadline:
+            return self._timeout()
         options = self._options
         if options.should_stop is not None and options.should_stop():
             self.stats.interrupted = True
@@ -587,44 +601,22 @@ class BsoloSolver:
     def _apply_lower_bound(self) -> Tuple[bool, bool]:
         """Estimate ``P.lower``; prune on a bound conflict.
 
+        A node is pruned when its bound meets the incumbent (eq. 7) or
+        its relaxation is infeasible; both prunes learn ``w_bc`` from
+        the rows the bound names (:meth:`_bound_clause`).
         Returns ``(pruned, search_exhausted)``.
         """
         trail = self._propagator.trail
-        timer = self._timer
         tracer = self._tracer
         bound, fixed, path = self._compute_bound()
         self.stats.lower_bound_calls += 1
-
         if bound.infeasible:
-            clause = infeasibility_clause(self._instance, trail)
-            if not self._certify_infeasibility(clause):
-                self.stats.uncertified_prunes += 1
-                return False, False
-            self.stats.bound_conflicts += 1
-            if tracer.enabled:
-                tracer.emit(
-                    LowerBoundEvent(
-                        method=self._bounder.name,
-                        value=0,
-                        path=path,
-                        level=trail.decision_level,
-                        infeasible=True,
-                        pruned=True,
-                    )
-                )
-                tracer.emit(
-                    ConflictEvent(type="bound", level=trail.decision_level)
-                )
-            timer.push("analyze")
-            resolved = self._resolve(clause)
-            timer.pop()
-            return True, not resolved
-
-        if bound.fractional:
-            self._lp_values = bound.fractional
-        self._last_lower = path + bound.value
-
-        pruned = path + bound.value >= self._upper
+            pruned = True
+        else:
+            if bound.fractional:
+                self._lp_values = bound.fractional
+            self._last_lower = path + bound.value
+            pruned = path + bound.value >= self._upper
         if tracer.enabled:
             tracer.emit(
                 LowerBoundEvent(
@@ -632,90 +624,82 @@ class BsoloSolver:
                     value=bound.value,
                     path=path,
                     level=trail.decision_level,
+                    infeasible=bound.infeasible,
                     pruned=pruned,
                 )
             )
-        if pruned:
-            if self._options.bound_conflict_learning:
-                alpha = self._alpha_refinement(bound, fixed)
-                clause = bound_conflict_clause(
-                    self._objective, trail, bound.explanation, alpha
-                )
-                bound_clause: Optional[Tuple[int, ...]] = clause
-            else:
-                # Chronological variant: blame every decision on the path.
-                clause = tuple(
-                    -trail.decision_at(level)
-                    for level in range(1, trail.decision_level + 1)
-                )
-                # The decisions clause is certified through w_bc: once
-                # the bound clause is in the proof database, asserting
-                # all decisions replays the trail and violates it.
-                bound_clause = (
-                    bound_conflict_clause(
-                        self._objective, trail, bound.explanation, None
-                    )
-                    if self._proof is not None
-                    else None
-                )
-            if not self._certify_bound_clause(bound_clause, bound, clause):
-                self.stats.uncertified_prunes += 1
-                return False, False
-            self.stats.bound_conflicts += 1
+        if not pruned:
+            return False, False
+        learning = self._options.bound_conflict_learning
+        bound_clause = (
+            self._bound_clause(bound, fixed)
+            if learning or self._proof is not None
+            else None
+        )
+        if learning:
+            clause = bound_clause
+        else:
+            # Chronological variant: blame every decision on the path.
+            # It is certified through w_bc: once the bound clause is in
+            # the proof database, asserting all decisions replays the
+            # trail and violates it.
+            clause = tuple(
+                -trail.decision_at(level)
+                for level in range(1, trail.decision_level + 1)
+            )
+        if not self._certify_bound_clause(bound_clause, bound, clause):
+            self.stats.uncertified_prunes += 1
+            return False, False
+        self.stats.bound_conflicts += 1
+        if not bound.infeasible:
             self.stats.prunings += 1
-            if tracer.enabled:
-                tracer.emit(
-                    ConflictEvent(type="bound", level=trail.decision_level)
-                )
-            timer.push("analyze")
-            resolved = self._resolve(clause)
-            timer.pop()
-            return True, not resolved
-        return False, False
+        if tracer.enabled:
+            tracer.emit(ConflictEvent(type="bound", level=trail.decision_level))
+        self._timer.push("analyze")
+        resolved = self._resolve(clause)
+        self._timer.pop()
+        return True, not resolved
+
+    def _bound_clause(
+        self, bound: LowerBound, fixed: Dict[int, int]
+    ) -> Tuple[int, ...]:
+        """``w_bc`` (Section 4.1) of a prune.
+
+        An infeasible relaxation is explained by ``w_pl`` alone, over
+        the rows it names: no completion is feasible at any cost, so
+        the path cost (``w_pp``) plays no part.  A value prune takes
+        ``w_pp`` with ``w_pl``, refined by LGR's alpha.
+        """
+        trail = self._propagator.trail
+        if bound.infeasible:
+            return tuple(lower_bound_explanation(bound.explanation, trail))
+        return bound_conflict_clause(
+            self._objective,
+            trail,
+            bound.explanation,
+            self._alpha_refinement(bound, fixed),
+        )
 
     # ------------------------------------------------------------------
     # Proof-mode certificates (see repro.certify)
     # ------------------------------------------------------------------
-    def _certify_infeasibility(self, clause: Tuple[int, ...]) -> bool:
-        """Log a single-constraint witness for an infeasible relaxation.
-
-        Some constraint must be unsatisfiable under the current partial
-        assignment for the clause to be implied with multiplier 1; an
-        infeasible node LP without such a witness cannot be certified
-        and the prune is declined.  Always True outside proof mode.
-        """
-        proof = self._proof
-        if proof is None:
-            return True
-        trail = self._propagator.trail
-        with self._timer.phase("proof"):
-            for constraint in self._instance.constraints:
-                supply = sum(
-                    coef
-                    for coef, lit in constraint.terms
-                    if not trail.literal_is_false(lit)
-                )
-                if supply < constraint.rhs and proof.log_infeasibility(
-                    clause, constraint
-                ):
-                    return True
-        return False
-
     def _certify_bound_clause(
         self,
         bound_clause: Optional[Tuple[int, ...]],
         bound: LowerBound,
         clause: Tuple[int, ...],
     ) -> bool:
-        """Log a lower-bound certificate for ``bound_clause`` (w_bc) and,
-        when the learned ``clause`` differs (chronological mode), the
-        RUP step deriving it.  True means the prune may proceed; always
-        True outside proof mode."""
+        """Log a certificate for ``bound_clause`` (w_bc) and, when the
+        learned ``clause`` differs (chronological mode), the RUP step
+        deriving it.  An infeasible prune is certified by its rows'
+        multipliers alone, a value prune by MIS cost accounting or by
+        its multipliers with the improvement axiom.  True means the
+        prune may proceed; always True outside proof mode."""
         proof = self._proof
         if proof is None:
             return True
         with self._timer.phase("proof"):
-            if self._bounder.name == MIS:
+            if self._bounder.name == MIS and not bound.infeasible:
                 trail = self._propagator.trail
                 path_vars = [
                     var
@@ -727,7 +711,9 @@ class BsoloSolver:
                 )
             else:
                 logged = proof.log_bound_linear(
-                    bound_clause, list(bound.duals_by_row.items())
+                    bound_clause,
+                    list(bound.duals_by_row.items()),
+                    with_axiom=not bound.infeasible,
                 )
             if not logged:
                 return False
@@ -1004,16 +990,6 @@ class BsoloSolver:
     # ------------------------------------------------------------------
     # Termination
     # ------------------------------------------------------------------
-    def _budget_exhausted(self) -> bool:
-        if self._deadline is not None and time.monotonic() > self._deadline:
-            return True
-        if (
-            self._options.max_conflicts is not None
-            and self.stats.conflicts > self._options.max_conflicts
-        ):
-            return True
-        return False
-
     def _finalize_proof(self, result: SolveResult) -> None:
         """Emit the contradiction and final-claim steps, then flush.
 

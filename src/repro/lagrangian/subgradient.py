@@ -87,7 +87,7 @@ class LagrangianBound:
         self.num_calls += 1
         data = build_lp_data(self._instance, fixed)
         if data is None:
-            return LowerBound(0, infeasible=True)
+            return LowerBound.violated(self._instance.constraints, fixed)
         m, n = data.num_rows, data.num_columns
         if m == 0:
             return LowerBound(0)

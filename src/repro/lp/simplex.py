@@ -25,7 +25,8 @@ state between calls.  The most infeasible basic row leaves; the entering
 column has the smallest ratio ``|d_j| / |alpha_j|``, ties broken by the
 largest ``|alpha_j|``.  An entering column may overshoot its box; the
 next pivot repairs it like any other infeasible basic.  No eligible
-entering column means the dual is unbounded: the LP is infeasible.
+entering column means the dual is unbounded: the LP is infeasible, and
+the leaving row of ``B^-1`` is the Farkas ray that proves it.
 
 General LPs: a two-phase primal simplex
 ---------------------------------------
@@ -85,9 +86,13 @@ _BASIC = 2
 class LPResult:
     """Outcome of an LP solve."""
 
-    __slots__ = ("status", "objective", "x", "duals", "activities", "slacks", "iterations")
+    __slots__ = (
+        "status", "objective", "x", "duals", "activities", "slacks", "iterations", "ray"
+    )
 
-    def __init__(self, status, objective, x, duals, activities, slacks, iterations):
+    def __init__(
+        self, status, objective, x, duals, activities, slacks, iterations, ray=None
+    ):
         #: One of OPTIMAL / INFEASIBLE / UNBOUNDED / ITERATION_LIMIT.
         self.status = status
         #: Optimal objective value (None unless OPTIMAL).
@@ -103,6 +108,10 @@ class LPResult:
         #: Simplex iterations: pivots, plus the primal's bound flips, over
         #: both of its phases.
         self.iterations = iterations
+        #: Farkas ray of an INFEASIBLE node LP (``solve_node_lp`` only):
+        #: row multipliers ``y >= 0`` with ``y.b > sum_j max(0, (yA)_j)``,
+        #: so no ``x`` in the box satisfies ``yA x >= y.b``.  None otherwise.
+        self.ray = ray
 
     def tight_rows(self, tol: float = TIGHT_TOL) -> List[int]:
         """Indices of rows with (near-)zero slack — the binding constraints.
@@ -436,8 +445,9 @@ def solve_node_lp(
     A cold bounded dual simplex from the all-surplus basis at ``x = 0``
     (see the module notes).  ``x`` is clamped to the box, ``slacks`` are
     ``A x - b``, ``duals`` are ``c_B B^-1`` (non-negative) and
-    ``iterations`` counts pivots.  Raises ``ValueError`` on a negative
-    cost or mismatched shapes.
+    ``iterations`` counts pivots; an ``INFEASIBLE`` result carries its
+    Farkas ``ray``.  Raises ``ValueError`` on a negative cost or
+    mismatched shapes.
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -480,7 +490,10 @@ def solve_node_lp(
         eligible = (push < -_TOL if below else push > _TOL).nonzero()[0]
         if not eligible.size:
             # The dual ray along row r is unbounded: no x fits the box.
-            return LPResult(INFEASIBLE, None, None, None, None, None, iterations)
+            # Row r of B^-1, signed to push x_b[r] back toward its box,
+            # is that ray (see LPResult.ray).
+            ray = np.maximum(-Binv[r] if below else Binv[r], 0.0)
+            return LPResult(INFEASIBLE, None, None, None, None, None, iterations, ray)
         ratios = np.abs(d[eligible] / alpha[eligible])
         best = ratios.min()
         ties = eligible[ratios <= best + 1e-9]

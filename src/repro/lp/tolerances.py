@@ -20,7 +20,9 @@ the rows both derive from the constants below.
 
 ``FEAS_TOL``
     Residual infeasibility tolerated by phase 1 of the simplex: an
-    artificial-variable sum above this is reported INFEASIBLE.
+    artificial-variable sum above this is reported INFEASIBLE.  LPR
+    drops a node LP's Farkas ray entries at or below it, and the rest
+    must cut off the 0-1 box by more than it.
 """
 
 from __future__ import annotations

@@ -275,7 +275,7 @@ class MISBound:
             if value is None:
                 continue
             if value == math.inf:
-                return LowerBound(0, infeasible=True)
+                return LowerBound.violated([state.constraint], fixed)
             if value <= 0 or not free_vars:
                 continue
             candidates.append((value, state.constraint, false_literals, free_vars))

@@ -11,9 +11,9 @@ Cache keys combine three components:
 * the **semantic options signature** (:func:`options_signature`) — any
   difference in an answer-affecting :class:`SolverOptions` knob keys a
   different entry.  Budget and instrument knobs (``time_limit``,
-  ``profile``, ``progress_interval``, ``poll_interval``) are excluded:
-  only *conclusive* results (optimal / satisfiable / unsatisfiable) are
-  ever stored, and a conclusive answer is correct under any budget.
+  ``profile``, ``progress_interval``) are excluded: only *conclusive*
+  results (optimal / satisfiable / unsatisfiable) are ever stored, and
+  a conclusive answer is correct under any budget.
 
 Stored models live in canonical variable space; a hit translates the
 model back through the requester's own renaming
@@ -38,9 +38,7 @@ from ..pb.canonical import CanonicalForm
 
 #: Option knobs excluded from the semantic signature: they bound or
 #: observe the search without changing what a *conclusive* answer means.
-NON_SEMANTIC_OPTIONS = frozenset(
-    {"time_limit", "profile", "progress_interval", "poll_interval"}
-)
+NON_SEMANTIC_OPTIONS = frozenset({"time_limit", "profile", "progress_interval"})
 
 #: Statuses eligible for caching (valid under any time budget).
 CACHEABLE_STATUSES = (OPTIMAL, SATISFIABLE, UNSATISFIABLE)

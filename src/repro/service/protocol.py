@@ -64,7 +64,6 @@ ERROR_CODES = {
 ALLOWED_OPTION_KEYS = frozenset(SolverOptions().describe()) - {
     "profile",
     "progress_interval",
-    "poll_interval",
 }
 
 #: Submission body size cap (bytes) enforced by the HTTP layer.

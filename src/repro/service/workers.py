@@ -4,8 +4,8 @@ Each admitted job runs in its own worker *process* (the portfolio
 pattern: no shared GIL, crash isolation), launched with three pieces of
 shared state created before the fork: a stop :class:`multiprocessing.Event`
 (the cooperative cancel signal, wired to the solver's ``should_stop``
-/ ``poll_interval`` hooks), a message :class:`multiprocessing.Queue`
-(progress, incumbents, the final result), and the job payload itself.
+hook), a message :class:`multiprocessing.Queue` (progress, incumbents,
+the final result), and the job payload itself.
 
 A *pump* thread on the coordinator side drains the message queue and
 forwards every record onto the service's asyncio loop with
@@ -25,10 +25,6 @@ import queue as queue_module
 from typing import Any, Callable, Dict, Optional
 
 from ..core.options import SolverOptions
-
-#: How the solver polls the stop event, in search steps.  Small enough
-#: that cancellation latency is dominated by the grace period.
-_POLL_INTERVAL = 16
 
 
 def _solve_worker(channel, stop_event, instance_text, solver, options_kwargs,
@@ -69,7 +65,6 @@ def _solve_worker(channel, stop_event, instance_text, solver, options_kwargs,
         overrides: Dict[str, Any] = dict(
             options_kwargs,
             should_stop=stop_event.is_set,
-            poll_interval=_POLL_INTERVAL,
             on_progress=report_progress,
             progress_interval=progress_interval,
             on_incumbent=report_incumbent,

@@ -286,10 +286,6 @@ class TestOptionsReplace:
         derived = SolverOptions(should_stop=marker).replace(preprocess=False)
         assert derived.should_stop is marker
 
-    def test_poll_interval_validated(self):
-        with pytest.raises(ValueError):
-            SolverOptions(poll_interval=0)
-
     def test_options_pickle(self):
         options = SolverOptions(lower_bound="lgr", time_limit=2.5)
         clone = pickle.loads(pickle.dumps(options))
@@ -313,7 +309,6 @@ class TestOptionsValidation:
             ("lgr_iterations", 2.0),
             ("vsids_decay", "0.9"),
             ("progress_interval", 1.0),
-            ("poll_interval", "16"),
         ],
     )
     def test_non_numbers_rejected(self, field, value):

@@ -2,12 +2,11 @@
 
 from repro.core import (
     bound_conflict_clause,
-    infeasibility_clause,
     lower_bound_explanation,
     path_explanation,
 )
 from repro.engine import Trail
-from repro.pb import Constraint, Objective, PBInstance
+from repro.pb import Constraint, Objective
 
 
 def make_trail(n, assignments):
@@ -91,23 +90,3 @@ class TestBoundConflictClause:
         clause = bound_conflict_clause(Objective({1: 4}), trail, [])
         assert clause == ()
 
-
-class TestInfeasibilityClause:
-    def test_covers_unsatisfied_constraints(self):
-        instance = PBInstance(
-            [Constraint.clause([1, 2]), Constraint.clause([3, 4])],
-            Objective({1: 1}),
-        )
-        trail = make_trail(4, [(-1, True), (3, True)])
-        clause = infeasibility_clause(instance, trail)
-        # clause (1|2): x1 false -> contributes literal 1; (3|4) satisfied
-        assert set(clause) == {1}
-
-    def test_all_false(self):
-        instance = PBInstance(
-            [Constraint.greater_equal([(2, 1), (1, 2), (1, 3)], 3)]
-        )
-        trail = make_trail(3, [(-1, True)])
-        clause = infeasibility_clause(instance, trail)
-        for lit in clause:
-            assert trail.literal_is_false(lit)

@@ -661,6 +661,52 @@ class TestDuplicateRows:
         assert (outcome.status, outcome.cost) == ("optimal", result.best_cost)
 
 
+class TestFarkasCertificate:
+    """An infeasible node LP with no single-row witness: no row is
+    violated and propagation forces nothing, yet the three pair clauses
+    and "at most one of x1..x3" admit no point of the 0-1 box.  The LP's
+    Farkas ray (1/2, 1/2, 1/2, 1) explains and certifies the root prune."""
+
+    INSTANCE = PBInstance(
+        [
+            Constraint.clause([1, 2]),
+            Constraint.clause([2, 3]),
+            Constraint.clause([1, 3]),
+            Constraint.at_most([1, 2, 3], 1),
+        ],
+        Objective({1: 1, 2: 2, 3: 3}),
+    )
+
+    @staticmethod
+    def ray_step(multipliers):
+        return fmt.format_step(
+            fmt.Step(
+                fmt.BOUND_LIN, ids=(1, 2, 3, 4), multipliers=multipliers, literals=()
+            )
+        )
+
+    def test_ray_certifies_the_root_prune(self):
+        result, text = solve_with_proof(
+            self.INSTANCE, lower_bound="lpr", preprocess=False
+        )
+        assert result.status == "unsatisfiable"
+        assert result.stats.uncertified_prunes == 0
+        assert self.ray_step((1, 1, 1, 2)) in text.splitlines()
+        outcome = ProofChecker(self.INSTANCE).check_text(text)
+        assert outcome.status == "unsatisfiable"
+
+    def test_corrupted_ray_rejected(self):
+        _, text = solve_with_proof(
+            self.INSTANCE, lower_bound="lpr", preprocess=False
+        )
+        forged = text.replace(
+            self.ray_step((1, 1, 1, 2)), self.ray_step((1, 1, 1, 1))
+        )
+        assert forged != text
+        error = rejected(self.INSTANCE, forged)
+        assert "does not cut off" in str(error)
+
+
 class TestCheckerIsolation:
     def test_checker_imports_no_search_code(self):
         """The trust base excludes repro.core and repro.engine entirely.

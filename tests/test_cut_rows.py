@@ -23,6 +23,7 @@ import pytest
 from repro.api import make_solver
 from repro.benchgen import generate_ptl_mapping, generate_routing
 from repro.core import OPTIMAL, BsoloSolver, SolverOptions
+from repro.core import solver as solver_module
 from repro.core.cuts import CutGenerator
 from repro.experiments.table1 import family_instances
 from repro.incremental import SolverSession
@@ -206,7 +207,7 @@ def test_phases_of_the_incumbent_path(monkeypatch):
 
 
 @pytest.mark.parametrize("imported", [None, 1100], ids=["local", "imported"])
-def test_one_engine_row_per_cut_source(imported):
+def test_one_engine_row_per_cut_source(imported, monkeypatch):
     """Local and imported incumbents swap into the same rows: the engine
     ends with the instance's rows plus one per live cut source."""
     instance = generate_ptl_mapping(nodes=9, extra_edges=4, seed=3)
@@ -216,9 +217,8 @@ def test_one_engine_row_per_cut_source(imported):
         covering_reductions=False,
     )
     if imported is not None:
-        options = options.replace(
-            external_bound=lambda: imported, poll_interval=1
-        )
+        monkeypatch.setattr(solver_module, "_POLL_INTERVAL", 1)
+        options = options.replace(external_bound=lambda: imported)
     solver = BsoloSolver(instance, options)
     result = solver.solve()
     assert result.status == OPTIMAL and result.best_cost == 982

@@ -196,11 +196,16 @@ def assert_matches_highs(c, A, b):
     and its answer carries what the bound's consumers read: a point in
     the box, feasible rows, and non-negative duals only on tight rows
     (eq. 9 explanations and ``log_bound_linear`` rely on that
-    complementary slackness).  Returns the status."""
+    complementary slackness); on an infeasible LP, a Farkas ray ``y >= 0``
+    that no point of the box satisfies (``y.b > sum_j max(0, (yA)_j)``),
+    which explains and certifies the prune.  Returns the status."""
     ours = solve_node_lp(c, A, b)
     ref = linprog(c, A_ub=-A, b_ub=-b, bounds=[(0, 1)] * len(c), method="highs")
     if ref.status == 2:
         assert ours.status == INFEASIBLE
+        ray = ours.ray
+        assert ray.shape == b.shape and np.all(ray >= 0.0)
+        assert ray @ b - np.maximum(ray @ A, 0.0).sum() > 0.0
         return INFEASIBLE
     assert ref.status == 0
     assert ours.status == OPTIMAL

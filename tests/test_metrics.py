@@ -19,6 +19,7 @@ import pytest
 
 import repro
 from repro import SolverOptions, make_solver, solve
+from repro.api import available_solvers
 from repro.baselines.covering_bnb import CoveringBnBSolver
 from repro.benchgen import generate_covering, generate_ptl_mapping, generate_routing
 from repro.core.solver import BsoloSolver
@@ -346,13 +347,31 @@ class TestSolverIntegration:
             generate_covering(minterms=30, implicants=20, seed=4),
             SolverOptions(metrics=registry),
         )
-        assert solver.solve().status == "optimal"
+        result = solver.solve()
+        assert result.status == "optimal"
         mis = solver._mis.stats_dict()
         assert mis["cache_misses"] > 0
-        assert recorded_counters(registry) == {
-            ("mis_cache", "hit"): mis["cache_hits"],
-            ("mis_cache", "miss"): mis["cache_misses"],
-        }
+        expected = expected_counters(result.stats.as_dict())
+        del expected[("engine_propagations",)]  # it runs no engine
+        expected[("mis_cache", "hit")] = mis["cache_hits"]
+        expected[("mis_cache", "miss")] = mis["cache_misses"]
+        assert recorded_counters(registry) == expected
+
+    @pytest.mark.parametrize(
+        "name", [name for name in available_solvers() if name != "portfolio"]
+    )
+    def test_every_solver_records_its_counts(self, name):
+        registry = MetricsRegistry()
+        instance = generate_covering(
+            minterms=12, implicants=8, density=0.2, max_cost=9, seed=3
+        )
+        result = solve(instance, name, metrics=registry)
+        assert result.status == "optimal"
+        recorded = recorded_counters(registry)
+        assert recorded[("solver_decisions",)] == result.stats.decisions
+        assert recorded[("solver_conflicts", "logic")] == (
+            result.stats.logic_conflicts
+        )
 
     def test_portfolio_registry_sums_worker_stats(self):
         registry = MetricsRegistry()
@@ -393,6 +412,7 @@ class TestSolverIntegration:
     def test_hot_path_reads_no_clock(self, monkeypatch):
         # With no instrument passed, a solve reads the clock for
         # stats.elapsed only: no bounder, engine or registry times itself.
+        # A deadline is read on the poll cadence, not every iteration.
         # Reads are counted on this thread only, so a thread an earlier
         # test left behind cannot add to them.
         main = threading.get_ident()
@@ -412,6 +432,12 @@ class TestSolverIntegration:
             assert result.status == "optimal"
             assert result.stats.lower_bound_calls > 0
             assert reads == {"perf_counter": 0, "monotonic": 2}, solver
+            reads.update(perf_counter=0, monotonic=0)
+            options = SolverOptions(time_limit=60)
+            result = make_solver(instance, solver, options).solve()
+            assert result.status == "optimal"
+            assert reads["perf_counter"] == 0, solver
+            assert reads["monotonic"] <= 20, (solver, reads)
 
     def test_default_buckets_are_sorted(self):
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)

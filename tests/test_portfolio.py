@@ -22,6 +22,7 @@ from repro.core import (
     SolverStats,
     UNKNOWN,
 )
+from repro.core import solver as solver_module
 from repro.pb import Constraint, Objective, PBInstance
 from repro.portfolio import (
     PortfolioSolver,
@@ -59,11 +60,15 @@ def non_covering_instance():
 # Cooperative hooks, in-process (deterministic)
 # ----------------------------------------------------------------------
 class TestCooperativeHooks:
+    @pytest.fixture(autouse=True)
+    def poll_every_step(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "_POLL_INTERVAL", 1)
+
     def test_external_bound_gives_optimal_without_model(self):
         # another worker already holds a cost-4 incumbent; this solver
         # exhausts its search under the imported bound and reports the
         # proven optimum — the witnessing model lives with the publisher
-        options = SolverOptions(external_bound=lambda: 4, poll_interval=1)
+        options = SolverOptions(external_bound=lambda: 4)
         result = BsoloSolver(covering_instance(), options).solve()
         assert result.status == OPTIMAL
         assert result.best_cost == 4
@@ -72,14 +77,14 @@ class TestCooperativeHooks:
 
     def test_loose_external_bound_keeps_local_model(self):
         # an imported bound above the optimum must not steal the witness
-        options = SolverOptions(external_bound=lambda: 6, poll_interval=1)
+        options = SolverOptions(external_bound=lambda: 6)
         result = BsoloSolver(covering_instance(), options).solve()
         assert result.status == OPTIMAL
         assert result.best_cost == 4
         assert covering_instance().check(result.model)
 
     def test_should_stop_interrupts(self):
-        options = SolverOptions(should_stop=lambda: True, poll_interval=1)
+        options = SolverOptions(should_stop=lambda: True)
         result = BsoloSolver(covering_instance(), options).solve()
         assert result.status == UNKNOWN
         assert result.stats.interrupted
@@ -98,7 +103,7 @@ class TestCooperativeHooks:
             assert covering_instance().check(model)
 
     def test_linear_search_honours_the_same_protocol(self):
-        options = SolverOptions(external_bound=lambda: 4, poll_interval=1)
+        options = SolverOptions(external_bound=lambda: 4)
         result = LinearSearchSolver(covering_instance(), options).solve()
         assert result.status == OPTIMAL
         assert result.best_cost == 4
