@@ -13,27 +13,12 @@ Only applicable to clause-only instances (``PBInstance.is_covering``).
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Set
 
 from ..core.options import SolverOptions
-from ..core.result import (
-    OPTIMAL,
-    SATISFIABLE,
-    SolveResult,
-    UNKNOWN,
-    UNSATISFIABLE,
-)
-from ..core.stats import SolverStats, record_metrics
+from ..core.result import SolveResult, SolveRun
 from ..mis.independent_set import MISBound
-from ..obs.events import (
-    IncumbentEvent,
-    LowerBoundEvent,
-    ResultEvent,
-    RunHeaderEvent,
-)
-from ..obs.timers import NULL_TIMER, PhaseTimer
-from ..obs.trace import NULL_TRACER
+from ..obs.events import LowerBoundEvent
 from ..pb.instance import PBInstance
 
 
@@ -49,7 +34,9 @@ class _Frame:
 
 
 class CoveringBnBSolver:
-    """Depth-first branch & bound with per-node reductions and MIS bound."""
+    """Depth-first branch & bound with per-node reductions and MIS bound;
+    each branching node counts as a decision, so ``max_decisions`` caps
+    the nodes."""
 
     name = "scherzo-like"
 
@@ -61,30 +48,21 @@ class CoveringBnBSolver:
         if not instance.is_covering:
             raise ValueError("CoveringBnBSolver requires a clause-only instance")
         self._instance = instance
-        self._options = opts = options or SolverOptions()
-        self._time_limit = opts.time_limit
-        self._max_nodes = opts.max_decisions
-        self._tracer = opts.tracer if opts.tracer is not None else NULL_TRACER
-        self._timer = PhaseTimer() if opts.profile else NULL_TIMER
-        self.stats = SolverStats()
+        self._options = options or SolverOptions()
+        self._run = SolveRun(
+            self.name, instance.objective, self._options, strategy="covering_bnb"
+        )
+        self.stats = self._run.stats
         self._costs = instance.objective.costs
         self._mis = MISBound(instance)
 
     # ------------------------------------------------------------------
     def solve(self) -> SolveResult:
         """Branch and bound over covering structure; exact on clause-only instances."""
-        start = time.monotonic()
-        deadline = start + self._time_limit if self._time_limit is not None else None
+        run = self._run
+        run.begin()
         instance = self._instance
-        tracer = self._tracer
-        if tracer.enabled:
-            tracer.emit(
-                RunHeaderEvent(
-                    solver=self.name,
-                    instance=getattr(tracer, "instance_label", ""),
-                    options={"strategy": "covering_bnb"},
-                )
-            )
+        tracer = run.tracer
 
         clauses: List[Set[int]] = [set(c.literals) for c in instance.constraints]
         occurrences: Dict[int, List[int]] = {}
@@ -94,12 +72,7 @@ class CoveringBnBSolver:
 
         assignment: Dict[int, int] = {}
         trail: List[int] = []  # variables in assignment order
-        upper = instance.objective.max_value + 1
-        best: Optional[Dict[int, int]] = None
-        external_cost: Optional[int] = None
-        options = self._options
-        objective = instance.objective
-        status: Optional[str] = None
+        max_nodes = self._options.max_decisions
         stack: List[_Frame] = []
 
         def assign(var: int, value: int) -> bool:
@@ -172,58 +145,33 @@ class CoveringBnBSolver:
             return max(sorted(counts), key=lambda var: counts[var])
 
         # ---------------- main DFS ----------------
-        ok = propagate()
-        descending = ok
+        descending = propagate()
+        exhausted = True
         while True:
-            if deadline is not None and time.monotonic() > deadline:
-                status = UNKNOWN
+            if (
+                max_nodes is not None and self.stats.decisions >= max_nodes
+            ) or run.stopped():
+                exhausted = False
                 break
-            if self._max_nodes is not None and self.stats.decisions >= self._max_nodes:
-                status = UNKNOWN
-                break
-            if options.should_stop is not None and options.should_stop():
-                self.stats.interrupted = True
-                status = UNKNOWN
-                break
-            if options.external_bound is not None and not objective.is_constant:
-                imported = options.external_bound()
-                if imported is not None and imported - objective.offset < upper:
-                    upper = imported - objective.offset
-                    best = None  # the model lives elsewhere
-                    external_cost = imported
-                    self.stats.external_bounds += 1
+            run.poll_bound()
 
             prune = not descending
             if descending:
                 cost = path_cost()
-                if cost >= upper:
+                if cost >= run.upper:
                     self.stats.prunings += 1
                     prune = True
                 elif all_satisfied():
                     solution = dict(assignment)
                     for var in self._instance.variables():
                         solution.setdefault(var, 0)
-                    upper = cost
-                    best = solution
-                    external_cost = None
-                    self.stats.solutions_found += 1
-                    if tracer.enabled:
-                        tracer.emit(
-                            IncumbentEvent(
-                                cost=cost + objective.offset,
-                                decisions=self.stats.decisions,
-                            )
-                        )
-                    if options.on_incumbent is not None:
-                        options.on_incumbent(
-                            cost + objective.offset, dict(solution)
-                        )
+                    run.improve(solution, cost)
                     prune = True
                 else:
-                    with self._timer.phase("lower_bound.mis"):
+                    with run.timer.phase("lower_bound.mis"):
                         bound = self._mis.compute(assignment)
                     self.stats.lower_bound_calls += 1
-                    pruned = bound.infeasible or cost + bound.value >= upper
+                    pruned = bound.infeasible or cost + bound.value >= run.upper
                     if tracer.enabled:
                         tracer.emit(
                             LowerBoundEvent(
@@ -263,47 +211,11 @@ class CoveringBnBSolver:
             else:
                 break  # root exhausted
 
-        if status is None:
-            if best is not None:
-                status = (
-                    SATISFIABLE if self._instance.is_satisfaction else OPTIMAL
-                )
-            elif external_cost is not None:
-                status = OPTIMAL
-            else:
-                status = UNSATISFIABLE
-        self.stats.elapsed = time.monotonic() - start
-        self.stats.phase_times = self._timer.snapshot()
-        record_metrics(
-            options.metrics,
-            {
-                "mis_hits": self._mis.cache_hits,
-                "mis_misses": self._mis.cache_misses,
-            },
-            self.stats,
-        )
-        if best is not None:
-            best_cost = upper + objective.offset
-        else:
-            best_cost = external_cost
-        if status == SATISFIABLE:
-            best_cost = objective.offset
-        if tracer.enabled:
-            tracer.emit(
-                ResultEvent(
-                    status=status,
-                    cost=best_cost,
-                    decisions=self.stats.decisions,
-                )
-            )
-            tracer.flush()
-        return SolveResult(
-            status,
-            best_cost=best_cost,
-            best_assignment=best,
-            stats=self.stats,
-            solver_name=self.name,
-        )
+        counts = {
+            "mis_hits": self._mis.cache_hits,
+            "mis_misses": self._mis.cache_misses,
+        }
+        return run.close(run.result(exhausted), counts)
 
 
 def _satisfied(clause: Set[int], assignment: Dict[int, int]) -> bool:

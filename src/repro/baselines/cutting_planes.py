@@ -18,22 +18,12 @@ loses clearly to bsolo with LPR.
 
 from __future__ import annotations
 
-import time
-from typing import Dict, Optional
+from typing import Optional
 
 from ..core.cuts import CutGenerator
 from ..core.options import SolverOptions
-from ..core.result import (
-    OPTIMAL,
-    SATISFIABLE,
-    SolveResult,
-    UNKNOWN,
-    UNSATISFIABLE,
-)
-from ..core.stats import SolverStats, record_metrics
-from ..obs.events import CutEvent, IncumbentEvent, ResultEvent, RunHeaderEvent
-from ..obs.timers import NULL_TIMER, PhaseTimer
-from ..obs.trace import NULL_TRACER
+from ..core.result import SolveResult, SolveRun
+from ..obs.events import CutEvent
 from ..pb.instance import PBInstance
 from .sat_search import STOPPED, UNSAT, DecisionSearch
 
@@ -55,140 +45,63 @@ class CuttingPlanesSolver:
     def __init__(self, instance: PBInstance,
                  options: Optional[SolverOptions] = None):
         self._instance = instance
-        self._options = opts = options or SolverOptions()
-        self._time_limit = opts.time_limit
-        self._max_conflicts = opts.max_conflicts
-        self._tracer = opts.tracer if opts.tracer is not None else NULL_TRACER
-        self._timer = PhaseTimer() if opts.profile else NULL_TIMER
-        self.stats = SolverStats()
+        self._options = options or SolverOptions()
+        self._run = SolveRun(
+            self.name,
+            instance.objective,
+            self._options,
+            strategy="incremental_linear_search",
+        )
+        self.stats = self._run.stats
 
-    def _add_bound_cuts(self, search: DecisionSearch, cut) -> None:
-        """Install a knapsack cut plus its cardinality strengthening."""
-        search.add_constraint(cut)
-        self.stats.cuts_added += 1
-        if self._tracer.enabled:
-            self._tracer.emit(CutEvent(size=len(cut)))
-        reduction = cardinality_reduction(cut)
-        if reduction is not None:
-            search.add_constraint(reduction)
+    def _tighten(self, search: DecisionSearch, cut_generator: CutGenerator) -> bool:
+        """Install the knapsack cut of ``P.upper`` plus its cardinality
+        strengthening; False when no cheaper solution is left (a cost-0
+        incumbent)."""
+        cut = cut_generator.knapsack_cut(self._run.upper)
+        if cut is None:
+            return False
+        tracer = self._run.tracer
+        for row in (cut, cardinality_reduction(cut)):
+            if row is None:
+                continue
+            search.add_constraint(row)
             self.stats.cuts_added += 1
-            if self._tracer.enabled:
-                self._tracer.emit(CutEvent(size=len(reduction)))
+            if tracer.enabled:
+                tracer.emit(CutEvent(size=len(row)))
+        return True
 
     def solve(self) -> SolveResult:
         """Incremental linear search with cardinality strengthening."""
-        start = time.monotonic()
-        deadline = start + self._time_limit if self._time_limit is not None else None
+        run = self._run
+        run.begin()
         instance = self._instance
         objective = instance.objective
-        options = self._options
+        stats = self.stats
         cut_generator = CutGenerator(instance, cardinality_cuts=False)
-        tracer = self._tracer
-        if tracer.enabled:
-            tracer.emit(
-                RunHeaderEvent(
-                    solver=self.name,
-                    instance=getattr(tracer, "instance_label", ""),
-                    options={"strategy": "incremental_linear_search"},
-                )
-            )
-
         search = DecisionSearch(
-            instance.num_variables, decay=options.vsids_decay, pb_learning=True,
-            tracer=tracer, timer=self._timer,
+            instance.num_variables, decay=self._options.vsids_decay,
+            pb_learning=True, tracer=run.tracer, timer=run.timer,
         )
         search.add_constraints(instance.constraints)
 
-        best_cost: Optional[int] = None  # path scale, local or imported
-        best_assignment: Optional[Dict[int, int]] = None
-        external_cost: Optional[int] = None  # reported scale, model elsewhere
-        status = None
-        while True:
-            if options.should_stop is not None and options.should_stop():
-                self.stats.interrupted = True
-                status = UNKNOWN
+        exhausted = False
+        while not run.stopped():
+            if run.poll_bound() and not self._tighten(search, cut_generator):
+                exhausted = True
                 break
-            if options.external_bound is not None and not objective.is_constant:
-                imported = options.external_bound()
-                if imported is not None:
-                    path = imported - objective.offset
-                    if best_cost is None or path < best_cost:
-                        best_cost = path
-                        best_assignment = None
-                        external_cost = imported
-                        self.stats.external_bounds += 1
-                        cut = cut_generator.knapsack_cut(path)
-                        if cut is None:
-                            status = OPTIMAL
-                            break
-                        self._add_bound_cuts(search, cut)
-            outcome, model = search.solve(
-                deadline=deadline, max_conflicts=self._max_conflicts,
-                stop=options.should_stop,
-            )
+            outcome, model = search.solve(run.stopped, *run.budgets())
+            stats.decisions = search.decisions
+            stats.logic_conflicts = search.conflicts
             if outcome == STOPPED:
-                status = UNKNOWN
-                if options.should_stop is not None and options.should_stop():
-                    self.stats.interrupted = True
                 break
             if outcome == UNSAT:
-                status = UNSATISFIABLE if best_cost is None else OPTIMAL
+                exhausted = True
                 break
-            cost = objective.path_cost(model)
-            self.stats.solutions_found += 1
-            best_cost = cost
-            best_assignment = model
-            external_cost = None
-            if tracer.enabled:
-                tracer.emit(
-                    IncumbentEvent(
-                        cost=cost + objective.offset,
-                        decisions=search.decisions,
-                        conflicts=search.conflicts,
-                    )
-                )
-            if options.on_incumbent is not None:
-                options.on_incumbent(cost + objective.offset, dict(model))
-            if objective.is_constant:
-                status = SATISFIABLE
+            run.improve(model, objective.path_cost(model))
+            if objective.is_constant or not self._tighten(search, cut_generator):
+                exhausted = True
                 break
-            cut = cut_generator.knapsack_cut(cost)
-            if cut is None:
-                status = OPTIMAL
-                break
-            self._add_bound_cuts(search, cut)
-
-        self.stats.decisions = search.decisions
-        self.stats.logic_conflicts = search.conflicts
-        self.stats.propagations = search.propagations
-        self.stats.pb_resolvents = search.pb_resolvents
-        self.stats.elapsed = time.monotonic() - start
-        self.stats.phase_times = self._timer.snapshot()
-        record_metrics(options.metrics, {}, self.stats)
-        if external_cost is not None:
-            reported = external_cost
-        elif best_cost is not None and (
-            best_assignment is not None or status == OPTIMAL
-        ):
-            reported = best_cost + objective.offset
-        else:
-            reported = None
-        if status == SATISFIABLE:
-            reported = objective.offset
-        if tracer.enabled:
-            tracer.emit(
-                ResultEvent(
-                    status=status,
-                    cost=reported,
-                    decisions=self.stats.decisions,
-                    conflicts=self.stats.conflicts,
-                )
-            )
-            tracer.flush()
-        return SolveResult(
-            status,
-            best_cost=reported,
-            best_assignment=best_assignment,
-            stats=self.stats,
-            solver_name=self.name,
-        )
+        stats.propagations = search.propagations
+        stats.pb_resolvents = search.pb_resolvents
+        return run.close(run.result(exhausted))

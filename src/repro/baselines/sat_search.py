@@ -8,7 +8,6 @@ lower bounding**, which is exactly the gap the paper's bsolo fills.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Iterable, Optional, Tuple
 
 from ..engine.activity import VSIDSActivity
@@ -71,15 +70,17 @@ class DecisionSearch:
     # ------------------------------------------------------------------
     def solve(
         self,
-        deadline: Optional[float] = None,
-        max_conflicts: Optional[int] = None,
         stop=None,
+        max_conflicts: Optional[int] = None,
+        max_decisions: Optional[int] = None,
     ) -> Tuple[str, Optional[Dict[int, int]]]:
         """Search for a model; resumable after more constraints arrive.
 
-        ``stop`` is a zero-argument cooperative-interrupt callable
-        (polled at the same cadence as the deadline); when it returns
-        True the search stops with outcome ``STOPPED``.
+        ``stop`` is a zero-argument callable polled every 64 loops (the
+        solvers pass their run's deadline-and-interrupt check); when it
+        returns True the search stops with outcome ``STOPPED``, as it
+        does once this call has spent more than ``max_conflicts``
+        conflicts or ``max_decisions`` decisions.
         """
         if self._root_conflict:
             return UNSAT, None
@@ -87,14 +88,12 @@ class DecisionSearch:
         timer = self._timer
         tracer = self._tracer
         start_conflicts = self.conflicts
+        start_decisions = self.decisions
         loop = 0
         while True:
             loop += 1
-            if loop % 64 == 0:
-                if deadline is not None and time.monotonic() > deadline:
-                    return STOPPED, None
-                if stop is not None and stop():
-                    return STOPPED, None
+            if loop % 64 == 0 and stop is not None and stop():
+                return STOPPED, None
             if (
                 max_conflicts is not None
                 and self.conflicts - start_conflicts > max_conflicts
@@ -126,6 +125,11 @@ class DecisionSearch:
             var = self._activity.best(propagator.trail.unassigned_variables())
             timer.pop()
             self.decisions += 1
+            if (
+                max_decisions is not None
+                and self.decisions - start_decisions > max_decisions
+            ):
+                return STOPPED, None
             if tracer is not None:
                 tracer.emit(
                     DecisionEvent(

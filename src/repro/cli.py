@@ -217,17 +217,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         registry = MetricsRegistry()
 
     if args.portfolio is not None:
-        import time as _time
-
         from .portfolio import PortfolioSolver
 
         solver = PortfolioSolver(
             instance, workers=args.portfolio, time_limit=args.time_limit,
             trace_path=args.trace, metrics=registry,
         )
-        started = _time.monotonic()
         result = solver.solve()
-        seconds = _time.monotonic() - started
+        seconds = result.stats.elapsed
         solver_label = "portfolio-%d" % args.portfolio
         print("c portfolio workers=%d winner=%s incumbents_shared=%d failures=%d"
               % (args.portfolio, result.stats.winner,

@@ -22,7 +22,6 @@ depend on any decision).
 from __future__ import annotations
 
 import logging
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..covering.reductions import reduce_covering
@@ -38,14 +37,9 @@ from ..obs.events import (
     ConflictEvent,
     CutEvent,
     DecisionEvent,
-    IncumbentEvent,
     LowerBoundEvent,
     ProgressEvent,
-    ResultEvent,
-    RunHeaderEvent,
 )
-from ..obs.timers import NULL_TIMER, PhaseTimer
-from ..obs.trace import NULL_TRACER
 from ..pb.constraints import Constraint
 from ..pb.instance import PBInstance
 from .bound_conflicts import (
@@ -58,14 +52,7 @@ from .cuts import CutGenerator
 from .bound_schedule import AdaptiveSchedule
 from .options import LGR, LPR, MIS, PLAIN, SolverOptions
 from .preprocess import probe_necessary_assignments
-from .result import (
-    OPTIMAL,
-    SATISFIABLE,
-    SolveResult,
-    UNKNOWN,
-    UNSATISFIABLE,
-)
-from .stats import SolverStats, record_metrics
+from .result import OPTIMAL, SATISFIABLE, SolveResult, SolveRun, UNSATISFIABLE
 
 logger = logging.getLogger("repro.bsolo")
 
@@ -126,18 +113,17 @@ class BsoloSolver:
         self._instance = instance
         self._options = options or SolverOptions()
         self._objective = instance.objective
-        self.stats = SolverStats()
+        #: The incumbent, the hooks and the instruments; the metrics
+        #: registry gets the solve's counts once, when ``solve()`` ends.
+        self._run = SolveRun(self.name, instance.objective, self._options)
+        self.stats = self._run.stats
+        self._tracer = self._run.tracer
+        self._timer = self._run.timer
         self._session = session
         #: Decision level the search can never backtrack below: 0 for
         #: one-shot solves, 1 (the guard level) for session calls.
         self._root_level = 0 if session is None else 1
 
-        tracer = self._options.tracer
-        self._tracer = tracer if tracer is not None else NULL_TRACER
-        #: The only clock inside the search (with ``profile``); the
-        #: metrics registry gets the solve's counts once, when ``solve()``
-        #: ends.
-        self._timer = PhaseTimer() if self._options.profile else NULL_TIMER
         if session is not None:
             # Borrow the session's persistent state: engine (constraints
             # pre-loaded), activity, bound-schedule state and the
@@ -174,22 +160,12 @@ class BsoloSolver:
         #: ``Constraint`` hashes structurally.
         self._live_cuts: Dict[int, StoredConstraint] = {}
         self._lp_values: Dict[int, float] = {}
-
-        # Internal bounds live on the *path-cost scale* (objective offset
-        # excluded); results add the offset back.
-        self._upper = self._objective.max_value + 1
-        self._best_assignment: Optional[Dict[int, int]] = None
-        #: Cheapest cost imported through ``set_upper_bound`` /
-        #: ``external_bound`` (offset included); the witnessing model is
-        #: held by whoever published the bound, not by this solver.
-        self._external_cost: Optional[int] = None
         #: Proof logger (:class:`repro.certify.ProofLogger`) or None.
         #: Under proof every learned constraint, cut and bound prune is
         #: recorded with a certificate the logger self-checks first; a
         #: prune whose certificate fails is declined (sound — the search
         #: merely continues), counted in ``stats.uncertified_prunes``.
         self._proof = self._options.proof
-        self._deadline: Optional[float] = None
         self._assumptions: List[int] = []
         #: Literals bound ahead of time through ``set_assumptions`` (the
         #: registry path); used when ``solve()`` gets none of its own.
@@ -212,47 +188,21 @@ class BsoloSolver:
         (an UNSATISFIABLE outcome means "unsatisfiable under the
         assumptions").
         """
-        start = time.monotonic()
+        self._run.begin()
         self._totals_at_start = self._running_totals()
         if assumptions is None:
             assumptions = self._preset_assumptions
         self._assumptions = list(assumptions or [])
-        if self._options.time_limit is not None:
-            self._deadline = start + self._options.time_limit
-        tracer = self._tracer
-        if tracer.enabled:
-            tracer.emit(
-                RunHeaderEvent(
-                    solver=self.name,
-                    instance=getattr(tracer, "instance_label", ""),
-                    options=self._options.describe(),
-                )
-            )
-        try:
-            result = self._search()
-            self._finalize_proof(result)
-        finally:
-            self.stats.elapsed = time.monotonic() - start
-            self.stats.phase_times = self._timer.snapshot()
-            counts = {
-                key: total - self._totals_at_start[key]
-                for key, total in self._running_totals().items()
-            }
-            self.stats.propagations = counts["propagations"]
-            self._collect_lb_stats()
-            record_metrics(self._options.metrics, counts, self.stats)
-        if tracer.enabled:
-            tracer.emit(
-                ResultEvent(
-                    status=result.status,
-                    cost=result.best_cost,
-                    decisions=self.stats.decisions,
-                    conflicts=self.stats.conflicts,
-                )
-            )
-            tracer.flush()
+        result = self._search()
+        self._finalize_proof(result)
+        counts = {
+            key: total - self._totals_at_start[key]
+            for key, total in self._running_totals().items()
+        }
+        self.stats.propagations = counts["propagations"]
+        self._collect_lb_stats()
         logger.debug("solve finished: %r (%s)", result, self.stats)
-        return result
+        return self._run.close(result, counts)
 
     def set_assumptions(self, literals: Sequence[int]) -> None:
         """Bind assumption literals ahead of :meth:`solve` — the registry
@@ -273,16 +223,7 @@ class BsoloSolver:
             # An imported bound has no derivation the proof could replay;
             # ignoring it keeps the emitted certificate self-contained.
             return False
-        path_cost = cost - self._objective.offset
-        if path_cost >= self._upper:
-            return False
-        self._upper = path_cost
-        self._external_cost = cost
-        # The local incumbent's cost was the previous ``_upper``, hence
-        # strictly worse than the imported solution.
-        self._best_assignment = None
-        self.stats.external_bounds += 1
-        return True
+        return self._run.import_bound(cost)
 
     def _running_totals(self) -> Dict[str, int]:
         """What the engine and the bounder have counted so far.
@@ -419,7 +360,7 @@ class BsoloSolver:
         profiling = timer.enabled
         options = self._options
         polling = (
-            self._deadline is not None
+            options.time_limit is not None
             or options.should_stop is not None
             or options.external_bound is not None
         )
@@ -431,7 +372,7 @@ class BsoloSolver:
                 options.max_conflicts is not None
                 and self.stats.conflicts > options.max_conflicts
             ):
-                return self._timeout()
+                return self._run.result(False)
             if polling:
                 countdown -= 1
                 if not countdown:
@@ -517,7 +458,7 @@ class BsoloSolver:
                 options.max_decisions is not None
                 and self.stats.decisions > options.max_decisions
             ):
-                return self._timeout()
+                return self._run.result(False)
             if tracer.enabled:
                 tracer.emit(
                     DecisionEvent(
@@ -534,30 +475,16 @@ class BsoloSolver:
         """Check the deadline, the interrupt and the bound-import hooks;
         a returned result ends the search (time is up, stop requested,
         or the imported bound proved the remaining search space
-        empty)."""
-        if self._deadline is not None and time.monotonic() > self._deadline:
-            return self._timeout()
-        options = self._options
-        if options.should_stop is not None and options.should_stop():
-            self.stats.interrupted = True
-            return self._timeout()
-        if options.external_bound is not None and not self._objective.is_constant:
-            cost = options.external_bound()
-            if cost is not None:
-                return self._import_bound(cost)
-        return None
+        empty).
 
-    def _import_bound(self, cost: int) -> Optional[SolveResult]:
-        """Apply an externally published incumbent cost mid-search.
-
-        Beyond tightening ``P.upper`` this generates the Section 5 cuts
-        from the imported bound, exactly as a locally found solution
-        would — the imported incumbent prunes through propagation, not
-        just through the bound comparison.
+        An imported bound generates the Section 5 cuts, exactly as a
+        locally found solution does: the imported incumbent prunes
+        through propagation, not just through the bound comparison.
         """
-        if not self.set_upper_bound(cost):
-            return None
-        if self._options.upper_bound_cuts:
+        run = self._run
+        if run.stopped():
+            return run.result(False)
+        if run.poll_bound() and self._options.upper_bound_cuts:
             keyed = self._incumbent_cuts()
             if keyed is None:
                 return self._finish()
@@ -578,11 +505,8 @@ class BsoloSolver:
             self._propagator.num_propagations
             - self._totals_at_start["propagations"]
         )
-        best = (
-            self._upper + self._objective.offset
-            if self._best_assignment is not None
-            else None
-        )
+        run = self._run
+        best = run.upper + self._objective.offset if run.model is not None else None
         if self._options.on_progress is not None:
             self._options.on_progress(self.stats, best, self._last_lower)
         if self._tracer.enabled:
@@ -616,7 +540,7 @@ class BsoloSolver:
             if bound.fractional:
                 self._lp_values = bound.fractional
             self._last_lower = path + bound.value
-            pruned = path + bound.value >= self._upper
+            pruned = path + bound.value >= self._run.upper
         if tracer.enabled:
             tracer.emit(
                 LowerBoundEvent(
@@ -734,7 +658,7 @@ class BsoloSolver:
             fixed = self._propagator.trail.assignment()
             path = self._objective.path_cost(fixed)
             if isinstance(self._bounder, LagrangianBound):
-                target = max(float(self._upper - path), 1.0)
+                target = max(float(self._run.upper - path), 1.0)
                 bound = self._bounder.compute(fixed, upper_target=target)
             else:
                 bound = self._bounder.compute(fixed)
@@ -763,9 +687,10 @@ class BsoloSolver:
             # instance: results, callbacks and cuts see real variables.
             assignment.pop(self._session.guard_var, None)
         cost = self._objective.path_cost(assignment)
-        improved = cost < self._upper
+        # Without the eq. 10 cut the search can reach non-improving
+        # solutions; the incumbent only ever tightens.
+        improved = cost < self._run.upper
         if improved:
-            self.stats.solutions_found += 1
             if self._proof is not None:
                 # The 'o' step doubles as the derivation of the eq. 10
                 # improvement axiom the later steps build on.
@@ -775,31 +700,11 @@ class BsoloSolver:
                         for var, value in sorted(assignment.items())
                     ]
                 )
-            # Without the eq. 10 cut the search can reach non-improving
-            # solutions; the incumbent only ever tightens.
-            self._best_assignment = dict(assignment)
-            self._upper = cost
-            reported = cost + self._objective.offset
-            logger.debug("new incumbent: cost %d", reported)
-            if self._tracer.enabled:
-                self._tracer.emit(
-                    IncumbentEvent(
-                        cost=reported,
-                        decisions=self.stats.decisions,
-                        conflicts=self.stats.conflicts,
-                    )
-                )
-            if self._options.on_incumbent is not None:
-                self._options.on_incumbent(reported, dict(assignment))
+            self._run.improve(assignment, cost)
 
         if self._objective.is_constant:
-            return SolveResult(
-                SATISFIABLE,
-                best_cost=self._objective.offset,
-                best_assignment=self._best_assignment,
-                stats=self.stats,
-                solver_name=self.name,
-            )
+            # A satisfaction instance is solved by its first model.
+            return self._finish()
 
         if self._session is not None:
             # Everything learned from here on depends on the incumbent
@@ -845,7 +750,7 @@ class BsoloSolver:
         and one the logger cannot certify is left out."""
         proof = self._proof
         self._timer.push("cuts")
-        keyed, proven_source = self._cut_generator.cuts(self._upper)
+        keyed, proven_source = self._cut_generator.cuts(self._run.upper)
         self._timer.pop()
         if proven_source is not None:
             # Eq. 12's V alone reaches the bound: incumbent optimal.
@@ -1015,25 +920,8 @@ class BsoloSolver:
             proof.close()
 
     def _finish(self) -> SolveResult:
-        if self._best_assignment is not None:
-            status = SATISFIABLE if self._objective.is_constant else OPTIMAL
-            return SolveResult(
-                status,
-                best_cost=self._upper + self._objective.offset,
-                best_assignment=self._best_assignment,
-                stats=self.stats,
-                solver_name=self.name,
-            )
-        if self._external_cost is not None:
-            # The search ruled out every solution cheaper than the
-            # imported incumbent: that incumbent — held by another
-            # portfolio worker — is optimal.
-            return SolveResult(
-                OPTIMAL,
-                best_cost=self._external_cost,
-                stats=self.stats,
-                solver_name=self.name,
-            )
+        """The search is exhausted: the run's answer (see
+        :meth:`SolveRun.result`)."""
         core: Optional[Tuple[int, ...]] = None
         if self._session is not None:
             # A falsified assumption yields its prefix as the core; pure
@@ -1044,22 +932,7 @@ class BsoloSolver:
                 if self._assumption_core is not None
                 else ()
             )
-        return SolveResult(
-            UNSATISFIABLE, stats=self.stats, solver_name=self.name, core=core
-        )
-
-    def _timeout(self) -> SolveResult:
-        if self._best_assignment is not None:
-            best_cost = self._upper + self._objective.offset
-        else:
-            best_cost = self._external_cost
-        return SolveResult(
-            UNKNOWN,
-            best_cost=best_cost,
-            best_assignment=self._best_assignment,
-            stats=self.stats,
-            solver_name=self.name,
-        )
+        return self._run.result(True, core)
 
 
 def solve(instance: PBInstance, options: Optional[SolverOptions] = None) -> SolveResult:

@@ -9,7 +9,6 @@ configurations ``bsolo-plain`` / ``bsolo-mis`` / ``bsolo-lgr`` /
 from __future__ import annotations
 
 import json
-import time
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..api import make_solver
@@ -80,7 +79,8 @@ def run_one(
     instance_label: str,
     options: Optional[SolverOptions] = None,
 ) -> RunRecord:
-    """Run one registered solver on one instance and time it.
+    """Run one registered solver on one instance; the record's time is
+    the solve's own ``stats.elapsed``.
 
     ``solver_name`` is any :mod:`repro.api` registry name; the Table 1
     column names ``pbs``/``galena``/``cplex`` are registry aliases.
@@ -88,11 +88,8 @@ def run_one(
     ``profile``, ``metrics``, ``proof``, ...); each solver honours the
     fields it supports and ignores the rest.
     """
-    solver = make_solver(instance, solver_name, options)
-    start = time.monotonic()
-    result = solver.solve()
-    seconds = time.monotonic() - start
-    return RunRecord(solver_name, instance_label, result, seconds)
+    result = make_solver(instance, solver_name, options).solve()
+    return RunRecord(solver_name, instance_label, result, result.stats.elapsed)
 
 
 def run_matrix(

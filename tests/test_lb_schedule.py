@@ -3,7 +3,7 @@
 import pytest
 
 from repro.benchgen import generate_ptl_mapping, generate_routing
-from repro.core import solver as solver_module
+from repro.core import result as result_module
 from repro.core.bound_schedule import MAX_INTERVAL, AdaptiveSchedule
 from repro.core.options import SolverOptions
 from repro.core.solver import BsoloSolver
@@ -123,5 +123,5 @@ class TestSolverIntegration:
             return stats.decisions, stats.conflicts, stats.lower_bound_calls
 
         reference = counts()
-        monkeypatch.setattr(solver_module, "time", _SlowClock())
+        monkeypatch.setattr(result_module, "time", _SlowClock())
         assert counts() == reference

@@ -5,9 +5,10 @@ rules, deterministic exposition, cross-process snapshot/merge, and
 solver integration: every counter family equals its SolverStats or
 lb_stats source, counts reach the registry once, when a solve ends, and
 a solve with no instrument reads no clock but its elapsed time.  The
-layering test pins that the search's lower layers (``repro.pb``,
+layering tests pin that the search's lower layers (``repro.pb``,
 ``repro.engine``, ``repro.lp``, ``repro.mis``, ``repro.lagrangian``)
-import neither ``time`` nor ``repro.obs``.
+import neither ``time`` nor ``repro.obs``, and that the solvers leave
+their clock, run records and counts to the one solve envelope.
 """
 
 import ast
@@ -444,7 +445,8 @@ class TestSolverIntegration:
 
 
 class TestLayering:
-    """The search's lower layers hold no clock and no instrument."""
+    """The search's lower layers hold no clock and no instrument, and
+    the solvers hold no envelope of their own."""
 
     LOWER_LAYERS = ("pb", "engine", "lp", "mis", "lagrangian")
 
@@ -479,4 +481,37 @@ class TestLayering:
                             ("time.", "repro.obs.")
                         ):
                             leaked.append((module, name))
+        assert not leaked, leaked
+
+    #: What only the solve envelope (``repro.core.result.SolveRun``) may
+    #: import: the run clock, the run's trace records and its counts.
+    ENVELOPE = (
+        "time",
+        "RunHeaderEvent",
+        "IncumbentEvent",
+        "ResultEvent",
+        "record_metrics",
+        "SolverStats",
+        "PhaseTimer",
+    )
+
+    def test_one_solve_envelope(self):
+        # Every solver keeps its incumbent, hooks, clock and answer rule
+        # in the one SolveRun; the solvers themselves import none of it.
+        root = pathlib.Path(repro.__file__).parent
+        paths = [root / "core" / "solver.py"]
+        paths += sorted((root / "baselines").glob("*.py"))
+        leaked = []
+        for path in paths:
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [alias.name for alias in node.names]
+                else:
+                    continue
+                leaked += [
+                    (path.name, name) for name in names if name in self.ENVELOPE
+                ]
         assert not leaked, leaked

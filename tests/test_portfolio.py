@@ -9,15 +9,14 @@ import time
 
 import pytest
 
-from repro import solve, solve_portfolio
-from repro.api import register_solver
-from repro.baselines.linear_search import LinearSearchSolver
+from repro import make_solver, solve, solve_portfolio
+from repro.api import available_solvers, register_solver
 from repro.benchgen import generate_routing
 from repro.benchgen.ptl import ptl_suite
 from repro.benchgen.synthesis import covering_suite
 from repro.core import (
-    BsoloSolver,
     OPTIMAL,
+    SATISFIABLE,
     SolverOptions,
     SolverStats,
     UNKNOWN,
@@ -59,59 +58,95 @@ def non_covering_instance():
 # ----------------------------------------------------------------------
 # Cooperative hooks, in-process (deterministic)
 # ----------------------------------------------------------------------
+#: Every registered solver but the portfolio, which runs them.
+SOLVERS = [name for name in available_solvers() if name != "portfolio"]
+#: The brute-force oracle imports no bound.
+IMPORTERS = [name for name in SOLVERS if name != "brute-force"]
+
+
 class TestCooperativeHooks:
+    """The envelope every registered solver reports through: the hooks,
+    the budgets and the answer rule."""
+
     @pytest.fixture(autouse=True)
     def poll_every_step(self, monkeypatch):
         monkeypatch.setattr(solver_module, "_POLL_INTERVAL", 1)
 
-    def test_external_bound_gives_optimal_without_model(self):
+    @pytest.mark.parametrize("solver", IMPORTERS)
+    def test_external_bound_gives_optimal_without_model(self, solver):
         # another worker already holds a cost-4 incumbent; this solver
         # exhausts its search under the imported bound and reports the
         # proven optimum — the witnessing model lives with the publisher
         options = SolverOptions(external_bound=lambda: 4)
-        result = BsoloSolver(covering_instance(), options).solve()
+        result = make_solver(covering_instance(), solver, options).solve()
         assert result.status == OPTIMAL
         assert result.best_cost == 4
         assert result.model is None
         assert result.stats.external_bounds >= 1
 
-    def test_loose_external_bound_keeps_local_model(self):
+    @pytest.mark.parametrize("solver", IMPORTERS)
+    def test_loose_external_bound_keeps_local_model(self, solver):
         # an imported bound above the optimum must not steal the witness
         options = SolverOptions(external_bound=lambda: 6)
-        result = BsoloSolver(covering_instance(), options).solve()
+        result = make_solver(covering_instance(), solver, options).solve()
         assert result.status == OPTIMAL
         assert result.best_cost == 4
         assert covering_instance().check(result.model)
 
-    def test_should_stop_interrupts(self):
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_should_stop_interrupts(self, solver):
         options = SolverOptions(should_stop=lambda: True)
-        result = BsoloSolver(covering_instance(), options).solve()
+        result = make_solver(covering_instance(), solver, options).solve()
         assert result.status == UNKNOWN
         assert result.stats.interrupted
 
-    def test_on_incumbent_reports_improving_costs(self):
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_expired_deadline_stops_before_the_search(self, solver):
+        options = SolverOptions(time_limit=0)
+        result = make_solver(covering_instance(), solver, options).solve()
+        assert result.status == UNKNOWN
+        assert not result.stats.interrupted
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_on_incumbent_reports_improving_costs(self, solver):
         seen = []
         options = SolverOptions(
             on_incumbent=lambda cost, model: seen.append((cost, model))
         )
-        result = BsoloSolver(covering_instance(), options).solve()
+        result = make_solver(covering_instance(), solver, options).solve()
         assert result.status == OPTIMAL
         costs = [cost for cost, _ in seen]
-        assert costs == sorted(costs, reverse=True)  # strictly improving
+        assert costs == sorted(set(costs), reverse=True)  # strictly improving
         assert costs[-1] == 4
         for cost, model in seen:
             assert covering_instance().check(model)
 
-    def test_linear_search_honours_the_same_protocol(self):
-        options = SolverOptions(external_bound=lambda: 4)
-        result = LinearSearchSolver(covering_instance(), options).solve()
-        assert result.status == OPTIMAL
-        assert result.best_cost == 4
-        stopped = LinearSearchSolver(
-            covering_instance(), SolverOptions(should_stop=lambda: True)
-        ).solve()
-        assert stopped.status == UNKNOWN
-        assert stopped.stats.interrupted
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_constant_objective_is_satisfiable_at_its_offset(self, solver):
+        instance = PBInstance(
+            covering_instance().constraints, Objective({}, offset=7)
+        )
+        result = make_solver(instance, solver).solve()
+        assert result.status == SATISFIABLE
+        assert result.best_cost == 7
+        assert instance.check(result.model)
+
+    @pytest.mark.parametrize(
+        "solver", ["linear-search", "cutting-planes", "bsolo-plain"]
+    )
+    @pytest.mark.parametrize(
+        "budget, count, cap",
+        [("max_conflicts", "conflicts", 51), ("max_decisions", "decisions", 6)],
+        ids=["conflicts", "decisions"],
+    )
+    def test_budgets_cover_the_whole_solve(self, solver, budget, count, cap):
+        # the linear searches restart or resume their SAT search once per
+        # incumbent; the budget still counts from the start of the solve
+        instance = generate_routing(5, 5, 10, 2, 3, seed=9)
+        options = SolverOptions(**{budget: cap - 1})
+        result = make_solver(instance, solver, options).solve()
+        assert result.status == UNKNOWN
+        assert getattr(result.stats, count) <= cap
 
 
 # ----------------------------------------------------------------------
