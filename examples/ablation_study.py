@@ -1,9 +1,9 @@
 """Ablation study: which of bsolo's techniques carry the weight?
 
 Runs the full feature grid (bound-conflict learning, Section 5 cuts,
-LP-guided branching, preprocessing, covering reductions, and the
-post-paper extensions) on a small covering suite, then sweeps instance
-size to find where lower bounding overtakes plain search.
+LP-guided branching, preprocessing) on a small covering suite, then
+sweeps instance size to find where lower bounding overtakes plain
+search.
 
 Run:  python examples/ablation_study.py
 """

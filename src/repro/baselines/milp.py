@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.options import SolverOptions
 from ..core.result import SolveResult, SolveRun
-from ..lp.simplex import INFEASIBLE, OPTIMAL as LP_OPTIMAL, SimplexSolver
+from ..lp.simplex import INFEASIBLE, OPTIMAL as LP_OPTIMAL, STOPPED, SimplexSolver
 from ..lp.standard_form import build_lp_data
 from ..lp.tolerances import ROUND_EPS, ceil_guarded
 from ..pb.instance import PBInstance
@@ -29,7 +29,9 @@ _INT_TOL = ROUND_EPS
 
 class MILPSolver:
     """LP-relaxation branch and bound over the 0/1 box; each node counts
-    as a decision, so ``max_decisions`` caps the nodes."""
+    as a decision, so ``max_decisions`` caps the nodes.  The deadline and
+    ``should_stop`` are polled before every node and, through
+    ``SimplexSolver``, every few pivots inside a node's LP."""
 
     name = "cplex-like"
 
@@ -83,8 +85,14 @@ class MILPSolver:
                 result = SimplexSolver(
                     data.c, data.A, data.b, data.senses,
                     upper=[1.0] * data.num_columns,
+                    should_stop=run.stopped,
                 ).solve()
             stats.lower_bound_calls += 1
+            if result.status == STOPPED:
+                # The deadline or should_stop fired inside the node's LP:
+                # the node stays open, so the search is not exhausted.
+                exhausted = False
+                break
             if result.status == INFEASIBLE:
                 continue
             if result.status != LP_OPTIMAL:

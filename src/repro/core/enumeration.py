@@ -45,9 +45,8 @@ def enumerate_optimal(
         if not cost_cap.is_tautology:
             extra.append(cost_cap)
 
-    # covering reductions keep only *some* optimum: disable while
-    # enumerating; the proof logger holds the first solve's log only
-    next_options = options.replace(covering_reductions=False, proof=None)
+    # the proof logger holds the first solve's log only
+    next_options = options.replace(proof=None)
     count = 0
     assignment = first.best_assignment
     while True:

@@ -63,13 +63,10 @@ class SolverOptions:
         lp_guided_branching: bool = True,
         lgr_alpha_refinement: bool = True,
         preprocess: bool = True,
-        covering_reductions: bool = True,
         time_limit: Optional[float] = None,
         max_conflicts: Optional[int] = None,
         max_decisions: Optional[int] = None,
         vsids_decay: float = 0.95,
-        lgr_iterations: int = 60,
-        lp_max_iterations: int = 3000,
         max_learned: Optional[int] = 20000,
         tracer=None,
         profile: bool = False,
@@ -92,7 +89,6 @@ class SolverOptions:
             ("lp_guided_branching", lp_guided_branching),
             ("lgr_alpha_refinement", lgr_alpha_refinement),
             ("preprocess", preprocess),
-            ("covering_reductions", covering_reductions),
             ("profile", profile),
         ):
             if not isinstance(value, bool):
@@ -102,8 +98,6 @@ class SolverOptions:
             ("max_conflicts", max_conflicts, int, 0),
             ("max_decisions", max_decisions, int, 0),
             ("vsids_decay", vsids_decay, float, None),
-            ("lgr_iterations", lgr_iterations, int, 0),
-            ("lp_max_iterations", lp_max_iterations, int, 0),
             ("max_learned", max_learned, int, 0),
             ("progress_interval", progress_interval, int, 1),
         ):
@@ -135,10 +129,6 @@ class SolverOptions:
         self.lgr_alpha_refinement = lgr_alpha_refinement
         #: Probing for necessary assignments before search (Section 6).
         self.preprocess = preprocess
-        #: Covering-matrix reductions (essentiality, subsumption,
-        #: dominance — paper refs [5, 7, 15]) applied when the instance
-        #: is clause-only.
-        self.covering_reductions = covering_reductions
         #: Wall-clock budget in seconds (None = unlimited).
         self.time_limit = time_limit
         #: Conflict budget (None = unlimited).
@@ -146,10 +136,6 @@ class SolverOptions:
         #: Decision budget (None = unlimited).
         self.max_decisions = max_decisions
         self.vsids_decay = vsids_decay
-        #: Subgradient iterations per Lagrangian bound call.
-        self.lgr_iterations = lgr_iterations
-        #: Simplex iteration cap per LP call.
-        self.lp_max_iterations = lp_max_iterations
         #: Learned-clause cap; above it the oldest long clauses are
         #: forgotten (None = keep everything).
         self.max_learned = max_learned
@@ -188,11 +174,11 @@ class SolverOptions:
         self.should_stop = should_stop
         #: Proof sink (:class:`repro.certify.ProofLogger`); when set the
         #: solver records a checkable cutting-planes derivation of its
-        #: answer (see ``docs/PROOFS.md``).  Proof mode disables
-        #: covering-matrix reductions (their strengthenings are not
-        #: implication-sound) and self-checks every bound certificate,
-        #: declining prunes it cannot justify — correctness is unchanged,
-        #: search may take longer.
+        #: answer (see ``docs/PROOFS.md``).  Proof mode only records the
+        #: search, with one exception: every bound certificate is
+        #: self-checked first, and a prune whose certificate fails is
+        #: declined (the search continues below the node) and counted in
+        #: ``stats.uncertified_prunes``.
         self.proof = proof
 
     # ------------------------------------------------------------------
@@ -206,13 +192,10 @@ class SolverOptions:
             "lp_guided_branching": self.lp_guided_branching,
             "lgr_alpha_refinement": self.lgr_alpha_refinement,
             "preprocess": self.preprocess,
-            "covering_reductions": self.covering_reductions,
             "time_limit": self.time_limit,
             "max_conflicts": self.max_conflicts,
             "max_decisions": self.max_decisions,
             "vsids_decay": self.vsids_decay,
-            "lgr_iterations": self.lgr_iterations,
-            "lp_max_iterations": self.lp_max_iterations,
             "max_learned": self.max_learned,
             "profile": self.profile,
             "progress_interval": self.progress_interval,

@@ -24,7 +24,6 @@ from __future__ import annotations
 import logging
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..covering.reductions import reduce_covering
 from ..engine.activity import VSIDSActivity
 from ..engine.conflict import ConflictAnalyzer, RootConflictError, highest_level
 from ..engine.constraint_db import StoredConstraint
@@ -60,6 +59,12 @@ logger = logging.getLogger("repro.bsolo")
 #: cooperative hooks (``should_stop``/``external_bound``).
 _POLL_INTERVAL = 16
 
+#: Subgradient iterations per Lagrangian bound call (Section 3.2).
+_LGR_ITERATIONS = 60
+
+#: Simplex pivot cap per node LP (Section 3.3).
+_LP_MAX_ITERATIONS = 3000
+
 
 def make_bounder(instance: PBInstance, options: SolverOptions):
     """Build the bounder for ``options.lower_bound``.
@@ -75,8 +80,8 @@ def make_bounder(instance: PBInstance, options: SolverOptions):
     if method == MIS:
         return MISBound(instance)
     if method == LGR:
-        return LagrangianBound(instance, max_iterations=options.lgr_iterations)
-    return LPRelaxationBound(instance, max_iterations=options.lp_max_iterations)
+        return LagrangianBound(instance, max_iterations=_LGR_ITERATIONS)
+    return LPRelaxationBound(instance, max_iterations=_LP_MAX_ITERATIONS)
 
 
 class BsoloSolver:
@@ -267,17 +272,18 @@ class BsoloSolver:
         return self._main_loop()
 
     def _setup_root(self) -> Optional[SolveResult]:
-        """Load constraints, assumptions and preprocessing; a returned
+        """The root set-up of every one-shot solve, proof or not: load
+        the rows, propagate, assert the assumptions, probe.  A returned
         result means the search never starts (root conflict)."""
         propagator = self._propagator
         if self._session is not None:
             # Session call: constraints are already attached to the
-            # persistent engine (preprocessing/covering reductions are
-            # forced off by the session — both assert permanent level-0
-            # facts, which must not exist between calls).  Open the guard
-            # level, then re-queue every constraint: the root implications
-            # discovered last call were undone by the end-of-call
-            # backtrack(0) and the engine's propagate is demand-driven.
+            # persistent engine (probing is forced off by the session: it
+            # asserts permanent level-0 facts, which must not exist
+            # between calls).  Open the guard level, then re-queue every
+            # constraint: the root implications discovered last call were
+            # undone by the end-of-call backtrack(0) and the engine's
+            # propagate is demand-driven.
             for literal in self._assumptions:
                 var = literal if literal > 0 else -literal
                 if var > self._instance.num_variables or var < 1:
@@ -288,27 +294,7 @@ class BsoloSolver:
         proof = self._proof
         if proof is not None:
             proof.start(self._instance)
-        forced_literals: List[int] = []
-        dropped_indices = set()
-        if (
-            self._options.covering_reductions
-            # dominance/pure-polarity reductions preserve *some* optimum
-            # but are not implied constraints, so no proof step exists
-            # for them: proof mode runs without covering reductions
-            and proof is None
-            and self._instance.is_covering
-            # dominance/pure-polarity keep only *some* optimal solution,
-            # which user assumptions might exclude: skip them then
-            and not self._assumptions
-        ):
-            reduction = reduce_covering(self._instance)
-            if reduction.conflict:
-                return self._finish()
-            forced_literals = reduction.forced_literals
-            dropped_indices = reduction.dropped_indices
-        for index, constraint in enumerate(self._instance.constraints):
-            if index in dropped_indices:
-                continue  # subsumed clause (covering reduction)
+        for constraint in self._instance.constraints:
             conflict = propagator.add_constraint(constraint)
             if conflict is not None:  # pragma: no cover - instance rejects these
                 return self._finish()
@@ -330,15 +316,6 @@ class BsoloSolver:
             propagator.assume(literal)
             if propagator.propagate() is not None:
                 return self._finish()
-        for literal in forced_literals:
-            var = literal if literal > 0 else -literal
-            if propagator.trail.is_assigned(var):
-                if not propagator.trail.literal_is_true(literal):
-                    return self._finish()  # assumption contradicts reduction
-                continue
-            propagator.assume(literal)
-            if propagator.propagate() is not None:
-                return self._finish()  # assumption-induced conflict
 
         if self._options.preprocess:
             preprocess = probe_necessary_assignments(propagator)
@@ -617,8 +594,12 @@ class BsoloSolver:
         learned ``clause`` differs (chronological mode), the RUP step
         deriving it.  An infeasible prune is certified by its rows'
         multipliers alone, a value prune by MIS cost accounting or by
-        its multipliers with the improvement axiom.  True means the
-        prune may proceed; always True outside proof mode."""
+        its multipliers with the improvement axiom.  Before the first
+        incumbent ``P.upper`` is ``max_value + 1``, above every
+        completion's cost, so a value prune's multipliers are then a
+        Farkas ray of the node and certify it without the axiom (which
+        does not exist yet).  True means the prune may proceed; always
+        True outside proof mode."""
         proof = self._proof
         if proof is None:
             return True
@@ -637,7 +618,8 @@ class BsoloSolver:
                 logged = proof.log_bound_linear(
                     bound_clause,
                     list(bound.duals_by_row.items()),
-                    with_axiom=not bound.infeasible,
+                    with_axiom=not bound.infeasible
+                    and self._run.model is not None,
                 )
             if not logged:
                 return False

@@ -55,7 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
     bounds = sub.add_parser("bounds", help="root lower-bound quality table")
     bounds.add_argument("--family", choices=FAMILIES, default="mcnc")
     bounds.add_argument("--count", type=int, default=5)
-    bounds.add_argument("--lgr-iterations", type=int, default=200)
+    bounds.add_argument(
+        "--lgr-iterations", dest="lgr_max_iterations", type=int, default=200
+    )
 
     scaling = sub.add_parser("scaling", help="size sweep for one family")
     scaling.add_argument("--family", default="ptl")
@@ -117,7 +119,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.command == "bounds":
         instances, labels = family_instances(args.family, count=args.count)
         records = bound_quality(
-            instances, labels, lgr_iterations=args.lgr_iterations
+            instances, labels, lgr_max_iterations=args.lgr_max_iterations
         )
         print(format_bound_quality(records))
     elif args.command == "scaling":

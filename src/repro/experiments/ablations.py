@@ -1,8 +1,8 @@
 """Feature-ablation experiments on the bsolo solver.
 
 Turns individual techniques off (bound-conflict learning, cuts,
-LP-guided branching, preprocessing, covering reductions) and
-runs the resulting configurations on one instance family, reporting
+LP-guided branching, preprocessing) and runs the resulting
+configurations on one instance family, reporting
 status / time / decisions per configuration.  ``TestAblations`` in
 ``tests/test_scaling_ablations.py`` runs every configuration and checks
 that they agree on each optimum.
@@ -25,7 +25,6 @@ ABLATIONS: Dict[str, Dict] = {
     "no-cardinality-cuts": {"cardinality_cuts": False},
     "no-lp-branching": {"lp_guided_branching": False},
     "no-preprocess": {"preprocess": False},
-    "no-covering-reductions": {"covering_reductions": False},
 }
 
 

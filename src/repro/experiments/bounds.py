@@ -51,7 +51,7 @@ class BoundRecord:
 def bound_quality(
     instances: Sequence[PBInstance],
     labels: Sequence[str],
-    lgr_iterations: int = 200,
+    lgr_max_iterations: int = 200,
     solve_time_limit: float = 30.0,
 ) -> List[BoundRecord]:
     """Measure all three root bounds (and the optimum) per instance."""
@@ -74,7 +74,7 @@ def bound_quality(
 
         start = time.monotonic()
         lgr = LagrangianBound(
-            instance, max_iterations=lgr_iterations, reuse_multipliers=False
+            instance, max_iterations=lgr_max_iterations, reuse_multipliers=False
         ).compute({}).value
         lgr_time = time.monotonic() - start
 

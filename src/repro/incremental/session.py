@@ -104,11 +104,11 @@ class SolverSession:
     """A persistent bsolo solving context (see the module docstring).
 
     Parameters mirror a one-shot solve: a base :class:`PBInstance` and
-    :class:`SolverOptions`.  Options that assert permanent root facts
-    (``preprocess``, ``covering_reductions``) are forced off — both
-    would break the empty-root invariant — and options that cannot be
-    honored across calls (``proof``, ``external_bound``, ``should_stop``)
-    raise :class:`UnsupportedOptionError` up front.
+    :class:`SolverOptions`.  Probing (``preprocess``) asserts permanent
+    root facts, which would break the empty-root invariant, so it is
+    forced off; options that cannot be honored across calls (``proof``,
+    ``external_bound``, ``should_stop``) raise
+    :class:`UnsupportedOptionError` up front.
     """
 
     def __init__(
@@ -126,9 +126,7 @@ class SolverSession:
                 raise UnsupportedOptionError(
                     "SolverSession does not support %s=: %s" % (field, why)
                 )
-        self._options = options.replace(
-            preprocess=False, covering_reductions=False
-        )
+        self._options = options.replace(preprocess=False)
         self._num_variables = instance.num_variables
         #: Search scaffolding: decided first every call so the whole
         #: search lives above level 0.  Appears in no constraint.

@@ -17,6 +17,7 @@ from .simplex import (
     LPResult,
     OPTIMAL,
     SimplexSolver,
+    STOPPED,
     UNBOUNDED,
     solve_lp,
     solve_node_lp,
@@ -36,6 +37,7 @@ __all__ = [
     "LowerBound",
     "OPTIMAL",
     "ROUND_EPS",
+    "STOPPED",
     "SimplexSolver",
     "TIGHT_TOL",
     "UNBOUNDED",

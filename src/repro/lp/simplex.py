@@ -52,12 +52,16 @@ Shared by both
   smallest-index (Bland) rule, which guarantees termination.
 * A numerical breakdown (``LinAlgError``) or the iteration cap ends the
   solve as ``ITERATION_LIMIT``; callers fall back to the trivial bound.
+* ``SimplexSolver`` takes an optional ``should_stop`` callable, polled
+  every ``_STOP_POLL_EVERY`` pivots; True ends the solve as ``STOPPED``.
+  This is how the ``milp`` baseline honours its deadline inside a node;
+  the module reads no clock itself.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -73,10 +77,12 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
+STOPPED = "stopped"
 
 _TOL = 1e-9
 _STALL_LIMIT = 200  # pivots without progress before the smallest-index rule
 _REFACTOR_EVERY = 60  # pivots between refactorizations of the basis inverse
+_STOP_POLL_EVERY = 8  # pivots between polls of SimplexSolver's should_stop
 
 _AT_LOWER = 0
 _AT_UPPER = 1
@@ -93,7 +99,8 @@ class LPResult:
     def __init__(
         self, status, objective, x, duals, activities, slacks, iterations, ray=None
     ):
-        #: One of OPTIMAL / INFEASIBLE / UNBOUNDED / ITERATION_LIMIT.
+        #: One of OPTIMAL / INFEASIBLE / UNBOUNDED / ITERATION_LIMIT /
+        #: STOPPED (``SimplexSolver``'s ``should_stop`` fired).
         self.status = status
         #: Optimal objective value (None unless OPTIMAL).
         self.objective = objective
@@ -138,6 +145,7 @@ class SimplexSolver:
         senses: Sequence[str],
         upper: Optional[Sequence[float]] = None,
         max_iterations: int = 20000,
+        should_stop: Optional[Callable[[], bool]] = None,
     ):
         self.c = np.asarray(c, dtype=float)
         self.A = np.asarray(A, dtype=float)
@@ -160,6 +168,9 @@ class SimplexSolver:
         if np.any(self.upper < 0):
             raise ValueError("upper bounds must be non-negative")
         self.max_iterations = max_iterations
+        #: Nullary callable polled every ``_STOP_POLL_EVERY`` pivots;
+        #: True ends the solve with status STOPPED.
+        self.should_stop = should_stop
         self._iterations = 0
         self._basis: Optional[np.ndarray] = None
 
@@ -247,8 +258,8 @@ class SimplexSolver:
             phase1_cost = np.zeros(total)
             phase1_cost[art_start:] = 1.0
             outcome = self._optimize(phase1_cost)
-            if outcome == ITERATION_LIMIT:
-                return self._result(ITERATION_LIMIT)
+            if outcome in (ITERATION_LIMIT, STOPPED):
+                return self._result(outcome)
             phase1_value = self._objective_value(phase1_cost)
             if phase1_value > FEAS_TOL:
                 return self._result(INFEASIBLE)
@@ -257,10 +268,8 @@ class SimplexSolver:
         phase2_cost = np.zeros(total)
         phase2_cost[: self.n] = self.c
         outcome = self._optimize(phase2_cost)
-        if outcome == UNBOUNDED:
-            return self._result(UNBOUNDED)
-        if outcome == ITERATION_LIMIT:
-            return self._result(ITERATION_LIMIT)
+        if outcome != OPTIMAL:
+            return self._result(outcome)
         return self._result(OPTIMAL, cost=phase2_cost)
 
     # ------------------------------------------------------------------
@@ -294,9 +303,16 @@ class SimplexSolver:
         stall = 0
         use_bland = False
         refactor_counter = 0
+        should_stop = self.should_stop
         while True:
             if self._iterations >= self.max_iterations:
                 return ITERATION_LIMIT
+            if (
+                should_stop is not None
+                and self._iterations % _STOP_POLL_EVERY == 0
+                and should_stop()
+            ):
+                return STOPPED
             self._iterations += 1
             refactor_counter += 1
             if refactor_counter >= _REFACTOR_EVERY:

@@ -305,8 +305,8 @@ class TestOptionsValidation:
             ("max_conflicts", "a"),
             ("max_decisions", 1.5),
             ("max_learned", True),
-            ("lp_max_iterations", "abc"),
-            ("lgr_iterations", 2.0),
+            ("max_decisions", "abc"),
+            ("max_learned", 2.0),
             ("vsids_decay", "0.9"),
             ("progress_interval", 1.0),
         ],
@@ -325,8 +325,8 @@ class TestOptionsValidation:
             ("vsids_decay", 7),
             ("vsids_decay", 0.0),
             ("progress_interval", 0),
-            ("lgr_iterations", -5),
-            ("lp_max_iterations", -1),
+            ("max_conflicts", -5),
+            ("progress_interval", -1),
         ],
     )
     def test_out_of_range_rejected(self, field, value):
@@ -342,7 +342,7 @@ class TestOptionsValidation:
             ("lp_guided_branching", 0.0),
             ("lgr_alpha_refinement", "true"),
             ("preprocess", "false"),
-            ("covering_reductions", 0),
+            ("upper_bound_cuts", 0),
             ("profile", "yes"),
         ],
     )

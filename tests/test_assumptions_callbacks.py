@@ -62,9 +62,10 @@ class TestAssumptions:
         assert result.status == SATISFIABLE
         assert result.best_assignment[2] == 1
 
-    def test_assumptions_disable_covering_reductions(self):
-        # dominance would force x2 = 0 here (x1 cheaper, covers more);
-        # assuming x2 = 1 must still find the x2 solution
+    def test_assumption_on_a_dominated_column(self):
+        # x1 is cheaper than x2 and covers every clause x2 covers, so the
+        # unconditional optimum has x2 = 0; assuming x2 = 1 must still
+        # find the best solution with x2
         instance = PBInstance(
             [Constraint.clause([1, 2]), Constraint.clause([1, 3])],
             Objective({1: 2, 2: 5, 3: 5}),
@@ -72,6 +73,7 @@ class TestAssumptions:
         result = BsoloSolver(instance).solve(assumptions=[2])
         assert result.status == OPTIMAL
         assert result.best_assignment[2] == 1
+        assert result.best_cost == 7
 
     def test_solver_reuse_not_required(self):
         # two fresh solvers with different assumptions

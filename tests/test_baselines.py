@@ -173,6 +173,41 @@ class TestBudgets:
         result = MILPSolver(covering_instance(), SolverOptions(time_limit=0.0)).solve()
         assert result.status in (UNKNOWN, OPTIMAL)
 
+    def test_milp_stops_inside_a_node_lp(self, monkeypatch):
+        """milp polls its deadline and should_stop inside a node's LP: a
+        stop that fires on the second poll (the first is the node loop's)
+        ends the root LP early, and the open root makes the answer
+        UNKNOWN, not a claim."""
+        from repro.baselines import milp as milp_module
+        from repro.benchgen import generate_scheduling
+
+        pivots = []
+
+        class CountingSimplex(milp_module.SimplexSolver):
+            def solve(self):
+                result = super().solve()
+                pivots.append(result.iterations)
+                return result
+
+        monkeypatch.setattr(milp_module, "SimplexSolver", CountingSimplex)
+        instance = generate_scheduling(teams=6, seed=1997)
+        full = MILPSolver(instance).solve()
+        assert full.status == SATISFIABLE and len(pivots) == 1
+        full_pivots = pivots.pop()
+        polls = []
+
+        def stop_on_second_poll():
+            polls.append(None)
+            return len(polls) >= 2
+
+        result = MILPSolver(
+            instance, SolverOptions(should_stop=stop_on_second_poll)
+        ).solve()
+        assert result.status == UNKNOWN and result.stats.interrupted
+        assert result.best_assignment is None
+        assert len(pivots) == 1 and len(polls) == 2
+        assert pivots[0] < full_pivots
+
 
 class TestBruteForce:
     def test_caps_variables(self):

@@ -13,7 +13,7 @@ def records():
         for s in (1, 2)
     ] + [generate_routing(rows=4, cols=4, nets=5, capacity=2, seed=3)]
     labels = ["cov-1", "cov-2", "route-1"]
-    return bound_quality(instances, labels, lgr_iterations=150)
+    return bound_quality(instances, labels, lgr_max_iterations=150)
 
 
 class TestBoundQuality:

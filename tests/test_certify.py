@@ -7,6 +7,13 @@ from io import StringIO
 
 import pytest
 
+from repro.api import make_solver
+from repro.benchgen import (
+    generate_covering,
+    generate_ptl_mapping,
+    generate_routing,
+    generate_scheduling,
+)
 from repro.certify import (
     CheckOutcome,
     ProofChecker,
@@ -275,6 +282,67 @@ class TestEndToEnd:
         result, _ = solve_with_proof(instance)
         assert result.status == reference.status
         assert result.best_cost == reference.best_cost
+
+
+#: One small seeded instance per Table 1 family, at the sizes of the
+#: certified bench workload.  mcnc seed 1991 is clause-only; grout seed
+#: 2032 is unsatisfiable, so bsolo-lgr's value prunes there all come
+#: before any incumbent.
+SAME_SEARCH_INSTANCES = {
+    "acc": lambda: generate_scheduling(teams=8, seed=1997),
+    "grout": lambda: generate_routing(
+        rows=3, cols=3, nets=7, capacity=2, detours=5, seed=2032
+    ),
+    "mcnc": lambda: generate_covering(
+        minterms=28, implicants=14, density=0.11, max_cost=120, seed=1991
+    ),
+    "ptl": lambda: generate_ptl_mapping(nodes=7, extra_edges=3, seed=432),
+}
+
+
+def search_counts(result):
+    """What a proof must leave unchanged: the answer and the search."""
+    stats = result.stats
+    return (
+        result.status,
+        result.best_cost,
+        stats.decisions,
+        stats.conflicts,
+        stats.lower_bound_calls,
+    )
+
+
+class TestProofOnlyRecords:
+    """A proof records the search and never changes it: every bsolo mode
+    runs the same root set-up and the same search with and without a
+    ProofLogger, and declines no prune."""
+
+    @pytest.mark.parametrize("family", sorted(SAME_SEARCH_INSTANCES))
+    @pytest.mark.parametrize("solver", ["bsolo-lpr", "bsolo-mis", "bsolo-lgr"])
+    def test_same_search_with_and_without_proof(self, solver, family):
+        instance = SAME_SEARCH_INSTANCES[family]()
+        plain = make_solver(instance, solver, SolverOptions()).solve()
+        sink = StringIO()
+        logger = ProofLogger(sink)
+        proved = make_solver(instance, solver, SolverOptions(proof=logger)).solve()
+        logger.close()
+        assert proved.stats.uncertified_prunes == 0
+        assert search_counts(proved) == search_counts(plain)
+        outcome = ProofChecker(instance).check_text(sink.getvalue())
+        assert (outcome.status, outcome.cost) == (proved.status, proved.best_cost)
+
+    def test_lgr_value_prunes_before_the_first_incumbent(self):
+        """Before any solution ``P.upper`` is ``max_value + 1``, so a
+        Lagrangian value prune's multipliers alone cut the node off: the
+        prune is certified without the improvement axiom, which no ``o``
+        step has derived yet."""
+        instance = SAME_SEARCH_INSTANCES["grout"]()
+        result, text = solve_with_proof(instance, lower_bound="lgr")
+        assert result.status == "unsatisfiable"
+        assert result.stats.prunings > 0
+        assert result.stats.uncertified_prunes == 0
+        outcome = ProofChecker(instance).check_text(text)
+        assert outcome.status == "unsatisfiable"
 
 
 class TestProofModeOptions:
@@ -645,8 +713,6 @@ class TestDuplicateRows:
         assert self.certified(bound)
 
     def test_lgr_certifies_every_mcnc_prune(self):
-        from repro.api import make_solver
-
         instances, labels = family_instances("mcnc", count=3, scale=0.5)
         instance = instances[labels.index("mcnc-3")]
         assert len(set(instance.constraints)) < len(instance.constraints)

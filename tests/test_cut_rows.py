@@ -211,11 +211,7 @@ def test_one_engine_row_per_cut_source(imported, monkeypatch):
     """Local and imported incumbents swap into the same rows: the engine
     ends with the instance's rows plus one per live cut source."""
     instance = generate_ptl_mapping(nodes=9, extra_edges=4, seed=3)
-    options = SolverOptions(
-        lower_bound="mis",
-        preprocess=False,
-        covering_reductions=False,
-    )
+    options = SolverOptions(lower_bound="mis", preprocess=False)
     if imported is not None:
         monkeypatch.setattr(solver_module, "_POLL_INTERVAL", 1)
         options = options.replace(external_bound=lambda: imported)

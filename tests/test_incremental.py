@@ -40,7 +40,7 @@ def covering_instance():
 
 def options(**overrides):
     """Session-friendly options (bounded, deterministic)."""
-    base = dict(preprocess=False, covering_reductions=False)
+    base = dict(preprocess=False)
     base.update(overrides)
     return SolverOptions(**base)
 
@@ -220,7 +220,7 @@ class TestOptionScreening:
     def test_root_asserting_options_forced_off(self):
         session = make_session(
             covering_instance(),
-            SolverOptions(preprocess=True, covering_reductions=True),
+            SolverOptions(preprocess=True),
         )
         assert session.solve().best_cost == 4
 

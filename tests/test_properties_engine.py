@@ -5,10 +5,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.covering import reduce_covering
 from repro.engine import Propagator
 from repro.lp import GE, OPTIMAL, solve_lp, solve_node_lp
-from repro.pb import Constraint, Objective, PBInstance
+from repro.pb import Constraint
 
 SLOW = settings(
     max_examples=40,
@@ -115,44 +114,3 @@ class TestLPDuality:
             # weak duality with upper bounds: y.b - sum(max(0, y.A - c)) <= z*
             reduced_violation = np.maximum(duals @ A - c, 0.0).sum()
             assert duals @ b - reduced_violation <= result.objective + 1e-6
-
-
-class TestCoveringReducerProperties:
-    @SLOW
-    @given(st.integers(0, 10**6))
-    def test_forced_assignments_extendable_to_optimum(self, seed):
-        import itertools
-        import random
-
-        rng = random.Random(seed)
-        n = rng.randint(2, 5)
-        constraints = []
-        for _ in range(rng.randint(1, 6)):
-            variables = rng.sample(range(1, n + 1), rng.randint(1, n))
-            constraints.append(
-                Constraint.clause(
-                    [v if rng.random() < 0.6 else -v for v in variables]
-                )
-            )
-        instance = PBInstance(
-            constraints,
-            Objective({v: rng.randint(0, 4) for v in range(1, n + 1)}),
-            num_variables=n,
-        )
-        result = reduce_covering(instance)
-        best = None
-        best_with_forced = None
-        for bits in itertools.product((0, 1), repeat=n):
-            assignment = {v: bits[v - 1] for v in range(1, n + 1)}
-            if not instance.check(assignment):
-                continue
-            cost = instance.cost(assignment)
-            best = cost if best is None else min(best, cost)
-            if all(assignment[v] == val for v, val in result.forced.items()):
-                best_with_forced = (
-                    cost if best_with_forced is None else min(best_with_forced, cost)
-                )
-        if best is None:
-            return  # unsatisfiable; conflict flag may or may not fire
-        assert not result.conflict
-        assert best_with_forced == best  # reductions preserve an optimum

@@ -88,4 +88,4 @@ class TestAblations:
     def test_registry_covers_paper_features(self):
         assert "no-bound-learning" in ABLATIONS
         assert "no-lp-branching" in ABLATIONS
-        assert "no-covering-reductions" in ABLATIONS
+        assert "no-preprocess" in ABLATIONS

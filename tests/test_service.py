@@ -89,10 +89,7 @@ class TestProtocolUnit:
             # values the solver would trip on inside a worker
             ({"instance": EASY, "options": {"time_limit": "x"}}, "bad_request"),
             ({"instance": EASY, "options": {"max_conflicts": "a"}}, "bad_request"),
-            (
-                {"instance": EASY, "options": {"lp_max_iterations": "abc"}},
-                "bad_request",
-            ),
+            ({"instance": EASY, "options": {"max_decisions": "abc"}}, "bad_request"),
             ({"instance": EASY, "options": {"vsids_decay": 7}}, "bad_request"),
             (
                 {
@@ -101,14 +98,14 @@ class TestProtocolUnit:
                 },
                 "bad_request",
             ),
-            # wrongly typed flags and negative iteration caps would pass
-            # the type check and silently change the search
+            # wrongly typed flags and negative budgets would pass the
+            # type check and silently change the search
             ({"instance": EASY, "options": {"preprocess": "false"}}, "bad_request"),
             ({"instance": EASY, "options": {"upper_bound_cuts": "no"}}, "bad_request"),
-            ({"instance": EASY, "options": {"covering_reductions": 0}}, "bad_request"),
+            ({"instance": EASY, "options": {"lp_guided_branching": 0}}, "bad_request"),
             ({"instance": EASY, "options": {"cardinality_cuts": None}}, "bad_request"),
-            ({"instance": EASY, "options": {"lgr_iterations": -5}}, "bad_request"),
-            ({"instance": EASY, "options": {"lp_max_iterations": -1}}, "bad_request"),
+            ({"instance": EASY, "options": {"max_conflicts": -5}}, "bad_request"),
+            ({"instance": EASY, "options": {"max_learned": -1}}, "bad_request"),
             # the deleted search extensions are unknown options
             ({"instance": EASY, "options": {"restarts": True}}, "bad_request"),
             ({"instance": EASY, "options": {"restart_interval": 100}}, "bad_request"),
@@ -118,6 +115,13 @@ class TestProtocolUnit:
                 {"instance": EASY, "options": {"probing_implications": 16}},
                 "bad_request",
             ),
+            # so are the covering reductions and the bounders' iteration caps
+            (
+                {"instance": EASY, "options": {"covering_reductions": True}},
+                "bad_request",
+            ),
+            ({"instance": EASY, "options": {"lgr_iterations": 60}}, "bad_request"),
+            ({"instance": EASY, "options": {"lp_max_iterations": 3000}}, "bad_request"),
             ({"instance": EASY, "solver": "bsolo-hybrid"}, "unknown_solver"),
             ({"instance": EASY, "timeout": -1}, "bad_request"),
             ({"instance": EASY, "proof": "yes"}, "bad_request"),

@@ -17,6 +17,7 @@ from repro.lp import (
     ITERATION_LIMIT,
     LE,
     OPTIMAL,
+    STOPPED,
     UNBOUNDED,
     SimplexSolver,
     solve_lp,
@@ -102,6 +103,44 @@ class TestStatuses:
             max_iterations=0,
         ).solve()
         assert result.status == "iteration_limit"
+
+    def test_should_stop_ends_the_solve(self):
+        polls = []
+
+        def stop():
+            polls.append(None)
+            return True
+
+        result = SimplexSolver(
+            [1.0, 1.0], [[1.0, 1.0]], [1.0], [GE], upper=[1.0, 1.0],
+            should_stop=stop,
+        ).solve()
+        assert result.status == STOPPED
+        assert result.objective is None and result.iterations == 0
+        assert len(polls) == 1
+
+    def test_should_stop_polled_every_few_pivots(self):
+        rng = np.random.default_rng(5)
+        n, m = 30, 20
+        c = rng.integers(1, 9, size=n).astype(float)
+        A = rng.integers(0, 3, size=(m, n)).astype(float)
+        b = np.minimum(A.sum(axis=1), 3.0)
+        polls = []
+
+        def never():
+            polls.append(None)
+            return False
+
+        plain = SimplexSolver(c, A, b, [GE] * m, upper=[1.0] * n).solve()
+        polled = SimplexSolver(
+            c, A, b, [GE] * m, upper=[1.0] * n, should_stop=never
+        ).solve()
+        assert polled.status == plain.status == OPTIMAL
+        assert polled.iterations == plain.iterations
+        assert polled.objective == pytest.approx(plain.objective)
+        every = simplex._STOP_POLL_EVERY
+        assert plain.iterations > 2 * every
+        assert plain.iterations // every <= len(polls) <= plain.iterations // every + 2
 
 
 class TestDiagnostics:

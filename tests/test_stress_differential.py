@@ -20,11 +20,12 @@ from repro.core import (
     verify_result,
 )
 from repro.experiments import SOLVER_NAMES, run_one
+from repro.pb import Constraint, Objective, PBInstance
 
 OPTION_MIXES = [
     {"lower_bound": "lgr", "lgr_alpha_refinement": False},
     {"lower_bound": "lpr", "lp_guided_branching": False, "preprocess": False},
-    {"lower_bound": "mis", "covering_reductions": False, "max_learned": 3},
+    {"lower_bound": "mis", "max_learned": 3},
     {"lower_bound": "plain", "upper_bound_cuts": False, "cardinality_cuts": False},
     {"lower_bound": "lpr", "bound_conflict_learning": False},
 ]
@@ -75,6 +76,36 @@ class TestOptionMixesDifferential:
             assert instance.check(result.best_assignment)
 
 
+class TestClauseOnlyDifferential:
+    """Clause-only instances (binate covering): bsolo's default search
+    against the oracle."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_clause_only_vs_oracle(self, seed):
+        rng = random.Random(400 + seed)
+        n = rng.randint(4, 7)
+        constraints = []
+        for _ in range(rng.randint(3, 9)):
+            variables = rng.sample(range(1, n + 1), rng.randint(1, min(4, n)))
+            constraints.append(
+                Constraint.clause(
+                    [v if rng.random() < 0.6 else -v for v in variables]
+                )
+            )
+        instance = PBInstance(
+            constraints,
+            Objective({v: rng.randint(0, 5) for v in range(1, n + 1)}),
+            num_variables=n,
+        )
+        assert instance.is_covering
+        oracle = BruteForceSolver(instance).solve()
+        result = BsoloSolver(instance, SolverOptions()).solve()
+        assert result.status == oracle.status
+        if oracle.best_cost is not None:
+            assert result.best_cost == oracle.best_cost
+            assert instance.check(result.best_assignment)
+
+
 class TestPlantedInstances:
     @pytest.mark.parametrize("seed", range(10))
     def test_planted_always_solved(self, seed):
@@ -99,7 +130,7 @@ class TestSatisfactionStress:
         oracle = BruteForceSolver(instance).solve()
         for options in (
             SolverOptions(),
-            SolverOptions(preprocess=False, covering_reductions=False, max_learned=2),
+            SolverOptions(preprocess=False, max_learned=2),
         ):
             result = BsoloSolver(instance, options).solve()
             assert result.status == oracle.status
